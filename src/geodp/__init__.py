@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     ContractionViolated,
     CutLocus,
-    DegeneratePair,
     GeodpError,
     GridMismatch,
     IllConditionedRegression,
@@ -41,12 +40,10 @@ from .geometry import (
     FlatTorus2,
     ManifoldModel,
     Sphere2,
-    TangentVector,
     VectorField,
     flow_step,
     get_field,
     get_manifold,
-    register_manifold,
 )
 from .harness import RunReport, run
 from .hjb import (

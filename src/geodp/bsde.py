@@ -188,6 +188,12 @@ def backward_sweep(
     )
 
 
+def _check_contraction(driver: Driver, grid) -> None:
+    """The implicit Picard step contracts only when K*dt < 1."""
+    if grid.n_steps > 0 and driver.lipschitz_K * grid.dt >= 1.0:
+        raise ContractionViolated(f"K*dt = {driver.lipschitz_K * grid.dt:.3g} >= 1")
+
+
 def _policy_driver(ens: TrajectoryEnsemble, driver: Driver):
     times = ens.grid.times
 
@@ -206,10 +212,7 @@ def solve_backward(
     picard_iters: int = 3,
 ) -> BsdeSolution:
     """Solve the BSDE with terminal cost at maturity along the ensemble."""
-    if ens.grid.n_steps > 0 and driver.lipschitz_K * ens.grid.dt >= 1.0:
-        raise ContractionViolated(
-            f"K*dt = {driver.lipschitz_K * ens.grid.dt:.3g} >= 1"
-        )
+    _check_contraction(driver, ens.grid)
     sol = backward_sweep(
         ens.states,
         ens.noise.increments,
@@ -245,10 +248,7 @@ def semigroup(
     eta = np.asarray(eta, dtype=float)
     if ens.grid.n_steps == 0:
         return float(np.mean(eta))
-    if driver.lipschitz_K * ens.grid.dt >= 1.0:
-        raise ContractionViolated(
-            f"K*dt = {driver.lipschitz_K * ens.grid.dt:.3g} >= 1"
-        )
+    _check_contraction(driver, ens.grid)
     sol = backward_sweep(
         ens.states,
         ens.noise.increments,

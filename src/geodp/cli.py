@@ -21,7 +21,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_run.add_argument("--out", default=".", help="output directory for report files")
     p_run.add_argument("--dump-paths", action="store_true", help="also write raw path CSVs")
-    p_run.add_argument("--workers", type=int, default=None, help="override worker count")
     p_run.add_argument(
         "--print-defaults", action="store_true", help="print the default config and exit"
     )
@@ -37,8 +36,6 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_yaml(args.config)
         if args.seed is not None:
             cfg.raw["seed"] = int(args.seed)
-        if args.workers is not None:
-            cfg.raw["n_workers"] = int(args.workers)
         report = run(cfg, out_dir=args.out, dump_paths=args.dump_paths)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -37,7 +37,6 @@ DEFAULTS: Dict[str, Any] = {
     "seed": 12345,
     "experiment": "oracle-circle",
     "x0": None,  # embedded coordinates; None = first mesh node
-    "n_workers": 1,
     "mu": 0.0,  # drift transport-Lipschitz constant for hypothesis checks
     "dpp": {"delta_steps": [1, 4], "n_probes": 16, "n_paths": 4096},
     "agreement": {"levels": 1},

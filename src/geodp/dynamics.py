@@ -13,9 +13,8 @@ step instead of relying on it analytically.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +22,10 @@ from . import rng
 from .errors import GridMismatch, NonTangentField
 from .geometry import ManifoldModel, VectorField, ambient_derivative
 
-# Paths are processed in fixed-size chunks regardless of worker count so that
-# any cross-path reduction downstream can use a partition-independent order.
+# Paths are stepped in fixed-size chunks to bound the per-step temporaries.
+# Each path depends only on its own noise, so the states do not depend on the
+# chunk size; bsde accumulates its Gram matrices in chunks of the same size so
+# that cross-path sums have one fixed order.
 CHUNK = 2048
 
 
@@ -154,17 +155,6 @@ class ControlPolicy:
         return cls("open_loop_constant", fn)
 
     @classmethod
-    def piecewise(cls, per_step: Sequence) -> "ControlPolicy":
-        vals = np.asarray(per_step, dtype=float)
-
-        def fn(i, X):
-            return np.broadcast_to(vals[i], (X.shape[0], vals.shape[1])).copy()
-
-        p = cls("open_loop_piecewise", fn)
-        p.n_steps = vals.shape[0]
-        return p
-
-    @classmethod
     def feedback(cls, fn: Callable[[int, np.ndarray], np.ndarray]) -> "ControlPolicy":
         return cls("feedback", fn)
 
@@ -192,15 +182,39 @@ class TrajectoryEnsemble:
         return np.stack(out, axis=0)
 
 
-def _step(m, fields, t, dt, X, v, dW):
-    """One projected Euler step for a block of paths."""
-    d = len(fields) - 1
-    drift = v[:, 0:1] * fields[0](t, X)
-    for a in range(1, d + 1):
-        va = v[:, a : a + 1]
-        drift = drift + 0.5 * va**2 * ambient_derivative(m, fields[a], fields[a], t, X)
-        drift = drift + (va * dW[:, a - 1 : a]) / dt * fields[a](t, X)
-    return m.project(X + dt * drift)
+def euler_step(m, fields, t, dt, X, v, dW):
+    """One projected Euler step, broadcasting over the leading axes of X, v, dW.
+
+    X: (..., n) states; v: (..., d+1) controls; dW: (..., d) increments.
+    Computes X + dt*(v0*V0 + 1/2 sum_a va^2 D_Va Va), then adds
+    sum_a (va*Va)*dW^a, then projects.
+    """
+    v = np.asarray(v, dtype=float)
+    drift = v[..., 0:1] * fields[0](t, X)
+    for a in range(1, len(fields)):
+        drift = drift + 0.5 * v[..., a : a + 1] ** 2 * ambient_derivative(
+            m, fields[a], fields[a], t, X
+        )
+    Y = X + dt * drift
+    for a in range(1, len(fields)):
+        Y = Y + v[..., a : a + 1] * fields[a](t, X) * dW[..., a - 1 : a]
+    return m.project(Y)
+
+
+def grid_argmin(controls: np.ndarray, values):
+    """Pointwise minimum over the rows of a control grid.
+
+    ``values[k]`` is the objective (scalar or per-point array) under
+    ``controls[k]``.  Returns (minimum, minimizing row per point).  Rows are
+    visited in grid order and only a strictly smaller value replaces the
+    incumbent, so ties resolve to the first (lexicographically smallest) control.
+    """
+    best, best_k = np.inf, 0
+    for k, val in enumerate(values):
+        better = val < best
+        best = np.where(better, val, best)
+        best_k = np.where(better, k, best_k)
+    return best, controls[best_k]
 
 
 def simulate(
@@ -209,7 +223,6 @@ def simulate(
     x0: np.ndarray,
     policy: ControlPolicy,
     noise: BrownianGrid,
-    workers: int = 1,
 ) -> TrajectoryEnsemble:
     """Run the projected Euler scheme for all paths of the noise grid."""
     d = len(fields) - 1
@@ -218,35 +231,18 @@ def simulate(
     for f in fields[1:]:
         if not f.tangency_certified:
             raise NonTangentField(f"diffusion field '{f.id}' lacks a tangency certificate")
-    x0 = np.asarray(x0, dtype=float)
     grid = noise.grid
-    n_paths = noise.n_paths
     times = grid.times
     dt = grid.dt
-
-    states = np.empty((grid.n_steps + 1, n_paths, m.ambient_dim))
-    states[0] = x0
-
-    def run_chunk(p0: int, p1: int) -> np.ndarray:
-        out = np.empty((grid.n_steps + 1, p1 - p0, m.ambient_dim))
-        out[0] = x0
-        X = out[0].copy()
+    states = np.empty((grid.n_steps + 1, noise.n_paths, m.ambient_dim))
+    states[0] = np.asarray(x0, dtype=float)
+    for p0 in range(0, noise.n_paths, CHUNK):
+        paths = slice(p0, p0 + CHUNK)
+        X = states[0, paths]
         for i in range(grid.n_steps):
-            v = policy.values(i, X)
-            dW = noise.increments[i, p0:p1]
-            X = _step(m, fields, times[i], dt, X, v, dW)
-            out[i + 1] = X
-        return out
-
-    bounds = [(p, min(p + CHUNK, n_paths)) for p in range(0, n_paths, CHUNK)]
-    if workers > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda b: run_chunk(*b), bounds))
-    else:
-        results = [run_chunk(*b) for b in bounds]
-    for (p0, p1), block in zip(bounds, results):
-        states[:, p0:p1] = block
-
+            dW = noise.increments[i, paths]
+            X = euler_step(m, fields, times[i], dt, X, policy.values(i, X), dW)
+            states[i + 1, paths] = X
     return TrajectoryEnsemble(grid=grid, manifold=m, states=states, noise=noise, policy=policy)
 
 
@@ -267,15 +263,14 @@ def flow_continuity_check(
     policy2: ControlPolicy,
     noise: BrownianGrid,
     C: float,
-    workers: int = 1,
 ) -> FlowContinuityReport:
     """Mean-square flow continuity under shared noise.
 
     lhs: Monte Carlo estimate of E sup_s |X_s - X'_s|^2 (ambient norm).
     rhs: C * (|x - x'|^2 + E int |v - v'|^2 ds), with C supplied by config.
     """
-    ens1 = simulate(m, fields, x, policy, noise, workers=workers)
-    ens2 = simulate(m, fields, x2, policy2, noise, workers=workers)
+    ens1 = simulate(m, fields, x, policy, noise)
+    ens2 = simulate(m, fields, x2, policy2, noise)
     diff2 = np.sum((ens1.states - ens2.states) ** 2, axis=-1)  # (steps+1, paths)
     lhs = float(np.mean(np.max(diff2, axis=0)))
     v1 = ens1.control_values()

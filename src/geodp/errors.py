@@ -44,10 +44,6 @@ class CflViolated(GeodpError):
     """Explicit time step too large for the stencil spacing."""
 
 
-class DegeneratePair(GeodpError):
-    """Sampled point pair too close to form a difference quotient."""
-
-
 class ConfigError(GeodpError):
     """Invalid experiment configuration; message names the offending field."""
 

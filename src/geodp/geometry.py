@@ -11,7 +11,7 @@ ambient vector of shape (n,) or a batch of shape (..., n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,14 +25,6 @@ _CUT_GUARD = 1e-9
 
 # Central-difference step for ambient derivatives without a registered Jacobian.
 H_GEO = 1e-5
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """An ambient vector attached to a base point, lying in the tangent space there."""
-
-    base: np.ndarray
-    components: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -350,37 +342,6 @@ class FlatTorus2(ManifoldModel):
         return np.stack([t1, t2], axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# Module-level operation surface
-# ---------------------------------------------------------------------------
-
-
-def project(m: ManifoldModel, p) -> np.ndarray:
-    return m.project(p)
-
-
-def distance(m: ManifoldModel, x, y):
-    return m.distance(x, y)
-
-
-def exp_map(m: ManifoldModel, x, v) -> np.ndarray:
-    if isinstance(v, TangentVector):
-        v = v.components
-    return m.exp(x, v)
-
-
-def log_map(m: ManifoldModel, x, y) -> TangentVector:
-    x = np.asarray(x, dtype=float)
-    return TangentVector(base=x, components=m.log(x, y))
-
-
-def parallel_transport(m: ManifoldModel, x, y, v) -> TangentVector:
-    if isinstance(v, TangentVector):
-        v = v.components
-    y = np.asarray(y, dtype=float)
-    return TangentVector(base=y, components=m.transport(x, y, v))
-
-
 def ambient_derivative(
     m: ManifoldModel,
     V: VectorField,
@@ -407,13 +368,17 @@ def flow_step(m: ManifoldModel, V: VectorField, t: float, x, h: float) -> np.nda
     n_sub = max(1, int(np.ceil(abs(h) / 0.1)))
     hs = h / n_sub
     for k in range(n_sub):
-        s = t + k * hs
-        k1 = V(s, x)
-        k2 = V(s + hs / 2.0, x + (hs / 2.0) * k1)
-        k3 = V(s + hs / 2.0, x + (hs / 2.0) * k2)
-        k4 = V(s + hs, x + hs * k3)
-        x = m.project(x + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        x = m.project(rk4_step(V, t + k * hs, x, hs))
     return x
+
+
+def rk4_step(g: Callable, s: float, y, h: float):
+    """One classical Runge-Kutta step of y' = g(s, y) from s to s + h."""
+    k1 = g(s, y)
+    k2 = g(s + h / 2.0, y + (h / 2.0) * k1)
+    k3 = g(s + h / 2.0, y + (h / 2.0) * k2)
+    k4 = g(s + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +399,6 @@ def get_manifold(name: str) -> ManifoldModel:
             f"unknown manifold '{name}'; available: {sorted(_MANIFOLDS)}"
         )
     return _MANIFOLDS[key]()
-
-
-def register_manifold(name: str, cls) -> None:
-    _MANIFOLDS[name.lower()] = cls
 
 
 def linear_field(fid: str, A: np.ndarray, tangent: bool) -> VectorField:

@@ -17,15 +17,15 @@ controls, and two diagnostic checks tying the BSDE pipeline to the PDE one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bsde import RegressionBasis, backward_sweep, conditional_expectation
-from .dynamics import BrownianGrid, ControlPolicy, TimeGrid, simulate
+from .dynamics import BrownianGrid, ControlPolicy, TimeGrid, grid_argmin, simulate
 from .errors import CflViolated
-from .geometry import VectorField, flow_step
+from .geometry import VectorField, flow_step, rk4_step
 from .problem import ControlProblem
 from .value import ManifoldMesh, ValueField, export_value_field
 
@@ -128,14 +128,11 @@ def hamiltonian_F0(
 
     Ties resolve to the lexicographically smallest control (grid order).
     """
-    best = np.inf
-    best_v = None
-    for v in prob.controls.grid(points_per_axis):
-        val = float(hamiltonian_F(prob, probe, t, x, y, z, v))
-        if val < best:
-            best = val
-            best_v = v
-    return best, best_v
+    controls = prob.controls.grid(points_per_axis)
+    best, best_v = grid_argmin(
+        controls, [float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls]
+    )
+    return float(best), best_v
 
 
 @dataclass(frozen=True)
@@ -152,6 +149,23 @@ class HjbField:
         )
 
 
+def _max_diffusion_load(prob: ControlProblem) -> float:
+    """max_v sum_a v_a^2 over the control grid: the CFL-relevant diffusion load."""
+    controls = prob.controls.grid()
+    return float(np.max(np.sum(controls[:, 1:] ** 2, axis=1)))
+
+
+def _stencil_hamiltonian(prob, t, nodes, un, d1, d2, v):
+    """Discrete Hamiltonian at every node under the constant control v."""
+    ham = v[0] * d1[0]
+    z = np.zeros((nodes.shape[0], prob.d))
+    for a in range(1, prob.d + 1):
+        ham = ham + 0.5 * v[a] ** 2 * d2[a]
+        z[:, a - 1] = v[a] * d1[a]
+    vv = np.broadcast_to(v, (nodes.shape[0], v.shape[0]))
+    return ham + prob.driver(t, nodes, un, z, vv)
+
+
 def solve_hjb(
     prob: ControlProblem,
     grid: TimeGrid,
@@ -165,9 +179,7 @@ def solve_hjb(
     Raises CflViolated when dt * max_v sum_a v_a^2 > cfl_limit * h^2.
     """
     h = h_stencil if h_stencil is not None else mesh.spacing()
-    controls = prob.controls.grid()
-    diff_load = float(np.max(np.sum(controls[:, 1:] ** 2, axis=1)))
-    cfl_ratio = grid.dt * diff_load / h**2
+    cfl_ratio = grid.dt * _max_diffusion_load(prob) / h**2
     if cfl_ratio > cfl_limit:
         raise CflViolated(
             f"dt*max|v_diff|^2/h^2 = {cfl_ratio:.3g} > {cfl_limit}"
@@ -175,48 +187,29 @@ def solve_hjb(
 
     m = prob.manifold
     nodes = mesh.nodes
-    n_nodes = mesh.n_nodes
     d = prob.d
     dt = grid.dt
     times = grid.times
-    f = prob.driver
+    controls = prob.controls.grid()
 
     plus = [flow_step(m, V, grid.t0, nodes, h) for V in prob.fields]
     minus = [flow_step(m, V, grid.t0, nodes, -h) for V in prob.fields]
 
-    u = np.empty((grid.n_steps + 1, n_nodes))
+    u = np.empty((grid.n_steps + 1, mesh.n_nodes))
     u[grid.n_steps] = prob.terminal(nodes)
-    argmin = np.empty((grid.n_steps, n_nodes, controls.shape[1]))
+    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
 
     for i in range(grid.n_steps - 1, -1, -1):
         un = u[i + 1]
-        t_eval = times[i + 1]
-        d1 = [
-            (mesh.interpolate(un, plus[a]) - mesh.interpolate(un, minus[a])) / (2.0 * h)
-            for a in range(d + 1)
-        ]
-        d2 = [
-            None,
-        ] + [
-            (mesh.interpolate(un, plus[a]) - 2.0 * un + mesh.interpolate(un, minus[a]))
-            / h**2
-            for a in range(1, d + 1)
-        ]
-        best = np.full(n_nodes, np.inf)
-        best_v = np.empty((n_nodes, controls.shape[1]))
-        for v in controls:
-            ham = v[0] * d1[0]
-            z = np.zeros((n_nodes, d))
-            for a in range(1, d + 1):
-                ham = ham + 0.5 * v[a] ** 2 * d2[a]
-                z[:, a - 1] = v[a] * d1[a]
-            vv = np.broadcast_to(v, (n_nodes, v.shape[0]))
-            ham = ham + f(t_eval, nodes, un, z, vv)
-            better = ham < best
-            best = np.where(better, ham, best)
-            best_v[better] = v
+        up = [mesh.interpolate(un, p) for p in plus]
+        um = [mesh.interpolate(un, p) for p in minus]
+        d1 = [(up[a] - um[a]) / (2.0 * h) for a in range(d + 1)]
+        d2 = [None] + [(up[a] - 2.0 * un + um[a]) / h**2 for a in range(1, d + 1)]
+        best, argmin[i] = grid_argmin(
+            controls,
+            [_stencil_hamiltonian(prob, times[i + 1], nodes, un, d1, d2, v) for v in controls],
+        )
         u[i] = un + dt * best
-        argmin[i] = best_v
 
     return HjbField(grid=grid, mesh=mesh, u=u, cfl_ratio=cfl_ratio, argmin_control=argmin)
 
@@ -231,13 +224,24 @@ def hjb_steps_for_cfl(
 ) -> int:
     """Smallest step count satisfying the CFL guard, rounded up to a multiple."""
     h = mesh.spacing()
-    controls = prob.controls.grid()
-    diff_load = float(np.max(np.sum(controls[:, 1:] ** 2, axis=1)))
+    diff_load = _max_diffusion_load(prob)
     n = int(np.ceil((T - t0) * diff_load / (cfl_limit * h**2))) if diff_load > 0 else 1
     n = max(n, 1)
     if multiple_of > 1:
         n = int(np.ceil(n / multiple_of)) * multiple_of
     return n
+
+
+def _backward_rk4(g, t: float, delta: float, n_substeps: int) -> float:
+    """RK4 for y' = g(s, y) from y(t + delta) = 0 back down to time t."""
+    n_substeps = max(n_substeps, 32)
+    hstep = -delta / n_substeps
+    s = t + delta
+    y = 0.0
+    for _ in range(n_substeps):
+        y = rk4_step(g, s, y, hstep)
+        s = s + hstep
+    return float(y)
 
 
 def frozen_ode_solve(
@@ -255,23 +259,11 @@ def frozen_ode_solve(
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    n_substeps = max(n_substeps, 32)
     zeros = np.zeros(prob.d)
-
-    def g(s, y):
-        return -hamiltonian_F0(prob, probe, s, x, y, zeros, points_per_axis)[0]
-
-    hstep = -delta / n_substeps
-    s = t + delta
-    y = 0.0
-    for _ in range(n_substeps):
-        k1 = g(s, y)
-        k2 = g(s + hstep / 2.0, y + hstep / 2.0 * k1)
-        k3 = g(s + hstep / 2.0, y + hstep / 2.0 * k2)
-        k4 = g(s + hstep, y + hstep * k3)
-        y = y + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s + hstep
-    return float(y)
+    return _backward_rk4(
+        lambda s, y: -hamiltonian_F0(prob, probe, s, x, y, zeros, points_per_axis)[0],
+        t, delta, n_substeps,
+    )
 
 
 def frozen_ode_constant_control(
@@ -284,23 +276,11 @@ def frozen_ode_constant_control(
     n_substeps: int = 64,
 ) -> float:
     """Same backward ODE with the control held at one fixed value."""
-    n_substeps = max(n_substeps, 32)
     zeros = np.zeros(prob.d)
-
-    def g(s, y):
-        return -float(hamiltonian_F(prob, probe, s, x, y, zeros, v))
-
-    hstep = -delta / n_substeps
-    s = t + delta
-    y = 0.0
-    for _ in range(n_substeps):
-        k1 = g(s, y)
-        k2 = g(s + hstep / 2.0, y + hstep / 2.0 * k1)
-        k3 = g(s + hstep / 2.0, y + hstep / 2.0 * k2)
-        k4 = g(s + hstep, y + hstep * k3)
-        y = y + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        s = s + hstep
-    return float(y)
+    return _backward_rk4(
+        lambda s, y: -float(hamiltonian_F(prob, probe, s, x, y, zeros, v)),
+        t, delta, n_substeps,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ not a proof.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -275,14 +275,16 @@ def uniqueness_certified(
     mu: float,
     n_samples: int = 1000,
     seed: int = 0,
+    h2_threshold: float = 1e-8,
 ) -> List[HypothesisReport]:
     """All hypothesis reports a configuration must pass to be flagged
-    uniqueness-certified: A1, A2, H1 for the drift field, H2 per diffusion field."""
+    uniqueness-certified: A1, A2, H1 for the drift field, H2 per diffusion field
+    (each with transport defect at most ``h2_threshold``)."""
     reports = [
         check_A1(prob, n_samples, seed),
         check_A2(prob, n_samples, seed),
         check_H1(prob.manifold, prob.fields[0], mu, n_samples, seed),
     ]
     for a, V in enumerate(prob.fields[1:], start=1):
-        reports.append(check_H2(prob.manifold, V, n_samples, seed + a))
+        reports.append(check_H2(prob.manifold, V, n_samples, seed + a, h2_threshold))
     return reports

@@ -2,7 +2,7 @@
 
 Every increment is a pure function of (seed, step, path, component), so paired
 simulations can share noise exactly (common random numbers) and results do not
-depend on how paths are partitioned across workers.
+depend on how the paths are partitioned into chunks.
 
 The generator hashes the four indices with the splitmix64 finalizer and feeds
 two 53-bit uniforms into a Box-Muller transform.  This is not a

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from geodp import dynamics
 from geodp.dynamics import (
     BrownianGrid,
     ControlPolicy,
     ControlSet,
     TimeGrid,
+    euler_step,
     flow_continuity_check,
     simulate,
 )
@@ -97,17 +99,46 @@ def test_circle_diffusion_oracle():
     assert abs(est - ref) <= 3.0 * se + 0.01  # 0.01 covers the O(dt) scheme bias
 
 
-def test_worker_count_invariance():
-    m = Circle()
-    fields = [get_field(m, "zero"), get_field(m, "rot")]
-    x0 = np.array([1.0, 0.0])
+# Drift field first, then the diffusion fields, and a start point.
+STEP_CASES = {
+    "circle": (["zero", "rot"], [1.0, 0.0]),
+    "sphere2": (["rot_x", "rot_z", "rot_y"], [0.6, 0.0, 0.8]),
+    "torus2": (["const_angle:0.3", "rot1", "rot2"], [1.0, 0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_chunk_partition_invariance(monkeypatch, name):
+    """Paths are stepped chunk by chunk; the states must not depend on the chunk size."""
+    fids, x0 = STEP_CASES[name]
+    m = get_manifold(name)
+    fields = [get_field(m, f) for f in fids]
+    d = len(fields) - 1
     grid = TimeGrid(0.0, 0.5, 16)
-    noise = _noise(grid, n_paths=5000, seed=11)
-    s1 = simulate(m, fields, x0, ControlPolicy.constant([0.0, 1.0]), noise, workers=1)
-    s2 = simulate(m, fields, x0, ControlPolicy.constant([0.0, 1.0]), noise, workers=2)
-    s8 = simulate(m, fields, x0, ControlPolicy.constant([0.0, 1.0]), noise, workers=8)
-    np.testing.assert_array_equal(s1.states, s2.states)
-    np.testing.assert_array_equal(s1.states, s8.states)
+    noise = _noise(grid, d=d, n_paths=5000, seed=11)
+    policy = ControlPolicy.constant([0.5] + [1.0] * d)
+    ref = simulate(m, fields, np.array(x0), policy, noise).states
+    for chunk in (1000, 5000, 7):
+        monkeypatch.setattr(dynamics, "CHUNK", chunk)
+        states = simulate(m, fields, np.array(x0), policy, noise).states
+        np.testing.assert_array_equal(states, ref, err_msg=f"CHUNK={chunk}")
+
+
+@pytest.mark.parametrize("name", ["sphere2", "torus2"])
+def test_euler_step_broadcast_matches_path_steps(name):
+    """Stepping every node with every shared sample in one broadcast call equals
+    stepping the flattened (node, sample) pairs as independent paths."""
+    m = get_manifold(name)
+    fields = [get_field(m, f) for f in STEP_CASES[name][0]]
+    d = len(fields) - 1
+    nodes = m.random_points(6, np.random.default_rng(0))
+    dW = 0.1 * np.random.default_rng(1).standard_normal((5, d))
+    v = np.array([0.4, 0.7, 1.2])
+    out = euler_step(m, fields, 0.0, 0.01, nodes[:, None, :], v, dW[None])
+    assert out.shape == (6, 5, m.ambient_dim)
+    X = np.repeat(nodes, 5, axis=0)
+    paths = euler_step(m, fields, 0.0, 0.01, X, np.tile(v, (30, 1)), np.tile(dW, (6, 1)))
+    np.testing.assert_array_equal(out.reshape(30, -1), paths)
 
 
 def test_noise_dimension_mismatch():

@@ -1,11 +1,10 @@
 import filecmp
 import json
-import os
 
 import pytest
 
 from geodp.cli import main as cli_main
-from geodp.config import DEFAULTS, ExperimentConfig, print_defaults
+from geodp.config import ExperimentConfig, print_defaults
 from geodp.errors import ConfigError
 from geodp.harness import run
 
@@ -67,22 +66,6 @@ def test_run_oracle_writes_reports(tmp_path):
     assert (tmp_path / "csv_schema.txt").exists()
 
 
-def test_run_is_deterministic_across_workers(tmp_path):
-    outs = []
-    for w in (1, 2, 8):
-        d = tmp_path / f"w{w}"
-        cfg = _cfg(
-            experiment="dpp-check", n_workers=w, seed=3,
-            mc={"n_paths": 1024, "n_sub": 128}, mesh={"n_theta": 32},
-            time={"n_steps": 32}, dpp={"n_paths": 512},
-        )
-        run(cfg, out_dir=str(d))
-        outs.append(d)
-    for other in outs[1:]:
-        for name in ("metrics.json", "value_field.csv", "dpp_residuals.csv"):
-            assert filecmp.cmp(outs[0] / name, other / name, shallow=False), name
-
-
 def test_run_is_deterministic_across_repeats(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
@@ -106,6 +89,35 @@ def test_oracle_requires_zero_driver(tmp_path):
     cfg = ExperimentConfig.from_dict(cfg_raw)
     with pytest.raises(ConfigError):
         run(cfg, out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "manifold, fields, controls",
+    [
+        ("sphere2", ["zero", "rot_z"], {"lower": [0.0, 1.0], "upper": [0.0, 1.0]}),
+        ("torus2", ["zero", "rot1", "rot2"], {"lower": [0.0, 1.0, 1.0], "upper": [0.0, 1.0, 1.0]}),
+    ],
+    ids=["sphere2", "torus2"],
+)
+def test_estimates_beyond_the_circle(tmp_path, manifold, fields, controls):
+    cfg = _cfg(
+        experiment="estimates", manifold=manifold, fields=fields, control_set=controls,
+        mc={"n_paths": 1024}, estimates={"n_instances": 5},
+    )
+    rep = run(cfg, out_dir=str(tmp_path))
+    assert rep.passed
+    assert rep.metrics["stability_instances"] == 5.0
+    assert len((tmp_path / "stability.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_hypotheses_h2_threshold_is_applied(tmp_path):
+    """The circle rotation's transport defect is at roundoff (~1e-16): it passes
+    the default threshold and fails a threshold below it."""
+    rep = run(_cfg(experiment="hypotheses", tolerances={"h2_threshold": 1e-30}), out_dir=str(tmp_path))
+    assert rep.metrics["H2_pass"] == 0.0
+    assert 0.0 < rep.metrics["H2_max_violation"] <= 1e-8
+    assert not rep.passed
+    assert json.loads((tmp_path / "metrics.json").read_text())["pass"] is False
 
 
 def test_hypotheses_experiment_writes_json(tmp_path):
