@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from .config import ExperimentConfig, print_defaults
-from .errors import ConfigError
+from .errors import ConfigError, GeodpError
 from .harness import run
 
 
@@ -40,6 +40,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2
+    except GeodpError as e:
+        sys.stderr.write(f"run error: {type(e).__name__}: {e}\n")
+        return 3
     status = "PASS" if report.passed else "FAIL"
     sys.stdout.write(
         f"{report.experiment}: {status} (seed={report.seed}, wall={report.wall_time:.2f}s)\n"

@@ -127,6 +127,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "time.n_steps", f"driver K*dt = {driver.lipschitz_K * dt:.3g} >= 1"
             )
+        if r["experiment"] in ("dpp-check", "solver-agreement") and dt > 0.1:
+            raise ConfigError(
+                "time.n_steps", f"dt = {dt:.3g} exceeds the value table's 0.1 bound"
+            )
         if r["experiment"] == "convergence-table" and len(r["ladder"]) < 3:
             raise ConfigError("ladder", "need at least 3 levels")
         if r["x0"] is not None and len(r["x0"]) != m.ambient_dim:

@@ -175,7 +175,10 @@ def solve_hjb(
 ) -> HjbField:
     """Explicit backward sweep with flow-aligned stencils.
 
-    Stencil points are precomputed at t0 (the catalog fields are autonomous).
+    Stencil points are precomputed at t0 (the catalog fields are autonomous),
+    and so are their stencil gathers: the plus and minus points of all d+1
+    fields are stacked into one (2, d+1, n_nodes, ambient) array and handed
+    to ``mesh.gather`` once, so each time step is a single gather of u.
     Raises CflViolated when dt * max_v sum_a v_a^2 > cfl_limit * h^2.
     """
     h = h_stencil if h_stencil is not None else mesh.spacing()
@@ -187,13 +190,13 @@ def solve_hjb(
 
     m = prob.manifold
     nodes = mesh.nodes
-    d = prob.d
     dt = grid.dt
     times = grid.times
     controls = prob.controls.grid()
 
-    plus = [flow_step(m, V, grid.t0, nodes, h) for V in prob.fields]
-    minus = [flow_step(m, V, grid.t0, nodes, -h) for V in prob.fields]
+    stencil = mesh.gather(
+        np.array([[flow_step(m, V, grid.t0, nodes, s) for V in prob.fields] for s in (h, -h)])
+    )
 
     u = np.empty((grid.n_steps + 1, mesh.n_nodes))
     u[grid.n_steps] = prob.terminal(nodes)
@@ -201,10 +204,9 @@ def solve_hjb(
 
     for i in range(grid.n_steps - 1, -1, -1):
         un = u[i + 1]
-        up = [mesh.interpolate(un, p) for p in plus]
-        um = [mesh.interpolate(un, p) for p in minus]
-        d1 = [(up[a] - um[a]) / (2.0 * h) for a in range(d + 1)]
-        d2 = [None] + [(up[a] - 2.0 * un + um[a]) / h**2 for a in range(1, d + 1)]
+        up, um = stencil(un)  # each (d+1, n_nodes)
+        d1 = (up - um) / (2.0 * h)
+        d2 = (up - 2.0 * un + um) / h**2  # row 0 (the drift) is unused
         best, argmin[i] = grid_argmin(
             controls,
             [_stencil_hamiltonian(prob, times[i + 1], nodes, un, d1, d2, v) for v in controls],

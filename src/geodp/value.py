@@ -6,7 +6,11 @@ finite control grid of the one-step recursion value computed from a restarted
 Monte Carlo ensemble.  Next-layer values at off-node states are obtained by
 positively weighted interpolation (periodic linear on the circle, bilinear
 lat-lon with shared pole values on the sphere, periodic bilinear on the
-torus), which preserves comparison and the maximum principle.
+torus), which preserves comparison and the maximum principle.  Each mesh
+exposes it as ``gather(points)``: chart, cell indices and weights are built
+once for a point set, and the returned function maps nodal values to
+interpolated values with a few takes and the bilinear combination.
+``interpolate(values, points)`` is ``gather(points)(values)``.
 
 Common random numbers: every node and every control on a given layer share the
 same antithetic increment block, so the estimated value field is smooth in the
@@ -15,9 +19,8 @@ node index and control comparisons are low-variance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,9 +46,19 @@ class ManifoldMesh:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    def gather(self, points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Interpolation at fixed on-manifold points, as a function of nodal values.
+
+        The chart, cell indices and weights are computed here once; the
+        returned function only takes nodal values and combines them, so a
+        caller that interpolates many value arrays at the same points (the
+        HJB stencil) pays for the geometry once.
+        """
+        raise NotImplementedError
+
     def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Interpolate nodal values at arbitrary on-manifold points."""
-        raise NotImplementedError
+        return self.gather(points)(values)
 
     def neighbor_pairs(self) -> List[Tuple[int, int]]:
         """Pairs of adjacent node indices (each pair once)."""
@@ -69,14 +82,18 @@ class CircleMesh(ManifoldMesh):
         th = 2.0 * np.pi * np.arange(n_theta) / n_theta
         self.nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
 
-    def interpolate(self, values, points):
-        values = np.asarray(values, dtype=float)
+    def gather(self, points):
         th = self.manifold.chart(points)[..., 0]
         pos = (th % (2.0 * np.pi)) / (2.0 * np.pi) * self.n_theta
         i0 = np.floor(pos).astype(int) % self.n_theta
         w = pos - np.floor(pos)
         i1 = (i0 + 1) % self.n_theta
-        return (1.0 - w) * values[i0] + w * values[i1]
+
+        def apply(values):
+            values = np.asarray(values, dtype=float)
+            return (1.0 - w) * values[i0] + w * values[i1]
+
+        return apply
 
     def neighbor_pairs(self):
         return [(k, (k + 1) % self.n_theta) for k in range(self.n_theta)]
@@ -110,22 +127,20 @@ class SphereMesh(ManifoldMesh):
         nodes.append(np.array([0.0, 0.0, 1.0]))  # north pole, last index
         self.nodes = np.stack(nodes, axis=0)
 
-    def _row_value(self, values, row, col):
-        """Value at (lat row, lon column); poles ignore the column."""
+    def _row_index(self, row, col):
+        """Node index of (lat row, lon column); poles ignore the column."""
         npole = self.n_nodes - 1
-        out = np.where(
+        return np.where(
             row == 0,
-            values[0],
+            0,
             np.where(
                 row == self.n_lat - 1,
-                values[npole],
-                values[np.clip(1 + (row - 1) * self.n_lon + col, 0, npole)],
+                npole,
+                np.clip(1 + (row - 1) * self.n_lon + col, 0, npole),
             ),
         )
-        return out
 
-    def interpolate(self, values, points):
-        values = np.asarray(values, dtype=float)
+    def gather(self, points):
         ch = self.manifold.chart(points)
         lat, lon = ch[..., 0], ch[..., 1]
         posl = (lat + 0.5 * np.pi) / np.pi * (self.n_lat - 1)
@@ -135,13 +150,18 @@ class SphereMesh(ManifoldMesh):
         c0 = np.floor(posm).astype(int) % self.n_lon
         wm = posm - np.floor(posm)
         c1 = (c0 + 1) % self.n_lon
-        v00 = self._row_value(values, r0, c0)
-        v01 = self._row_value(values, r0, c1)
-        v10 = self._row_value(values, r0 + 1, c0)
-        v11 = self._row_value(values, r0 + 1, c1)
-        return (1.0 - wl) * ((1.0 - wm) * v00 + wm * v01) + wl * (
-            (1.0 - wm) * v10 + wm * v11
-        )
+        k00 = self._row_index(r0, c0)
+        k01 = self._row_index(r0, c1)
+        k10 = self._row_index(r0 + 1, c0)
+        k11 = self._row_index(r0 + 1, c1)
+
+        def apply(values):
+            values = np.asarray(values, dtype=float)
+            return (1.0 - wl) * ((1.0 - wm) * values[k00] + wm * values[k01]) + wl * (
+                (1.0 - wm) * values[k10] + wm * values[k11]
+            )
+
+        return apply
 
     def neighbor_pairs(self):
         pairs = []
@@ -181,8 +201,7 @@ class TorusMesh(ManifoldMesh):
             [np.cos(G1), np.sin(G1), np.cos(G2), np.sin(G2)], axis=-1
         ).reshape(-1, 4)
 
-    def interpolate(self, values, points):
-        values = np.asarray(values, dtype=float).reshape(self.n1, self.n2)
+    def gather(self, points):
         ch = self.manifold.chart(points)
         p1 = (ch[..., 0] % (2.0 * np.pi)) / (2.0 * np.pi) * self.n1
         p2 = (ch[..., 1] % (2.0 * np.pi)) / (2.0 * np.pi) * self.n2
@@ -192,9 +211,14 @@ class TorusMesh(ManifoldMesh):
         w2 = p2 - np.floor(p2)
         i1 = (i0 + 1) % self.n1
         j1 = (j0 + 1) % self.n2
-        return (1.0 - w1) * ((1.0 - w2) * values[i0, j0] + w2 * values[i0, j1]) + w1 * (
-            (1.0 - w2) * values[i1, j0] + w2 * values[i1, j1]
-        )
+
+        def apply(values):
+            values = np.asarray(values, dtype=float).reshape(self.n1, self.n2)
+            return (1.0 - w1) * ((1.0 - w2) * values[i0, j0] + w2 * values[i0, j1]) + w1 * (
+                (1.0 - w2) * values[i1, j0] + w2 * values[i1, j1]
+            )
+
+        return apply
 
     def neighbor_pairs(self):
         pairs = []
@@ -397,27 +421,33 @@ def continuity_moduli(vf: ValueField, n_space_bins: int = 4) -> ContinuityModuli
 
 
 def export_value_field(vf: ValueField, path: str) -> None:
-    """CSV dump: time index, node index, node coordinates, u, argmin control."""
+    """CSV dump: time index, node index, node coordinates, u, argmin control.
+
+    The bytes are those of ``csv.writer`` with ``repr`` floats (CRLF line
+    ends, empty control fields on the last layer); each node's coordinate
+    string is formatted once and each time layer is written as one string.
+    """
     n = vf.mesh.nodes.shape[1]
-    dctrl = vf.argmin_control.shape[2]
+    n_ctrl_layers, _, dctrl = vf.argmin_control.shape
+    header = (
+        ["time_index", "node_index"]
+        + [f"x{k}" for k in range(n)]
+        + ["u"]
+        + [f"v{k}" for k in range(dctrl)]
+    )
+    coords = [",".join(map(repr, x)) for x in vf.mesh.nodes.tolist()]
+    no_ctrl = [",".join([""] * dctrl)] * len(coords)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["time_index", "node_index"]
-            + [f"x{k}" for k in range(n)]
-            + ["u"]
-            + [f"v{k}" for k in range(dctrl)]
-        )
+        fh.write(",".join(header) + "\r\n")
         for i in range(vf.u.shape[0]):
-            for j in range(vf.u.shape[1]):
-                ctrl = (
-                    [repr(float(c)) for c in vf.argmin_control[i, j]]
-                    if i < vf.argmin_control.shape[0]
-                    else [""] * dctrl
+            ctrl = (
+                [",".join(map(repr, c)) for c in vf.argmin_control[i].tolist()]
+                if i < n_ctrl_layers
+                else no_ctrl
+            )
+            fh.write(
+                "".join(
+                    f"{i},{j},{x},{u!r},{c}\r\n"
+                    for j, (x, u, c) in enumerate(zip(coords, vf.u[i].tolist(), ctrl))
                 )
-                w.writerow(
-                    [i, j]
-                    + [repr(float(c)) for c in vf.mesh.nodes[j]]
-                    + [repr(float(vf.u[i, j]))]
-                    + ctrl
-                )
+            )

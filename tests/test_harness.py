@@ -37,6 +37,8 @@ def test_defaults_validate_and_print():
         ),
         ({"experiment": "convergence-table", "ladder": [{"n_theta": 32}]}, "ladder"),
         ({"x0": [1.0, 0.0, 0.0]}, "x0"),
+        ({"experiment": "dpp-check", "time": {"n_steps": 5}}, "time.n_steps"),
+        ({"experiment": "solver-agreement", "time": {"n_steps": 9}}, "time.n_steps"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -143,6 +145,23 @@ def test_cli_pass_fail_and_config_error(tmp_path, capsys):
     bad.write_text("experiment: not-an-experiment\n")
     assert cli_main(["run", str(bad), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_value_table_dt_bound_is_a_config_error(tmp_path, capsys):
+    """dt = 0.2 would stop value_function; validation rejects it first."""
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: dpp-check\ntime:\n  n_steps: 5\n")
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "time.n_steps" in err
+
+
+def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys):
+    """A start point at the origin validates but cannot be projected."""
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: oracle-circle\nx0: [0.0, 0.0]\nmc:\n  n_paths: 64\n")
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
+    assert "SingularProjection" in capsys.readouterr().err
 
 
 def test_cli_print_defaults(capsys):

@@ -1,3 +1,6 @@
+import csv
+import types
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from geodp.value import (
     CircleMesh,
     SphereMesh,
     TorusMesh,
+    ValueField,
     continuity_moduli,
     cost_functional,
     dpp_residual_check,
@@ -166,3 +170,40 @@ def test_export_value_field(tmp_path):
     # terminal row holds the terminal cost at the node
     last = lines[-1].split(",")
     assert float(last[4]) == pytest.approx(float(last[2]))
+
+
+def _csv_writer_export(vf, path):
+    """The export written with csv.writer and one repr per cell."""
+    n = vf.mesh.nodes.shape[1]
+    dctrl = vf.argmin_control.shape[2]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["time_index", "node_index"] + [f"x{k}" for k in range(n)] + ["u"]
+            + [f"v{k}" for k in range(dctrl)]
+        )
+        for i in range(vf.u.shape[0]):
+            for j in range(vf.u.shape[1]):
+                ctrl = (
+                    [repr(float(c)) for c in vf.argmin_control[i, j]]
+                    if i < vf.argmin_control.shape[0]
+                    else [""] * dctrl
+                )
+                w.writerow(
+                    [i, j] + [repr(float(c)) for c in vf.mesh.nodes[j]]
+                    + [repr(float(vf.u[i, j]))] + ctrl
+                )
+
+
+def test_export_value_field_matches_csv_writer_bytes(tmp_path):
+    special = [-0.0, 1e16, 1e-05, 0.1 + 0.2, 1e-300, -2.5, 3.0]
+    nodes = np.array([[-0.0, 1.0, 1e-300], [0.1 + 0.2, -1e16, 1e-05], [1.0, 0.0, -0.5]])
+    u = np.array([special[:3], special[3:6], special[4:7], [0.0, -0.0, 1e16]])
+    argmin = np.array([[[-0.0, 1e-05], [1e16, 0.1 + 0.2], [1e-300, 0.5]]] * 3)
+    vf = ValueField(grid=TimeGrid(0.0, 0.3, 3), mesh=types.SimpleNamespace(nodes=nodes),
+                    u=u, argmin_control=argmin)
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    export_value_field(vf, str(fast))
+    _csv_writer_export(vf, str(ref))
+    assert fast.read_bytes() == ref.read_bytes()
+    assert fast.read_bytes().endswith(b",1e+16,,\r\n")
