@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 
 from .config import ExperimentConfig, print_defaults
@@ -44,8 +45,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"run error: {type(e).__name__}: {e}\n")
         return 3
     status = "PASS" if report.passed else "FAIL"
+    # ru_maxrss is in KiB on Linux; like the wall time it stays out of metrics.json.
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     sys.stdout.write(
-        f"{report.experiment}: {status} (seed={report.seed}, wall={report.wall_time:.2f}s)\n"
+        f"{report.experiment}: {status} (seed={report.seed}, wall={report.wall_time:.2f}s, "
+        f"peak_rss={peak_rss:.1f}MB)\n"
     )
     for k in sorted(report.metrics):
         sys.stdout.write(f"  {k} = {report.metrics[k]}\n")

@@ -11,7 +11,7 @@ import yaml
 
 from .catalog import get_driver, get_terminal
 from .dynamics import ControlSet, TimeGrid
-from .errors import ConfigError
+from .errors import ConfigError, SingularProjection
 from .geometry import get_field, get_manifold
 from .problem import ControlProblem
 from .value import ManifoldMesh, make_mesh
@@ -131,10 +131,17 @@ class ExperimentConfig:
             raise ConfigError(
                 "time.n_steps", f"dt = {dt:.3g} exceeds the value table's 0.1 bound"
             )
+        if r["mc"]["n_paths"] < 1:
+            raise ConfigError("mc.n_paths", "must be >= 1")
         if r["experiment"] == "convergence-table" and len(r["ladder"]) < 3:
             raise ConfigError("ladder", "need at least 3 levels")
-        if r["x0"] is not None and len(r["x0"]) != m.ambient_dim:
-            raise ConfigError("x0", f"must have {m.ambient_dim} coordinates")
+        if r["x0"] is not None:
+            if len(r["x0"]) != m.ambient_dim:
+                raise ConfigError("x0", f"must have {m.ambient_dim} coordinates")
+            try:
+                m.project(np.asarray(r["x0"], dtype=float))
+            except SingularProjection as e:
+                raise ConfigError("x0", f"cannot be projected onto {m.name}: {e}") from e
 
     # -- builders ------------------------------------------------------------
 

@@ -13,7 +13,8 @@ step instead of relying on it analytically.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,7 +68,11 @@ class TimeGrid:
 class BrownianGrid:
     """Counter-based Brownian increments on a time grid.
 
-    increments[i, p, a] is a pure function of (seed, i, p, a); see rng.py.
+    increments[i, p, a] is a pure function of (seed, i, path_offset + p, a); see
+    rng.py.  The increments are computed when first read and cached, so a grid
+    that is only split into blocks never holds all (n_steps, n_paths, d) of them.
+    ``block(p0, p1)`` is the grid of paths [p0, p1): its increments equal
+    ``increments[:, p0:p1]`` bit for bit, antithetic pairs included.
     """
 
     grid: TimeGrid
@@ -75,14 +80,18 @@ class BrownianGrid:
     n_paths: int
     seed: int
     antithetic: bool = False
-    increments: np.ndarray = field(default=None, repr=False)
+    path_offset: int = 0
 
-    def __post_init__(self):
-        inc = rng.normal_increments(
+    @cached_property
+    def increments(self) -> np.ndarray:
+        return rng.normal_increments(
             self.seed, self.grid.n_steps, self.n_paths, self.d, self.grid.dt,
-            antithetic=self.antithetic,
+            antithetic=self.antithetic, path_offset=self.path_offset,
         )
-        object.__setattr__(self, "increments", inc)
+
+    def block(self, p0: int, p1: int) -> "BrownianGrid":
+        """The paths [p0, p1) of this grid, as a grid of their own."""
+        return replace(self, n_paths=p1 - p0, path_offset=self.path_offset + p0)
 
 
 @dataclass(frozen=True)
@@ -268,14 +277,23 @@ def flow_continuity_check(
 
     lhs: Monte Carlo estimate of E sup_s |X_s - X'_s|^2 (ambient norm).
     rhs: C * (|x - x'|^2 + E int |v - v'|^2 ds), with C supplied by config.
+
+    Both flows are simulated one CHUNK-sized block of paths at a time, each
+    block on its own noise, and only sup_s |X_s - X'_s|^2 and sum_i |v - v'|^2
+    are kept per path, so memory is O(CHUNK * n_steps) plus two floats per path.
     """
-    ens1 = simulate(m, fields, x, policy, noise)
-    ens2 = simulate(m, fields, x2, policy2, noise)
-    diff2 = np.sum((ens1.states - ens2.states) ** 2, axis=-1)  # (steps+1, paths)
-    lhs = float(np.mean(np.max(diff2, axis=0)))
-    v1 = ens1.control_values()
-    v2 = ens2.control_values()
-    ctrl_term = float(np.mean(np.sum(np.sum((v1 - v2) ** 2, axis=-1), axis=0) * noise.grid.dt))
+    sup_sq, ctrl_sq = [], []
+    for p0 in range(0, noise.n_paths, CHUNK):
+        block = noise.block(p0, min(p0 + CHUNK, noise.n_paths))
+        ens1 = simulate(m, fields, x, policy, block)
+        ens2 = simulate(m, fields, x2, policy2, block)
+        sup_sq.append(np.max(np.sum((ens1.states - ens2.states) ** 2, axis=-1), axis=0))
+        # Sum the steps in step order for every block width: np.sum(axis=0)
+        # switches to pairwise summation on a one-path block.
+        dv2 = np.sum((ens1.control_values() - ens2.control_values()) ** 2, axis=-1)
+        ctrl_sq.append(sum(dv2))
+    lhs = float(np.mean(np.concatenate(sup_sq)))
+    ctrl_term = float(np.mean(np.concatenate(ctrl_sq) * noise.grid.dt))
     rhs = C * (float(np.sum((np.asarray(x) - np.asarray(x2)) ** 2)) + ctrl_term)
     return FlowContinuityReport(lhs=lhs, rhs=rhs, constant_C=C, passed=lhs <= rhs)
 

@@ -2,7 +2,10 @@
 
 Every increment is a pure function of (seed, step, path, component), so paired
 simulations can share noise exactly (common random numbers) and results do not
-depend on how the paths are partitioned into chunks.
+depend on how the paths are partitioned into chunks.  ``normal_increments``
+takes a path offset, so the increments of any block of paths can be generated
+on their own, where they are used, and equal the matching slice of the full
+array bit for bit.
 
 The generator hashes the four indices with the splitmix64 finalizer and feeds
 two 53-bit uniforms into a Box-Muller transform.  This is not a
@@ -65,22 +68,26 @@ def normal_increments(
     d: int,
     dt: float,
     antithetic: bool = False,
+    path_offset: int = 0,
 ) -> np.ndarray:
     """Brownian increments of shape (n_steps, n_paths, d), marginally N(0, dt).
 
-    With ``antithetic=True`` the paths are antithetic in pairs: path 2k+1 is the
-    negation of path 2k.  Each increment is still a pure function of
-    (seed, step, path, component).
+    Column p holds absolute path ``path_offset + p``, so the increments of the
+    paths [p0, p1) are ``normal_increments(..., n_paths=p1 - p0, path_offset=p0)``
+    and equal ``normal_increments(..., n_paths=p1)[:, p0:p1]`` exactly.
+
+    With ``antithetic=True`` the paths are antithetic in pairs: absolute path
+    2k+1 is the negation of absolute path 2k, whatever the offset's parity.
+    Each increment is still a pure function of (seed, step, path, component).
     """
     steps = np.arange(n_steps, dtype=np.uint64)[:, None, None]
     comps = np.arange(d, dtype=np.uint64)[None, None, :]
+    paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)[None, :, None]
     if antithetic:
-        paths = np.arange(n_paths, dtype=np.uint64)[None, :, None]
         base = standard_normal(seed, steps, paths >> np.uint64(1), comps)
-        sign = np.where((np.arange(n_paths) % 2 == 0)[None, :, None], 1.0, -1.0)
+        sign = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)
         z = base * sign
     else:
-        paths = np.arange(n_paths, dtype=np.uint64)[None, :, None]
         z = standard_normal(seed, steps, paths, comps)
     return z * np.sqrt(dt)
 

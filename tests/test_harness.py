@@ -1,11 +1,13 @@
 import filecmp
 import json
+import re
 
 import pytest
 
+from geodp import harness
 from geodp.cli import main as cli_main
 from geodp.config import ExperimentConfig, print_defaults
-from geodp.errors import ConfigError
+from geodp.errors import ConfigError, SingularProjection
 from geodp.harness import run
 
 
@@ -39,6 +41,9 @@ def test_defaults_validate_and_print():
         ({"x0": [1.0, 0.0, 0.0]}, "x0"),
         ({"experiment": "dpp-check", "time": {"n_steps": 5}}, "time.n_steps"),
         ({"experiment": "solver-agreement", "time": {"n_steps": 9}}, "time.n_steps"),
+        ({"x0": [0.0, 0.0]}, "x0"),
+        ({"experiment": "estimates", "mc": {"n_paths": 0}}, "mc.n_paths"),
+        ({"manifold": "torus2", "fields": ["zero", "rot1"], "x0": [1.0, 0.0, 0.0, 0.0]}, "x0"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -156,12 +161,28 @@ def test_cli_value_table_dt_bound_is_a_config_error(tmp_path, capsys):
     assert "config error" in err and "time.n_steps" in err
 
 
-def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys):
-    """A start point at the origin validates but cannot be projected."""
+def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys, monkeypatch):
+    """A toolkit error raised inside a validated run exits 3 and names its class."""
+
+    def singular(cfg, out_dir, dump_paths):
+        raise SingularProjection("norm 0 below 1e-12")
+
+    monkeypatch.setitem(harness._EXPERIMENTS, "oracle-circle", singular)
     f = tmp_path / "c.yaml"
-    f.write_text("experiment: oracle-circle\nx0: [0.0, 0.0]\nmc:\n  n_paths: 64\n")
+    f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 64\n")
     assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
     assert "SingularProjection" in capsys.readouterr().err
+
+
+def test_cli_summary_reports_peak_rss_outside_metrics(tmp_path, capsys):
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 256\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", str(f), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    match = re.search(r"wall=\d+\.\d\ds, peak_rss=(\d+\.\d)MB\)$", summary)
+    assert match and float(match.group(1)) > 0.0
+    assert "rss" not in (out / "metrics.json").read_text()
 
 
 def test_cli_print_defaults(capsys):
