@@ -33,7 +33,7 @@ DEFAULTS: Dict[str, Any] = {
     "control_set": {"lower": [0.0, 1.0], "upper": [0.0, 1.0], "grid_points_per_axis": 1},
     "time": {"t0": 0.0, "T": 1.0, "n_steps": 64},
     "mesh": {"n_theta": 128},
-    "mc": {"n_paths": 8192, "n_sub": 512, "basis_degree": 2, "picard_iters": 3},
+    "mc": {"n_paths": 8192, "basis_degree": 2, "picard_iters": 3},
     "seed": 12345,
     "experiment": "oracle-circle",
     "x0": None,  # embedded coordinates; None = first mesh node
@@ -117,6 +117,14 @@ class ExperimentConfig:
         d = len(r["fields"]) - 1
         if len(cs["lower"]) != d + 1 or len(cs["upper"]) != d + 1:
             raise ConfigError("control_set", f"bounds must have length d+1 = {d + 1}")
+        try:
+            self._control_set()
+        except (TypeError, ValueError) as e:
+            raise ConfigError("control_set", str(e)) from e
+        try:
+            self.build_mesh()
+        except (TypeError, ValueError) as e:
+            raise ConfigError("mesh", str(e)) from e
         tm = r["time"]
         if not tm["t0"] < tm["T"]:
             raise ConfigError("time", "need t0 < T")
@@ -133,8 +141,14 @@ class ExperimentConfig:
             )
         if r["mc"]["n_paths"] < 1:
             raise ConfigError("mc.n_paths", "must be >= 1")
-        if r["experiment"] == "convergence-table" and len(r["ladder"]) < 3:
-            raise ConfigError("ladder", "need at least 3 levels")
+        if r["experiment"] == "convergence-table":
+            if len(r["ladder"]) < 3:
+                raise ConfigError("ladder", "need at least 3 levels")
+            for k, sizes in enumerate(r["ladder"]):
+                try:
+                    self.build_mesh(sizes)
+                except (TypeError, ValueError) as e:
+                    raise ConfigError(f"ladder[{k}]", str(e)) from e
         if r["x0"] is not None:
             if len(r["x0"]) != m.ambient_dim:
                 raise ConfigError("x0", f"must have {m.ambient_dim} coordinates")
@@ -151,14 +165,17 @@ class ExperimentConfig:
         fields = [get_field(m, fid) for fid in r["fields"]]
         driver = get_driver(r["driver"]["id"], r["driver"].get("params"))
         terminal = get_terminal(r["terminal"]["id"], r["terminal"].get("params"))
-        cs = r["control_set"]
-        controls = ControlSet(
+        return ControlProblem(
+            manifold=m, fields=fields, driver=driver, terminal=terminal,
+            controls=self._control_set(),
+        )
+
+    def _control_set(self) -> ControlSet:
+        cs = self.raw["control_set"]
+        return ControlSet(
             lower=np.asarray(cs["lower"], dtype=float),
             upper=np.asarray(cs["upper"], dtype=float),
             grid_points_per_axis=int(cs["grid_points_per_axis"]),
-        )
-        return ControlProblem(
-            manifold=m, fields=fields, driver=driver, terminal=terminal, controls=controls
         )
 
     def build_grid(self) -> TimeGrid:

@@ -130,12 +130,7 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
     grid = cfg.build_grid()
     mesh = cfg.build_mesh()
     tol = cfg["tolerances"]
-    vf = value_function(
-        prob, grid, mesh,
-        n_sub=int(cfg["mc"]["n_sub"]),
-        seed=int(cfg["seed"]),
-        picard_iters=int(cfg["mc"]["picard_iters"]),
-    )
+    vf = value_function(prob, grid, mesh, picard_iters=int(cfg["mc"]["picard_iters"]))
     deltas = [int(d) for d in cfg["dpp"]["delta_steps"]]
     probes = _probe_points(grid.n_steps, mesh.n_nodes, max(deltas), int(cfg["dpp"]["n_probes"]))
     rows = []
@@ -174,12 +169,7 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
     n_steps = int(tm["n_steps"])
     for level in range(levels):
         grid = TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=n_steps)
-        vf = value_function(
-            prob, grid, mesh,
-            n_sub=int(cfg["mc"]["n_sub"]),
-            seed=rng.derive_seed(int(cfg["seed"]), level),
-            picard_iters=int(cfg["mc"]["picard_iters"]),
-        )
+        vf = value_function(prob, grid, mesh, picard_iters=int(cfg["mc"]["picard_iters"]))
         n_hjb = hjb_steps_for_cfl(
             prob, grid.t0, grid.T, mesh,
             cfl_limit=tol["cfl_limit"],

@@ -2,23 +2,34 @@
 
 The recursion works on a manifold mesh: the terminal layer is the terminal
 cost at the nodes, and each earlier layer takes, per node, the minimum over a
-finite control grid of the one-step recursion value computed from a restarted
-Monte Carlo ensemble.  Next-layer values at off-node states are obtained by
-positively weighted interpolation (periodic linear on the circle, bilinear
-lat-lon with shared pole values on the sphere, periodic bilinear on the
-torus), which preserves comparison and the maximum principle.  Each mesh
-exposes it as ``gather(points)``: chart, cell indices and weights are built
-once for a point set, and the returned function maps nodal values to
-interpolated values with a few takes and the bilinear combination.
-``interpolate(values, points)`` is ``gather(points)(values)``.
+finite control grid of the one-step recursion value
 
-Common random numbers: every node and every control on a given layer share the
-same antithetic increment block, so the estimated value field is smooth in the
-node index and control comparisons are low-variance.
+    u(t_i, x) = min_v  y,   y = E[u(t_{i+1}, X_1)] + dt * f(t_i, x, y, Z, v),
+
+where X_1 is one projected Euler step from x under v.  The expectation over
+the Brownian increment is the tensor 3-point Gauss-Hermite rule for N(0, I_d):
+points xi in {-sqrt 3, 0, sqrt 3}^d with weights that are products of
+(1/6, 2/3, 1/6), exact for every moment up to degree 5 in each axis, and
+dW = xi * sqrt(dt), so E[u] = sum_k w_k u_k and Z = sum_k w_k u_k xi_k / sqrt(dt).
+This is a semi-Lagrangian scheme (Camilli & Falcone, M2AN 1995; Debrabant &
+Jakobsen, Math. Comp. 2013).  Its weights are positive, and next-layer values
+at off-node states are obtained by positively weighted interpolation
+(periodic linear on the circle, bilinear lat-lon with shared pole values on
+the sphere, periodic bilinear on the torus), so each layer is a positively
+weighted average of the next one plus dt times the driver: the scheme keeps
+comparison and the maximum principle, and the table is deterministic.
+
+Each mesh exposes its interpolation as ``gather(points)``: chart, cell
+indices and weights are built once for a point set, and the returned function
+maps nodal values to interpolated values with a few takes and the bilinear
+combination.  ``interpolate(values, points)`` is ``gather(points)(values)``.
+Because the rule's points are fixed and the catalog fields are autonomous,
+``value_function`` builds one gather per control before its time loop.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -297,15 +308,34 @@ def cost_functional(
     return sol.y_at_t0
 
 
+_GH3_POINTS = np.array([-np.sqrt(3.0), 0.0, np.sqrt(3.0)])
+_GH3_WEIGHTS = np.array([1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0])
+
+
+def gauss_hermite_rule(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Tensor 3-point Gauss-Hermite rule for N(0, I_d).
+
+    Returns points (3^d, d) and positive weights (3^d,) summing to 1, in
+    lexicographic order of the per-axis points (-sqrt 3, 0, sqrt 3).
+    """
+    idx = np.array(list(itertools.product(range(3), repeat=d)), dtype=int)
+    return _GH3_POINTS[idx], np.prod(_GH3_WEIGHTS[idx], axis=1)
+
+
 def value_function(
     prob: ControlProblem,
     grid: TimeGrid,
     mesh: ManifoldMesh,
-    n_sub: int = 512,
-    seed: int = 0,
     picard_iters: int = 3,
+    *,
+    n_sub: int = 0,
 ) -> ValueField:
-    """Backward induction over the control grid on the mesh."""
+    """Backward induction over the control grid on the mesh.
+
+    ``n_sub`` is ignored.  Its only reader is the benchmark's span tracer
+    (``benchmark/spans.py``), which counts value evaluations from it by name;
+    it goes when the tracer stops reading it.
+    """
     if grid.dt > 0.1:
         raise ValueError(f"dt = {grid.dt:.3g} exceeds the 0.1 sanity bound")
     controls = prob.controls.grid()
@@ -313,26 +343,28 @@ def value_function(
         raise ValueError("empty control grid")
     nodes = mesh.nodes
     dt = grid.dt
+    sqrt_dt = np.sqrt(dt)
     times = grid.times
+    xi, w = gauss_hermite_rule(prob.d)
+    dW = xi * sqrt_dt
     u = np.empty((grid.n_steps + 1, mesh.n_nodes))
     u[grid.n_steps] = prob.terminal(nodes)
     argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
 
-    # The per-control body stays inline so that X1 and u_next outlive each
-    # iteration: freeing them on return from a per-control helper let glibc
-    # trim the heap, which then re-faulted on every control (2.8x the page
-    # faults and ~20% more CPU time on the sphere-dp benchmark workload, on a
-    # 2-core Xeon with glibc 2.36, Python 3.11 and numpy 2.4).
+    # One-step states from every node under every rule point, charted once
+    # per control: the points are fixed and the catalog fields autonomous.
+    at_next = [
+        mesh.gather(
+            euler_step(prob.manifold, prob.fields, grid.t0, dt, nodes[:, None, :], v, dW[None])
+        )
+        for v in controls
+    ]
     for i in range(grid.n_steps - 1, -1, -1):
-        dW = rng.normal_increments(
-            rng.derive_seed(seed, i), 1, n_sub, prob.d, dt, antithetic=True
-        )[0]
         values = []
-        for v in controls:
-            X1 = euler_step(prob.manifold, prob.fields, times[i], dt, nodes[:, None, :], v, dW[None])
-            u_next = mesh.interpolate(u[i + 1], X1)  # (n_nodes, n_sub)
-            y_bar = np.mean(u_next, axis=1)
-            Z = np.mean(u_next[:, :, None] * dW[None, :, :], axis=1) / dt
+        for v, gather in zip(controls, at_next):
+            u_next = gather(u[i + 1])  # (n_nodes, 3^d)
+            y_bar = u_next @ w
+            Z = (u_next * w) @ xi / sqrt_dt
             vv = np.broadcast_to(v, (mesh.n_nodes, v.shape[0]))
             y = y_bar
             for _ in range(picard_iters):

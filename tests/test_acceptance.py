@@ -91,7 +91,7 @@ def test_criterion_03_dpp_identity():
     prob = circle_problem()  # U = {0} x {0.5, 1.0}
     grid = TimeGrid(0.0, 1.0, 64)
     mesh = CircleMesh(128)
-    vf = value_function(prob, grid, mesh, n_sub=512, seed=12345)
+    vf = value_function(prob, grid, mesh)
     probes = [(i, j) for i in (0, 20, 40, 59) for j in (0, 32, 64, 96)]
     worst = 0.0
     for ds in (1, 4):
@@ -113,7 +113,7 @@ def test_criterion_04_solver_agreement():
     for level in range(2):
         grid = TimeGrid(0.0, 1.0, n_steps)
         mesh = CircleMesh(n_theta)
-        vf = value_function(prob, grid, mesh, n_sub=512, seed=12345 + level)
+        vf = value_function(prob, grid, mesh)
         n_hjb = hjb_steps_for_cfl(prob, 0.0, 1.0, mesh, multiple_of=n_steps)
         hf = solve_hjb(prob, TimeGrid(0.0, 1.0, n_hjb), mesh)
         stride = n_hjb // n_steps
@@ -282,7 +282,7 @@ def test_criterion_11_determinism_across_repeats(tmp_path):
         "oracle": dict(experiment="oracle-circle"),
         "dpp": dict(
             experiment="dpp-check", mesh={"n_theta": 64}, time={"n_steps": 32},
-            mc={"n_sub": 256}, dpp={"n_paths": 1024},
+            dpp={"n_paths": 1024},
             control_set={"lower": [0.0, 0.5], "upper": [0.0, 1.0], "grid_points_per_axis": 2},
         ),
         "agree": dict(experiment="solver-agreement", mesh={"n_theta": 64}, time={"n_steps": 32}),

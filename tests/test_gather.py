@@ -1,20 +1,30 @@
-"""Precomputed interpolation gathers and the HJB sweep built on them.
+"""Precomputed interpolation gathers and the HJB and value sweeps built on them.
 
 The reference formulas below are the per-call mesh interpolation written out
 directly (chart, cell, weights and combination in one expression).  The
-gathers must reproduce them bit for bit, and ``solve_hjb`` must reproduce a
-sweep that interpolates every stencil point set afresh at every step.
+gathers must reproduce them bit for bit; ``solve_hjb`` must reproduce a sweep
+that interpolates every stencil point set afresh at every step, and
+``value_function`` one that rebuilds and interpolates its one-step states on
+every layer.
 """
 
 import numpy as np
 import pytest
 
+from geodp import rng as geodp_rng
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import ControlSet, TimeGrid, grid_argmin
+from geodp.dynamics import ControlSet, TimeGrid, euler_step, grid_argmin
 from geodp.geometry import flow_step, get_field, get_manifold
 from geodp.hjb import _stencil_hamiltonian, hjb_steps_for_cfl, solve_hjb
 from geodp.problem import ControlProblem
-from geodp.value import CircleMesh, ManifoldMesh, SphereMesh, TorusMesh
+from geodp.value import (
+    CircleMesh,
+    ManifoldMesh,
+    SphereMesh,
+    TorusMesh,
+    gauss_hermite_rule,
+    value_function,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +222,10 @@ def test_solve_hjb_matches_per_step_interpolation(name):
     assert len(np.unique(argmin.reshape(-1, argmin.shape[-1]), axis=0)) > 1
 
 
-@pytest.mark.parametrize("n_steps", [3, 17])
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_solve_hjb_gathers_once(monkeypatch, name, n_steps):
-    make_prob, make_mesh = CASES[name]
-    prob, mesh = make_prob(), make_mesh()
+def _count_mesh_calls(monkeypatch, mesh):
     calls = {"interpolate": 0, "gather": 0}
     cls = type(mesh)
-    for attr in calls:
+    for attr in list(calls):
         orig = getattr(cls, attr)
 
         def counted(self, *a, _orig=orig, _attr=attr, **k):
@@ -227,5 +233,77 @@ def test_solve_hjb_gathers_once(monkeypatch, name, n_steps):
             return _orig(self, *a, **k)
 
         monkeypatch.setattr(cls, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_steps", [3, 17])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solve_hjb_gathers_once(monkeypatch, name, n_steps):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    calls = _count_mesh_calls(monkeypatch, mesh)
     solve_hjb(prob, TimeGrid(0.0, 1e-3 * n_steps, n_steps), mesh)
     assert calls == {"interpolate": 0, "gather": 1}
+
+
+# ---------------------------------------------------------------------------
+# value_function against a per-layer one-step-state sweep
+# ---------------------------------------------------------------------------
+
+
+def _reference_value_function(prob, grid, mesh, picard_iters=3):
+    """The recursion with the one-step states rebuilt and interpolated on every layer."""
+    nodes = mesh.nodes
+    controls = prob.controls.grid()
+    xi, w = gauss_hermite_rule(prob.d)
+    sqrt_dt = np.sqrt(grid.dt)
+    u = np.empty((grid.n_steps + 1, mesh.n_nodes))
+    u[grid.n_steps] = prob.terminal(nodes)
+    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
+    for i in range(grid.n_steps - 1, -1, -1):
+        values = []
+        for v in controls:
+            X1 = euler_step(prob.manifold, prob.fields, grid.times[i], grid.dt,
+                            nodes[:, None, :], v, (xi * sqrt_dt)[None])
+            u_next = mesh.interpolate(u[i + 1], X1)
+            y_bar = u_next @ w
+            Z = (u_next * w) @ xi / sqrt_dt
+            vv = np.broadcast_to(v, (mesh.n_nodes, v.shape[0]))
+            y = y_bar
+            for _ in range(picard_iters):
+                y = y_bar + grid.dt * prob.driver(grid.times[i], nodes, y, Z, vv)
+            values.append(y)
+        u[i], argmin[i] = grid_argmin(controls, values)
+    return u, argmin
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_function_matches_per_layer_one_step_states(name):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    grid = TimeGrid(0.0, 0.5, 8)
+    vf = value_function(prob, grid, mesh)
+    u, argmin = _reference_value_function(prob, grid, mesh)
+    assert np.array_equal(vf.u, u)
+    assert np.array_equal(vf.argmin_control, argmin)
+    assert len(np.unique(argmin.reshape(-1, argmin.shape[-1]), axis=0)) > 1
+
+
+@pytest.mark.parametrize("n_steps", [3, 17])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_value_function_gathers_once_per_control(monkeypatch, name, n_steps):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    calls = _count_mesh_calls(monkeypatch, mesh)
+    orig_normals = geodp_rng.normal_increments
+
+    def counted_normals(*a, **k):
+        calls["normal_increments"] += 1
+        return orig_normals(*a, **k)
+
+    calls["normal_increments"] = 0
+    monkeypatch.setattr(geodp_rng, "normal_increments", counted_normals)
+    value_function(prob, TimeGrid(0.0, 0.05 * n_steps, n_steps), mesh)
+    n_controls = prob.controls.grid().shape[0]
+    assert n_controls >= 2
+    assert calls == {"interpolate": 0, "gather": n_controls, "normal_increments": 0}

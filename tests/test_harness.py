@@ -44,6 +44,15 @@ def test_defaults_validate_and_print():
         ({"x0": [0.0, 0.0]}, "x0"),
         ({"experiment": "estimates", "mc": {"n_paths": 0}}, "mc.n_paths"),
         ({"manifold": "torus2", "fields": ["zero", "rot1"], "x0": [1.0, 0.0, 0.0, 0.0]}, "x0"),
+        ({"mesh": {"n_theta": 2}}, "mesh"),
+        (
+            {"experiment": "convergence-table",
+             "ladder": [{"n_theta": 32}, {"n_theta": 2}, {"n_theta": 128}]},
+            "ladder[1]",
+        ),
+        ({"manifold": "sphere2", "fields": ["zero", "rot_z"], "mesh": {"n_lat": 2}}, "mesh"),
+        ({"control_set": {"lower": [0.0, 1.0], "upper": [0.0, 0.5]}}, "control_set"),
+        ({"control_set": {"grid_points_per_axis": 0}}, "control_set"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -159,6 +168,19 @@ def test_cli_value_table_dt_bound_is_a_config_error(tmp_path, capsys):
     assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "time.n_steps" in err
+
+
+def test_cli_mesh_and_control_set_errors_exit_2(tmp_path, capsys):
+    """Mesh sizes and control bounds that the builders reject are config errors."""
+    for text, key in (
+        ("experiment: dpp-check\nmesh:\n  n_theta: 2\n", "mesh"),
+        ("control_set:\n  grid_points_per_axis: 0\n", "control_set"),
+    ):
+        f = tmp_path / "c.yaml"
+        f.write_text(text)
+        assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
 
 def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys, monkeypatch):

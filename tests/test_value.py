@@ -1,4 +1,5 @@
 import csv
+import itertools
 import types
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from geodp.bsde import RegressionBasis
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import ControlPolicy, ControlSet, TimeGrid
+from geodp.geometry import get_field, get_manifold
 from geodp.problem import ControlProblem
 from geodp.value import (
     CircleMesh,
@@ -17,6 +19,7 @@ from geodp.value import (
     cost_functional,
     dpp_residual_check,
     export_value_field,
+    gauss_hermite_rule,
     make_mesh,
     value_function,
 )
@@ -54,11 +57,64 @@ def test_mesh_refine_halves_spacing():
         assert fine.spacing() < 0.6 * mesh.spacing()
 
 
+# E xi^k for xi ~ N(0, 1), k = 0..5
+_NORMAL_MOMENTS = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gauss_hermite_rule_moments(d):
+    """Positive weights summing to 1; every moment with exponents <= 5 is exact."""
+    xi, w = gauss_hermite_rule(d)
+    assert xi.shape == (3**d, d) and w.shape == (3**d,)
+    assert np.all(w > 0)
+    assert w.sum() == pytest.approx(1.0, abs=1e-15)
+    for alpha in itertools.product(range(6), repeat=d):
+        exact = np.prod([_NORMAL_MOMENTS[a] for a in alpha])
+        rule = np.sum(w * np.prod(xi ** np.array(alpha), axis=1))
+        assert rule == pytest.approx(exact, abs=1e-13), alpha
+    # degree 6 is beyond the rule: 2 * 27 / 6 = 9, not E xi^6 = 15
+    assert np.sum(w * xi[:, 0] ** 6) == pytest.approx(9.0)
+
+
+def _heat_problem(manifold, fields, control):
+    m = get_manifold(manifold)
+    return ControlProblem(
+        manifold=m,
+        fields=[get_field(m, f) for f in fields],
+        driver=get_driver("zero", None),
+        terminal=get_terminal("coord", {"index": 0, "scale": 1.0}),
+        controls=ControlSet(lower=np.array(control, dtype=float),
+                            upper=np.array(control, dtype=float)),
+    )
+
+
+def test_value_sphere_closed_form():
+    """The three unit rotations give 1/2 Laplace-Beltrami: u(0, x) = x_0 e^{-T}."""
+    prob = _heat_problem("sphere2", ["zero", "rot_x", "rot_y", "rot_z"], [0, 1, 1, 1])
+    mesh = SphereMesh(17, 32)
+    vf = value_function(prob, TimeGrid(0.0, 1.0, 32), mesh)
+    err = np.max(np.abs(vf.u[0] - mesh.nodes[:, 0] * np.exp(-1.0)))
+    assert err < 0.06  # 0.043 measured
+
+
+def test_value_torus_closed_form_and_mesh_refinement():
+    """Heat on each circle factor: u(0, x) = x_0 e^{-T/2}; refining the mesh helps."""
+    prob = _heat_problem("torus2", ["zero", "rot1", "rot2"], [0, 1, 1])
+    errs = []
+    for n in (32, 64):
+        mesh = TorusMesh(n, n)
+        vf = value_function(prob, TimeGrid(0.0, 1.0, 32), mesh)
+        errs.append(np.max(np.abs(vf.u[0] - mesh.nodes[:, 0] * np.exp(-0.5))))
+    assert errs[0] < 0.03  # 0.021 measured
+    assert errs[1] < 0.01  # 0.0071 measured
+    assert errs[1] < 0.5 * errs[0]
+
+
 def test_value_constant_terminal_zero_driver():
     prob = unit_diffusion_circle(driver_id="zero", terminal_id="constant")
     grid = TimeGrid(0.0, 1.0, 32)
     mesh = CircleMesh(32)
-    vf = value_function(prob, grid, mesh, n_sub=128, seed=0)
+    vf = value_function(prob, grid, mesh)
     np.testing.assert_allclose(vf.u, 1.0, atol=1e-10)
 
 
@@ -72,7 +128,7 @@ def test_value_agrees_with_cost_functional_singleton_control():
     )
     grid = TimeGrid(0.0, 1.0, 32)
     mesh = CircleMesh(64)
-    vf = value_function(prob, grid, mesh, n_sub=1024, seed=1)
+    vf = value_function(prob, grid, mesh)
     v = prob.controls.grid()[0]
     j = cost_functional(
         prob, 0.0, mesh.nodes[0], ControlPolicy.constant(v), 1.0,
@@ -86,7 +142,7 @@ def test_value_upper_bounded_by_constant_controls():
     prob = circle_problem()
     grid = TimeGrid(0.0, 1.0, 32)
     mesh = CircleMesh(64)
-    vf = value_function(prob, grid, mesh, n_sub=1024, seed=2)
+    vf = value_function(prob, grid, mesh)
     node = 5
     best_const = min(
         cost_functional(
@@ -104,8 +160,8 @@ def test_monotone_in_control_set():
     mesh = CircleMesh(32)
     small = circle_problem(sigma_low=1.0, sigma_high=1.0, grid_points=1)
     large = circle_problem(sigma_low=0.5, sigma_high=1.0, grid_points=2)
-    u_small = value_function(small, grid, mesh, n_sub=512, seed=3).u
-    u_large = value_function(large, grid, mesh, n_sub=512, seed=3).u
+    u_small = value_function(small, grid, mesh).u
+    u_large = value_function(large, grid, mesh).u
     assert np.all(u_large <= u_small + 1e-12)
 
 
@@ -123,8 +179,8 @@ def test_argmin_invariance_under_constant_shift():
         terminal=TerminalCost(phi=lambda x: np.asarray(x)[..., 0] + shift, lipschitz_K=1.0),
         controls=p1.controls,
     )
-    v1 = value_function(p1, grid, mesh, n_sub=256, seed=4)
-    v2 = value_function(p2, grid, mesh, n_sub=256, seed=4)
+    v1 = value_function(p1, grid, mesh)
+    v2 = value_function(p2, grid, mesh)
     np.testing.assert_allclose(v2.u - v1.u, shift, atol=1e-10)
     # identical up to float-rounding tie-breaks at near-equal candidates
     mismatch = np.mean(np.any(v1.argmin_control != v2.argmin_control, axis=-1))
@@ -135,7 +191,7 @@ def test_dpp_residual_small_on_suite():
     prob = circle_problem()
     grid = TimeGrid(0.0, 1.0, 64)
     mesh = CircleMesh(128)
-    vf = value_function(prob, grid, mesh, n_sub=512, seed=5)
+    vf = value_function(prob, grid, mesh)
     probes = [(i, j) for i in (0, 20, 40, 59) for j in (0, 32, 64, 96)]
     for ds in (1, 4):
         rep = dpp_residual_check(prob, vf, ds, probes, fresh_seed=99, n_paths=4096)
@@ -145,8 +201,8 @@ def test_dpp_residual_small_on_suite():
 def test_continuity_moduli_decay():
     prob = circle_problem()
     mesh = CircleMesh(64)
-    u_coarse = value_function(prob, TimeGrid(0.0, 1.0, 16), mesh, n_sub=512, seed=6)
-    u_fine = value_function(prob, TimeGrid(0.0, 1.0, 64), mesh, n_sub=512, seed=6)
+    u_coarse = value_function(prob, TimeGrid(0.0, 1.0, 16), mesh)
+    u_fine = value_function(prob, TimeGrid(0.0, 1.0, 64), mesh)
     mc = continuity_moduli(u_coarse)
     mf = continuity_moduli(u_fine)
     # one spacing bucket on the uniform circle mesh; finite moduli
@@ -161,7 +217,7 @@ def test_continuity_moduli_decay():
 
 def test_export_value_field(tmp_path):
     prob = unit_diffusion_circle(driver_id="zero", terminal_id="coord")
-    vf = value_function(prob, TimeGrid(0.0, 0.2, 4), CircleMesh(8), n_sub=64, seed=0)
+    vf = value_function(prob, TimeGrid(0.0, 0.2, 4), CircleMesh(8))
     p = tmp_path / "vf.csv"
     export_value_field(vf, str(p))
     lines = p.read_text().strip().splitlines()
