@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import resource
 import sys
 
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.print_defaults:
-        sys.stdout.write(print_defaults())
+        _write_stdout(print_defaults())
         return 0
     if args.config is None:
         parser.error("run requires a config path (or --print-defaults)")
@@ -47,13 +48,25 @@ def main(argv=None) -> int:
     status = "PASS" if report.passed else "FAIL"
     # ru_maxrss is in KiB on Linux; like the wall time it stays out of metrics.json.
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    sys.stdout.write(
+    lines = [
         f"{report.experiment}: {status} (seed={report.seed}, wall={report.wall_time:.2f}s, "
         f"peak_rss={peak_rss:.1f}MB)\n"
-    )
-    for k in sorted(report.metrics):
-        sys.stdout.write(f"  {k} = {report.metrics[k]}\n")
+    ]
+    lines += [f"  {k} = {report.metrics[k]}\n" for k in sorted(report.metrics)]
+    _write_stdout("".join(lines))
     return 0 if report.passed else 1
+
+
+def _write_stdout(text: str) -> None:
+    """Write and flush stdout.  A reader that leaves early (`geodp run cfg.yaml
+    | head -1`) does not change the exit status: the reports are already on
+    disk.  stdout is then pointed at devnull, so that the flush at interpreter
+    exit does not raise again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 if __name__ == "__main__":

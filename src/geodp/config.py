@@ -103,7 +103,7 @@ class ExperimentConfig:
         for fid in r["fields"]:
             try:
                 get_field(m, fid)
-            except KeyError as e:
+            except (KeyError, ValueError) as e:
                 raise ConfigError("fields", str(e)) from e
         try:
             driver = get_driver(r["driver"]["id"], r["driver"].get("params"))

@@ -14,7 +14,7 @@ class CutLocus(GeodpError):
 
 
 class NonTangentField(GeodpError):
-    """A diffusion field without a tangency certificate was supplied."""
+    """A diffusion field that is not tangent to the manifold was supplied."""
 
 
 class ContractionViolated(GeodpError):

@@ -5,6 +5,10 @@ unit sphere in R^3, and the flat torus S^1 x S^1 in R^4.  Points are stored in
 embedded (ambient) coordinates only, and all motion is ambient formulas plus
 metric projection, so no chart or Christoffel machinery is needed.
 
+Every catalog vector field is linear, x -> A x with A skew: an infinitesimal
+isometry.  A field is stored as its matrix, its ambient derivative along
+itself is (x A^T) A^T, and whether it is tangent is decided exactly from A.
+
 All operations broadcast over leading axes: a "point" argument may be a single
 ambient vector of shape (n,) or a batch of shape (..., n).
 """
@@ -12,38 +16,39 @@ ambient vector of shape (n,) or a batch of shape (..., n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import CutLocus, SingularProjection
 
 _EMBED_TOL = 1e-12
-_TANGENT_TOL = 1e-10
 _PROJ_EPS = 1e-8
 _CUT_GUARD = 1e-9
 
-# Central-difference step for ambient derivatives without a registered Jacobian.
-H_GEO = 1e-5
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorField:
-    """A vector field given through a smooth ambient extension.
+    """The linear field x -> A x in ambient coordinates.
 
-    ``eval(t, x)`` must accept batched x of shape (..., n) and return matching
-    shapes.  ``jacobian(t, x)``, when registered, returns the ambient Jacobian
-    with shape (..., n, n); otherwise directional derivatives fall back to
-    central differences.
+    ``V(t, x)`` accepts batched x of shape (..., n) and returns ``x @ A.T``;
+    catalog fields are autonomous, so t is ignored.
     """
 
     id: str
-    eval: Callable[[float, np.ndarray], np.ndarray]
-    jacobian: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    tangency_certified: bool = False
+    A: np.ndarray
 
     def __call__(self, t, x):
-        return self.eval(t, np.asarray(x, dtype=float))
+        return np.asarray(x, dtype=float) @ self.A.T
+
+    def tangent_to(self, m: "ManifoldModel") -> bool:
+        """Exact tangency test: x -> A x is tangent to m at every point iff A is
+        skew and maps each unit-sphere factor's coordinates into that factor."""
+        A = self.A
+        if A.shape != (m.ambient_dim, m.ambient_dim) or not np.array_equal(A, -A.T):
+            return False
+        factor = np.repeat(np.arange(len(m.factor_dims)), m.factor_dims)
+        return not np.any(A[factor[:, None] != factor])
 
 
 class ManifoldModel:
@@ -52,6 +57,8 @@ class ManifoldModel:
     name: str
     intrinsic_dim: int
     ambient_dim: int
+    # Ambient dimensions of the unit-sphere factors, in coordinate order.
+    factor_dims: tuple
     injectivity_radius: float
     curvature_lower_bound_k0: float
 
@@ -131,6 +138,7 @@ class Circle(ManifoldModel):
     name = "circle"
     intrinsic_dim = 1
     ambient_dim = 2
+    factor_dims = (2,)
     injectivity_radius = np.pi
     curvature_lower_bound_k0 = 0.0
 
@@ -190,6 +198,7 @@ class Sphere2(ManifoldModel):
     name = "sphere2"
     intrinsic_dim = 2
     ambient_dim = 3
+    factor_dims = (3,)
     injectivity_radius = np.pi
     curvature_lower_bound_k0 = 0.0
 
@@ -262,6 +271,7 @@ class FlatTorus2(ManifoldModel):
     name = "torus2"
     intrinsic_dim = 2
     ambient_dim = 4
+    factor_dims = (2, 2)
     # Injectivity radius of each factor; used as the (conservative) guard.
     injectivity_radius = np.pi
     curvature_lower_bound_k0 = 0.0
@@ -342,23 +352,6 @@ class FlatTorus2(ManifoldModel):
         return np.stack([t1, t2], axis=-1)
 
 
-def ambient_derivative(
-    m: ManifoldModel,
-    V: VectorField,
-    W: VectorField,
-    t: float,
-    x,
-    h: float = H_GEO,
-) -> np.ndarray:
-    """Directional derivative (D_W V)(t, x) in the ambient connection."""
-    x = np.asarray(x, dtype=float)
-    w = W(t, x)
-    if V.jacobian is not None:
-        J = V.jacobian(t, x)
-        return np.einsum("...ij,...j->...i", J, w)
-    return (V(t, x + h * w) - V(t, x - h * w)) / (2.0 * h)
-
-
 def flow_step(m: ManifoldModel, V: VectorField, t: float, x, h: float) -> np.ndarray:
     """Flow of xdot = V(t, x) for parameter h: projected RK4, with parameters
     larger than 0.1 split into equal substeps to keep the local error bounded."""
@@ -401,42 +394,33 @@ def get_manifold(name: str) -> ManifoldModel:
     return _MANIFOLDS[key]()
 
 
-def linear_field(fid: str, A: np.ndarray, tangent: bool) -> VectorField:
-    """Field x -> A x with its exact (constant) Jacobian registered."""
-    A = np.asarray(A, dtype=float)
-
-    def ev(t, x):
-        return x @ A.T
-
-    def jac(t, x):
-        return np.broadcast_to(A, x.shape + (A.shape[0],)).copy()
-
-    return VectorField(id=fid, eval=ev, jacobian=jac, tangency_certified=tangent)
+def _rotation(n: int, i: int, j: int) -> np.ndarray:
+    """The so(n) generator E_ij - E_ji: it turns coordinate j towards coordinate i."""
+    A = np.zeros((n, n))
+    A[i, j], A[j, i] = 1.0, -1.0
+    return A
 
 
-def zero_field(n: int) -> VectorField:
-    def ev(t, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def jac(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape + (x.shape[-1],))
-
-    return VectorField(id="zero", eval=ev, jacobian=jac, tangency_certified=True)
-
-
-def _cross_matrix(a):
-    a = np.asarray(a, dtype=float)
-    return np.array(
-        [
-            [0.0, -a[2], a[1]],
-            [a[2], 0.0, -a[0]],
-            [-a[1], a[0], 0.0],
-        ]
-    )
+# Catalog matrices per manifold; "zero" and the parametric ids are resolved in get_field.
+_FIELDS = {
+    "circle": {"rot": _rotation(2, 1, 0)},
+    "sphere2": {
+        "rot_x": _rotation(3, 2, 1),
+        "rot_y": _rotation(3, 0, 2),
+        "rot_z": _rotation(3, 1, 0),
+    },
+    "torus2": {"rot1": _rotation(4, 1, 0), "rot2": _rotation(4, 3, 2)},
+}
 
 
-_ROT2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+def _finite(fid: str, text: str) -> float:
+    try:
+        c = float(text)
+    except ValueError:
+        c = np.nan
+    if not np.isfinite(c):
+        raise ValueError(f"field '{fid}': '{text}' is not a finite number")
+    return c
 
 
 def get_field(m: ManifoldModel, fid: str) -> VectorField:
@@ -444,48 +428,23 @@ def get_field(m: ManifoldModel, fid: str) -> VectorField:
 
     Ids: "zero" everywhere; "rot" on the circle; "rot_x", "rot_y", "rot_z" on
     the sphere; "rot1", "rot2" and "const_angle:<a>" on the torus (rotation of
-    the two factors mixed with direction angle a).  "scale:<c>:<id>" rescales
-    any catalog field by c.
+    the two factors mixed with direction angle a).  "scale:<c>:<id>" is the
+    field of c times the matrix of any catalog id.  Unknown ids raise KeyError,
+    malformed or non-finite numbers ValueError.
     """
     fid = fid.strip()
     if fid == "zero":
-        return zero_field(m.ambient_dim)
+        return VectorField(fid, np.zeros((m.ambient_dim, m.ambient_dim)))
     if fid.startswith("scale:"):
-        _, c, inner = fid.split(":", 2)
-        base = get_field(m, inner)
-        scale = float(c)
-
-        def ev(t, x, _b=base, _s=scale):
-            return _s * _b(t, x)
-
-        jac = None
-        if base.jacobian is not None:
-
-            def jac(t, x, _b=base, _s=scale):
-                return _s * _b.jacobian(t, x)
-
-        return VectorField(
-            id=fid, eval=ev, jacobian=jac, tangency_certified=base.tangency_certified
-        )
-    if isinstance(m, Circle):
-        if fid == "rot":
-            return linear_field("rot", _ROT2, tangent=True)
-    elif isinstance(m, Sphere2):
-        axes = {"rot_x": (1, 0, 0), "rot_y": (0, 1, 0), "rot_z": (0, 0, 1)}
-        if fid in axes:
-            return linear_field(fid, _cross_matrix(axes[fid]), tangent=True)
-    elif isinstance(m, FlatTorus2):
-        Z2 = np.zeros((2, 2))
-        if fid == "rot1":
-            A = np.block([[_ROT2, Z2], [Z2, Z2]])
-            return linear_field("rot1", A, tangent=True)
-        if fid == "rot2":
-            A = np.block([[Z2, Z2], [Z2, _ROT2]])
-            return linear_field("rot2", A, tangent=True)
-        if fid.startswith("const_angle:"):
-            a = float(fid.split(":", 1)[1])
-            A = np.block(
-                [[np.cos(a) * _ROT2, Z2], [Z2, np.sin(a) * _ROT2]]
-            )
-            return linear_field(fid, A, tangent=True)
-    raise KeyError(f"unknown field '{fid}' for manifold '{m.name}'")
+        c, sep, inner = fid[len("scale:") :].partition(":")
+        if not sep:
+            raise ValueError(f"field '{fid}': expected scale:<c>:<id>")
+        return VectorField(fid, _finite(fid, c) * get_field(m, inner).A)
+    if m.name == "torus2" and fid.startswith("const_angle:"):
+        a = _finite(fid, fid[len("const_angle:") :])
+        rot = _FIELDS["torus2"]
+        return VectorField(fid, np.cos(a) * rot["rot1"] + np.sin(a) * rot["rot2"])
+    A = _FIELDS.get(m.name, {}).get(fid)
+    if A is None:
+        raise KeyError(f"unknown field '{fid}' for manifold '{m.name}'")
+    return VectorField(fid, A)

@@ -194,6 +194,17 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
     return metrics, passed, artifacts
 
 
+def _pair_direction(m, x0):
+    """Unit tangent at x0 along the all-ones vector, or along the coordinate axis
+    with the largest tangent part where that of all-ones is roundoff (x0 =
+    (1, 1)/sqrt(2) on the circle): normalised, it would point along the normal."""
+    w = m.tangent_project(x0, np.ones(m.ambient_dim))
+    if np.linalg.norm(w) < 1e-8:
+        axes = m.tangent_project(x0, np.eye(m.ambient_dim))
+        w = axes[np.argmax(np.linalg.norm(axes, axis=-1))]
+    return w / np.linalg.norm(w)
+
+
 def _exp_estimates(cfg, out_dir, dump_paths):
     prob = cfg.build_problem()
     grid = cfg.build_grid()
@@ -203,9 +214,7 @@ def _exp_estimates(cfg, out_dir, dump_paths):
     x0 = cfg.x0()
 
     # Mean-square flow continuity under shared noise.
-    w = m.tangent_project(x0, np.ones(m.ambient_dim))
-    w = w / np.linalg.norm(w)
-    x1 = m.exp(x0, float(cfg["estimates"]["pair_distance"]) * w)
+    x1 = m.exp(x0, float(cfg["estimates"]["pair_distance"]) * _pair_direction(m, x0))
     v = prob.controls.grid()[0]
     noise = BrownianGrid(grid=grid, d=prob.d, n_paths=int(cfg["mc"]["n_paths"]), seed=seed)
     flow = flow_continuity_check(

@@ -3,8 +3,33 @@ import pytest
 
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import ControlSet, TimeGrid
-from geodp.geometry import get_field, get_manifold
+from geodp.geometry import VectorField, get_field, get_manifold
 from geodp.problem import ControlProblem
+
+# Every catalog id per manifold, the parametric ones with sample parameters.
+CATALOG = {
+    "circle": ["zero", "rot", "scale:0.5:rot", "scale:-3:rot"],
+    "sphere2": ["zero", "rot_x", "rot_y", "rot_z", "scale:2.5:rot_y"],
+    "torus2": [
+        "zero", "rot1", "rot2", "const_angle:0.3", "const_angle:-2",
+        "scale:0.7:const_angle:1.1", "scale:0:rot2",
+    ],
+}
+
+
+def _coupling():
+    """Skew on R^4, but it moves the first torus factor's coordinates into the second."""
+    A = np.zeros((4, 4))
+    A[0, 2], A[2, 0] = -1.0, 1.0
+    return A
+
+
+# Fields that are not tangent: a non-skew matrix on the circle and a torus
+# matrix that couples its two factors.
+NON_TANGENT = [
+    ("circle", VectorField("stretch", np.eye(2))),
+    ("torus2", VectorField("couple", _coupling())),
+]
 
 
 def circle_problem(

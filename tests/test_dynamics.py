@@ -16,7 +16,9 @@ from geodp.dynamics import (
     simulate,
 )
 from geodp.errors import GridMismatch, NonTangentField
-from geodp.geometry import Circle, VectorField, get_field, get_manifold
+from geodp.geometry import Circle, flow_step, get_field, get_manifold
+
+from conftest import CATALOG, NON_TANGENT
 
 
 def _noise(grid, d=1, n_paths=512, seed=0, antithetic=False):
@@ -145,6 +147,28 @@ def test_euler_step_broadcast_matches_path_steps(name):
     np.testing.assert_array_equal(out.reshape(30, -1), paths)
 
 
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_euler_step_matches_broadcast_jacobian_reference(name):
+    """The matmul step equals the former formulation, which broadcast each
+    field's Jacobian A to every point and contracted it with V(x) by einsum."""
+    m = get_manifold(name)
+    fields = [get_field(m, f) for f in STEP_CASES[name][0]]
+    d = len(fields) - 1
+    rng = np.random.default_rng(2)
+    X = m.random_points(2048, rng)
+    v = rng.uniform(0.0, 1.5, size=(2048, d + 1))
+    dW = 0.1 * rng.standard_normal((2048, d))
+    drift = v[:, 0:1] * fields[0](0.0, X)
+    for a in range(1, d + 1):
+        J = np.broadcast_to(fields[a].A, X.shape + (m.ambient_dim,)).copy()
+        DV = np.einsum("...ij,...j->...i", J, fields[a](0.0, X))
+        drift = drift + 0.5 * v[:, a : a + 1] ** 2 * DV
+    Y = X + 0.01 * drift
+    for a in range(1, d + 1):
+        Y = Y + v[:, a : a + 1] * fields[a](0.0, X) * dW[:, a - 1 : a]
+    np.testing.assert_array_equal(euler_step(m, fields, 0.0, 0.01, X, v, dW), m.project(Y))
+
+
 def test_noise_dimension_mismatch():
     m = Circle()
     fields = [get_field(m, "zero"), get_field(m, "rot")]
@@ -154,12 +178,14 @@ def test_noise_dimension_mismatch():
 
 
 def test_uncertified_diffusion_field_rejected():
-    m = Circle()
-    bad = VectorField(id="bad", eval=lambda t, x: np.ones_like(x))
-    fields = [get_field(m, "zero"), bad]
-    grid = TimeGrid(0.0, 1.0, 8)
-    with pytest.raises(NonTangentField):
-        simulate(m, fields, np.array([1.0, 0.0]), ControlPolicy.constant([0.0, 1.0]), _noise(grid))
+    """A non-skew matrix and a torus matrix coupling the two factors fail the
+    exact tangency check, so simulate refuses them as diffusion fields."""
+    for name, bad in NON_TANGENT:
+        m = get_manifold(name)
+        fields = [get_field(m, "zero"), bad]
+        x0 = m.project(np.ones(m.ambient_dim))
+        with pytest.raises(NonTangentField, match=bad.id):
+            simulate(m, fields, x0, ControlPolicy.constant([0.0, 1.0]), _noise(TimeGrid(0.0, 1.0, 8)))
 
 
 def test_feedback_policy_applied():
@@ -332,3 +358,58 @@ def test_export_paths_roundtrip(tmp_path):
     assert len(lines) == 1 + 5 * 3
     vals = lines[1].split(",")
     assert float(vals[2]) == 1.0 and float(vals[3]) == 0.0
+
+
+_catalog_manifold = st.sampled_from(sorted(CATALOG))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=_catalog_manifold, data=st.data())
+def test_simulate_stays_on_manifold(name, data):
+    """Random catalog fields, controls, start and step size: every state of
+    every path satisfies the embedding constraints."""
+    m = get_manifold(name)
+    ids = st.sampled_from(CATALOG[name])
+    fids = data.draw(st.lists(ids, min_size=2, max_size=4), label="fields")
+    d = len(fids) - 1
+    v = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=d + 1, max_size=d + 1), label="v")
+    T = data.draw(st.floats(0.01, 3.0), label="T")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    x0 = m.random_points(1, np.random.default_rng(seed))[0]
+    noise = _noise(TimeGrid(0.0, T, data.draw(st.integers(1, 16), label="n_steps")), d=d, n_paths=16, seed=seed)
+    ens = simulate(m, [get_field(m, f) for f in fids], x0, ControlPolicy.constant(v), noise)
+    assert ens.constraint_violation() <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=_catalog_manifold, data=st.data())
+def test_flow_step_and_exp_stay_on_manifold(name, data):
+    m = get_manifold(name)
+    fid = data.draw(st.sampled_from(CATALOG[name]), label="field")
+    h = data.draw(st.floats(-5.0, 5.0), label="h")
+    r = data.draw(st.floats(0.0, 20.0), label="r")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    x = m.random_points(32, rng)
+    assert np.max(m.constraint_violation(flow_step(m, get_field(m, fid), 0.0, x, h))) <= 1e-9
+    w = m.tangent_project(x, rng.standard_normal(x.shape))
+    w = r * w / np.linalg.norm(w, axis=-1, keepdims=True)
+    assert np.max(m.constraint_violation(m.exp(x, w))) <= 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+@settings(max_examples=20, deadline=None)
+@given(n_paths=st.integers(1, 300), data=st.data())
+def test_simulate_chunk_invariance(name, n_paths, data):
+    """simulate's states do not depend on its chunk size, for any CHUNK."""
+    fids, x0 = STEP_CASES[name]
+    m = get_manifold(name)
+    fields = [get_field(m, f) for f in fids]
+    d = len(fields) - 1
+    noise = _noise(TimeGrid(0.0, 0.5, 8), d=d, n_paths=n_paths, seed=13)
+    policy = ControlPolicy.feedback(lambda i, X: np.concatenate([X[:, :1], np.ones((X.shape[0], d))], axis=1))
+    ref = simulate(m, fields, np.array(x0), policy, noise).states
+    chunk = data.draw(st.integers(1, n_paths + 5), label="chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "CHUNK", chunk)
+        states = simulate(m, fields, np.array(x0), policy, noise).states
+    np.testing.assert_array_equal(states, ref)

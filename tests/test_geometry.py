@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +9,16 @@ from geodp.geometry import (
     Circle,
     FlatTorus2,
     Sphere2,
-    ambient_derivative,
+    VectorField,
     flow_step,
     get_field,
     get_manifold,
-    linear_field,
 )
 
+from conftest import CATALOG, NON_TANGENT
+
 MANIFOLDS = [Circle(), Sphere2(), FlatTorus2()]
+
 
 
 def _rng(seed=0):
@@ -128,18 +132,46 @@ def test_torus_distance_is_product_metric():
     assert abs(m.distance(x, y) - np.hypot(a, b)) < 1e-12
 
 
+def _central_difference(V, x, w, h=1e-5):
+    """Reference ambient directional derivative (D_w V)(x) by central differences."""
+    return (V(0.0, x + h * w) - V(0.0, x - h * w)) / (2.0 * h)
+
+
 def test_ambient_derivative_jacobian_vs_fd():
-    m = Circle()
-    A = np.array([[0.0, -1.0], [1.0, 0.0]])
-    V = linear_field("rot", A, tangent=True)
-    V_fd = type(V)(id="rot_fd", eval=V.eval, jacobian=None, tangency_certified=True)
+    """For every catalog field, (x A^T) A^T, the ambient derivative of V along
+    itself that the Euler step uses, matches central differences."""
     rng = _rng(3)
-    x = m.random_points(50, rng)
-    exact = ambient_derivative(m, V, V, 0.0, x)
-    approx = ambient_derivative(m, V_fd, V_fd, 0.0, x)
-    np.testing.assert_allclose(approx, exact, atol=1e-8)
+    for m in MANIFOLDS:
+        x = m.random_points(50, rng)
+        for fid in CATALOG[m.name]:
+            V = get_field(m, fid)
+            exact = V(0.0, x) @ V.A.T
+            np.testing.assert_allclose(
+                _central_difference(V, x, V(0.0, x)), exact, atol=1e-8, err_msg=f"{m.name}:{fid}"
+            )
     # rot(rot(x)) = -x: the covariant correction points inward
-    np.testing.assert_allclose(exact, -x, atol=1e-12)
+    m = Circle()
+    x = m.random_points(50, rng)
+    rot = get_field(m, "rot")
+    np.testing.assert_allclose(rot(0.0, x) @ rot.A.T, -x, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
+def test_catalog_fields_pass_the_exact_tangency_check(m):
+    """Every catalog id is accepted by the structural check, and its values are
+    tangent at sampled points."""
+    x = m.random_points(200, _rng(4))
+    for fid in CATALOG[m.name]:
+        V = get_field(m, fid)
+        assert V.tangent_to(m), fid
+        assert np.max(m.tangency_defect(x, V(0.0, x))) < 1e-12, fid
+
+
+def test_tangency_check_rejects_non_skew_and_coupling_matrices():
+    for name, V in NON_TANGENT:
+        assert not V.tangent_to(get_manifold(name)), V.id
+    # a field of another manifold's dimension
+    assert not get_field(Sphere2(), "rot_z").tangent_to(Circle())
 
 
 def test_flow_step_circle_rotation():
@@ -175,6 +207,25 @@ def test_field_catalog():
     np.testing.assert_allclose(
         r1(0.0, np.array([1.0, 0.0, 1.0, 0.0])), [0.0, 1.0, 0.0, 0.0]
     )
+    # scale:<c>:<id> is c times the matrix; fields own a read-only copy of it
+    assert [f.name for f in dataclasses.fields(VectorField)] == ["id", "A"]
+    np.testing.assert_array_equal(half.A, 0.5 * rot.A)
+
+
+@pytest.mark.parametrize(
+    "name, fid",
+    [
+        ("circle", "scale:abc:rot"),
+        ("circle", "scale:0.5"),
+        ("circle", "scale:nan:rot"),
+        ("circle", "scale:inf:rot"),
+        ("torus2", "const_angle:x"),
+        ("torus2", "const_angle:-inf"),
+    ],
+)
+def test_malformed_field_ids_raise_value_error(name, fid):
+    with pytest.raises(ValueError, match="field"):
+        get_field(get_manifold(name), fid)
 
 
 def test_get_manifold_unknown():

@@ -1,7 +1,11 @@
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from geodp import harness
@@ -53,6 +57,10 @@ def test_defaults_validate_and_print():
         ({"manifold": "sphere2", "fields": ["zero", "rot_z"], "mesh": {"n_lat": 2}}, "mesh"),
         ({"control_set": {"lower": [0.0, 1.0], "upper": [0.0, 0.5]}}, "control_set"),
         ({"control_set": {"grid_points_per_axis": 0}}, "control_set"),
+        ({"fields": ["zero", "scale:abc:rot"]}, "fields"),
+        ({"fields": ["zero", "scale:0.5"]}, "fields"),
+        ({"fields": ["zero", "scale:nan:rot"]}, "fields"),
+        ({"manifold": "torus2", "fields": ["const_angle:x", "rot1"]}, "fields"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -126,6 +134,30 @@ def test_estimates_beyond_the_circle(tmp_path, manifold, fields, controls):
     assert len((tmp_path / "stability.csv").read_text().splitlines()) == 1 + 5
 
 
+@pytest.mark.parametrize(
+    "manifold, fields, controls, x0",
+    [
+        ("circle", ["zero", "rot"], {"lower": [0.0, 1.0], "upper": [0.0, 1.0]}, [1.0, 1.0]),
+        ("sphere2", ["zero", "rot_z"], {"lower": [0.0, 1.0], "upper": [0.0, 1.0]}, [1.0, 1.0, 1.0]),
+        ("torus2", ["zero", "rot1", "rot2"], {"lower": [0.0, 1.0, 1.0], "upper": [0.0, 1.0, 1.0]},
+         [1.0, 1.0, 1.0, 1.0]),
+    ],
+    ids=["circle", "sphere2", "torus2"],
+)
+def test_estimates_flow_pair_is_distinct_where_ones_is_normal(tmp_path, manifold, fields, controls, x0):
+    """At these starts the all-ones vector is normal to the manifold, so its
+    tangent part is roundoff.  The flow check must still start its second flow
+    pair_distance away (chord 2 sin(0.05)) instead of at x0, where lhs and rhs
+    were both 0."""
+    cfg = _cfg(
+        experiment="estimates", manifold=manifold, fields=fields, control_set=controls, x0=x0,
+        mc={"n_paths": 256}, estimates={"n_instances": 1},
+    )
+    rep = run(cfg, out_dir=str(tmp_path))
+    assert rep.metrics["flow_rhs"] == pytest.approx(50.0 * (2.0 * np.sin(0.05)) ** 2, rel=1e-9)
+    assert rep.metrics["flow_lhs"] > 0.0
+
+
 def test_hypotheses_h2_threshold_is_applied(tmp_path):
     """The circle rotation's transport defect is at roundoff (~1e-16): it passes
     the default threshold and fails a threshold below it."""
@@ -181,6 +213,38 @@ def test_cli_mesh_and_control_set_errors_exit_2(tmp_path, capsys):
         assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+
+def test_cli_malformed_field_ids_exit_2(tmp_path, capsys):
+    """Malformed and non-finite numbers in field ids are config errors, not a
+    ValueError or LinAlgError traceback with exit 1."""
+    for fid in ("scale:abc:rot", "scale:0.5", "scale:nan:rot"):
+        f = tmp_path / "c.yaml"
+        f.write_text(f"fields: [zero, '{fid}']\n")
+        assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "fields" in err and fid in err
+
+
+def test_cli_closed_stdout_keeps_the_run_status(tmp_path):
+    """`geodp run cfg.yaml | head -1`: a reader that closes the pipe before the
+    summary is written leaves no BrokenPipeError traceback, and a passing run
+    still exits 0 with its reports on disk."""
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 256\n")
+    out = tmp_path / "o"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr.txt", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geodp.cli", "run", str(f), "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        proc.stdout.close()
+        rc = proc.wait(timeout=300)
+    assert (tmp_path / "stderr.txt").read_text() == ""
+    assert rc == 0
+    assert json.loads((out / "metrics.json").read_text())["pass"] is True
 
 
 def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys, monkeypatch):

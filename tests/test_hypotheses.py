@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from geodp.geometry import Circle, Sphere2, VectorField, get_field, get_manifold
+from geodp.geometry import Circle, Sphere2, get_field, get_manifold
 from geodp.hjb import TestFunctionProbe
 from geodp.hypotheses import (
     HypothesisReport,
@@ -15,7 +15,7 @@ from geodp.hypotheses import (
     uniqueness_certified,
 )
 
-from conftest import circle_problem
+from conftest import NON_TANGENT, circle_problem
 
 
 def test_h2_passes_circle_rotation():
@@ -33,9 +33,11 @@ def test_h2_fails_sphere_rotation():
 
 
 def test_h2_requires_tangency_certificate():
-    bad = VectorField(id="bad", eval=lambda t, x: np.ones_like(x))
-    with pytest.raises(ValueError):
-        check_H2(Circle(), bad)
+    """H2 is defined for tangent fields only: the exact tangency check rejects a
+    non-skew matrix and a torus matrix coupling the two factors."""
+    for name, bad in NON_TANGENT:
+        with pytest.raises(ValueError, match=bad.id):
+            check_H2(get_manifold(name), bad)
 
 
 def test_h1_parallel_field_mu_zero():
