@@ -10,6 +10,12 @@ with the implicit Y_i resolved by a fixed number of Picard iterations
 least squares on ambient monomial features of X_i.  When all paths share the
 state (the deterministic start node, or any degenerate layer) plain averaging
 is used instead.
+
+Sweeps that share an ensemble run in lockstep: least-squares conditional
+expectation is linear in its target, so B stacked sweeps make one regression
+per step (features, Gram matrix and its eigendecomposition once) on the
+column-stacked targets of every member, and each member's prediction equals
+the one its own sweep would make, bit for bit.
 """
 
 from __future__ import annotations
@@ -81,10 +87,13 @@ class RegressionBasis:
 
 @dataclass(frozen=True)
 class BsdeSolution:
+    """One sweep's solution; a lockstep sweep of B members puts a leading
+    batch axis of length B on ``Y``, ``Z`` and ``y_at_t0``."""
+
     grid: "object"
-    Y: np.ndarray  # (n_steps+1, n_paths)
-    Z: np.ndarray  # (n_steps, n_paths, d)
-    y_at_t0: float
+    Y: np.ndarray  # ([B,] n_steps+1, n_paths)
+    Z: np.ndarray  # ([B,] n_steps, n_paths, d)
+    y_at_t0: float  # or (B,) for a lockstep sweep
     picard_residual: float
     ensemble: Optional[TrajectoryEnsemble] = field(default=None, repr=False)
 
@@ -153,37 +162,55 @@ def backward_sweep(
     """Generic backward recursion with per-path terminal values.
 
     driver_fn(i, x, y, z) evaluates the generator on step i (control already
-    folded in by the caller).
+    folded in by the caller).  With terminal_values of shape (N,) it gets y of
+    shape (N,) and z of shape (N, d).  Terminal values of shape (B, N) run B
+    sweeps in lockstep on the same ensemble: driver_fn gets y (B, N) and
+    z (B, N, d) and returns (B, N), each step makes one regression for all
+    members, and the solution carries a leading batch axis; its
+    picard_residual is the maximum over the members.
     """
+    terminal_values = np.asarray(terminal_values, dtype=float)
+    batched = terminal_values.ndim == 2
+    yT = terminal_values if batched else terminal_values[None]
+    B = yT.shape[0]
     n_steps = grid.n_steps
     n_paths = states.shape[1]
     d = increments.shape[2] if n_steps > 0 else 0
     dt = grid.dt
 
-    Y = np.empty((n_steps + 1, n_paths))
-    Z = np.zeros((n_steps, n_paths, d))
-    Y[n_steps] = np.asarray(terminal_values, dtype=float)
+    Y = np.empty((B, n_steps + 1, n_paths))
+    Z = np.zeros((B, n_steps, n_paths, d))
+    Y[:, n_steps] = yT
     residual = 0.0
 
     for i in range(n_steps - 1, -1, -1):
         X = states[i]
         dW = increments[i]
-        R = np.concatenate([Y[i + 1][:, None], Y[i + 1][:, None] * dW], axis=1)
-        pred = conditional_expectation(X, R, basis)
-        y_bar = pred[:, 0]
-        Z[i] = pred[:, 1:] / dt
+        # Targets [Y_b, Y_b dW] of every member side by side: (N, B*(1+d)).
+        y_next = Y[:, i + 1, :, None]
+        R = np.concatenate([y_next, y_next * dW], axis=2).transpose(1, 0, 2)
+        pred = conditional_expectation(X, R.reshape(n_paths, -1), basis)
+        pred = pred.reshape(n_paths, B, 1 + d).transpose(1, 0, 2)
+        y_bar = pred[:, :, 0]
+        Z[:, i] = pred[:, :, 1:] / dt
         y = y_bar
         for _ in range(picard_iters):
-            y_new = y_bar + dt * driver_fn(i, X, y, Z[i])
+            if batched:
+                y_new = y_bar + dt * driver_fn(i, X, y, Z[:, i])
+            else:
+                y_new = y_bar + dt * driver_fn(i, X, y[0], Z[0, i])
             residual = max(residual, float(np.max(np.abs(y_new - y))))
             y = y_new
-        Y[i] = y
+        Y[:, i] = y
 
+    y_at_t0 = np.mean(Y[:, 0], axis=-1)
+    if not batched:
+        Y, Z, y_at_t0 = Y[0], Z[0], float(y_at_t0[0])
     return BsdeSolution(
         grid=grid,
         Y=Y,
         Z=Z,
-        y_at_t0=float(np.mean(Y[0])),
+        y_at_t0=y_at_t0,
         picard_residual=residual,
     )
 

@@ -156,10 +156,12 @@ class ControlPolicy:
 
     @classmethod
     def constant(cls, v) -> "ControlPolicy":
-        v = np.atleast_1d(np.asarray(v, dtype=float))
+        """The control v on every step and path.  ``values`` returns a
+        read-only broadcast view of one private copy of v, not a fresh array."""
+        v = np.array(v, dtype=float, ndmin=1)
 
         def fn(i, X):
-            return np.broadcast_to(v, (X.shape[0], v.shape[0])).copy()
+            return np.broadcast_to(v, (X.shape[0], v.shape[0]))
 
         return cls("open_loop_constant", fn)
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import CutLocus, SingularProjection
 
-_EMBED_TOL = 1e-12
 _PROJ_EPS = 1e-8
 _CUT_GUARD = 1e-9
 
@@ -60,16 +59,12 @@ class ManifoldModel:
     # Ambient dimensions of the unit-sphere factors, in coordinate order.
     factor_dims: tuple
     injectivity_radius: float
-    curvature_lower_bound_k0: float
 
     # -- embedding constraints ------------------------------------------------
 
     def constraint_violation(self, p):
         """Max violation of the defining embedding constraints, per point."""
         raise NotImplementedError
-
-    def is_on_manifold(self, p, tol=_EMBED_TOL):
-        return bool(np.all(self.constraint_violation(p) <= tol))
 
     def project(self, p):
         raise NotImplementedError
@@ -121,9 +116,13 @@ class ManifoldModel:
 
 
 def _normalize(p, eps=_PROJ_EPS):
+    """p / |p|; raises SingularProjection where a norm is below eps or not
+    finite (an overflowed state), the one guard of every catalog projection."""
     n = np.linalg.norm(p, axis=-1, keepdims=True)
-    if np.any(n < eps):
-        raise SingularProjection(f"norm {float(np.min(n)):.3g} below {eps}")
+    ok = (n >= eps) & (n < np.inf)
+    if not np.all(ok):
+        bad = float(n[~ok][0])
+        raise SingularProjection(f"norm {bad:.3g} is non-finite or below {eps}")
     return p / n
 
 
@@ -140,7 +139,6 @@ class Circle(ManifoldModel):
     ambient_dim = 2
     factor_dims = (2,)
     injectivity_radius = np.pi
-    curvature_lower_bound_k0 = 0.0
 
     def constraint_violation(self, p):
         p = np.asarray(p, dtype=float)
@@ -200,7 +198,6 @@ class Sphere2(ManifoldModel):
     ambient_dim = 3
     factor_dims = (3,)
     injectivity_radius = np.pi
-    curvature_lower_bound_k0 = 0.0
 
     def constraint_violation(self, p):
         p = np.asarray(p, dtype=float)
@@ -274,7 +271,6 @@ class FlatTorus2(ManifoldModel):
     factor_dims = (2, 2)
     # Injectivity radius of each factor; used as the (conservative) guard.
     injectivity_radius = np.pi
-    curvature_lower_bound_k0 = 0.0
 
     @staticmethod
     def _pairs(p):

@@ -325,20 +325,10 @@ def shift_identity_check(
     dt = grid.dt
     f = prob.driver
 
-    # Side A: window recursion with terminal probe values.
+    # Side A is the window recursion with terminal probe values; side B the
+    # probe-shifted driver with zero terminal and discrete probe increments.
+    # Both sides share the ensemble, so they sweep in lockstep.
     eta = probe.value(times[-1], ens.states[-1])
-    solA = backward_sweep(
-        ens.states,
-        ens.noise.increments,
-        grid,
-        lambda i, xx, y, z: f(times[i], xx, y, z, ens.policy.values(i, xx)),
-        eta,
-        basis,
-        picard_iters=picard_iters,
-    )
-    lhs = solA.y_at_t0 - float(probe.value(t, np.asarray(x, dtype=float)))
-
-    # Side B: probe-shifted driver, zero terminal, discrete probe increments.
     phi_layers = [probe.value(times[i], ens.states[i]) for i in range(grid.n_steps + 1)]
     cond_phi = {}
     for i in range(grid.n_steps):
@@ -349,22 +339,26 @@ def shift_identity_check(
         pred = conditional_expectation(ens.states[i], R, basis)
         cond_phi[i] = (pred[:, 0], pred[:, 1:] / dt)
 
-    def driver_B(i, xx, y, z):
+    def driver(i, xx, y, z):
         phi_bar, z_phi = cond_phi[i]
         v = ens.policy.values(i, xx)
         incr = (phi_bar - phi_layers[i]) / dt
-        return incr + f(times[i], xx, y + phi_layers[i], z + z_phi, v)
+        return np.stack([
+            f(times[i], xx, y[0], z[0], v),
+            incr + f(times[i], xx, y[1] + phi_layers[i], z[1] + z_phi, v),
+        ])
 
-    solB = backward_sweep(
+    sol = backward_sweep(
         ens.states,
         ens.noise.increments,
         grid,
-        driver_B,
-        np.zeros(ens.n_paths),
+        driver,
+        np.stack([eta, np.zeros(ens.n_paths)]),
         basis,
         picard_iters=picard_iters,
     )
-    gap = abs(lhs - solB.y_at_t0)
+    lhs = float(sol.y_at_t0[0]) - float(probe.value(t, np.asarray(x, dtype=float)))
+    gap = abs(lhs - float(sol.y_at_t0[1]))
     return ShiftIdentityReport(gap=gap, tolerance=tolerance, passed=gap <= tolerance)
 
 

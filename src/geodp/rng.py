@@ -34,7 +34,12 @@ def _splitmix64(z: np.ndarray) -> np.ndarray:
 
 
 def _hash_indices(seed: int, step, path, comp) -> np.ndarray:
-    """Combine (seed, step, path, comp) into one well-mixed uint64 per element."""
+    """Combine (seed, step, path, comp) into one well-mixed uint64 per element.
+
+    Each stage is hashed over the shape it has reached so far: the seed as a
+    scalar, then the step over the step's axes, and so on; the index arrays
+    broadcast against each other only where they are mixed in.
+    """
     s = np.uint64(np.int64(seed).view(np.uint64) if isinstance(seed, np.int64) else seed & 0xFFFFFFFFFFFFFFFF)
     h = _splitmix64(np.asarray(s, dtype=np.uint64))
     h = _splitmix64(h ^ np.asarray(step, dtype=np.uint64))
@@ -50,11 +55,6 @@ def _to_unit(h: np.ndarray) -> np.ndarray:
 
 def standard_normal(seed: int, step, path, comp) -> np.ndarray:
     """N(0,1) draw indexed by (seed, step, path, comp); broadcasts its index arrays."""
-    step, path, comp = np.broadcast_arrays(
-        np.asarray(step, dtype=np.uint64),
-        np.asarray(path, dtype=np.uint64),
-        np.asarray(comp, dtype=np.uint64),
-    )
     h = _hash_indices(seed, step, path, comp)
     u1 = _to_unit(h)
     u2 = _to_unit(_splitmix64(h ^ _GOLDEN))

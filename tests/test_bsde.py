@@ -213,3 +213,89 @@ def test_stability_grid_mismatch():
     s2 = solve_backward(e2, z, get_terminal("constant"), BASIS)
     with pytest.raises(GridMismatch):
         stability_check(s1, s2, np.ones(128), np.ones(128), np.zeros((8, 128)), np.zeros((8, 128)), 0.5)
+
+
+_LOCKSTEP_FIELDS = {
+    "circle": ["zero", "rot"],
+    "sphere2": ["zero", "rot_x", "rot_z"],
+    "torus2": ["zero", "rot1", "rot2"],
+}
+
+
+def _lockstep_members(name, n_paths=512, n_steps=8):
+    """An ensemble on ``name`` and three sweeps on it: terminal values and
+    per-member drivers, plus the stacked driver of all three."""
+    from geodp.geometry import get_manifold
+
+    m = get_manifold(name)
+    fields = [get_field(m, f) for f in _LOCKSTEP_FIELDS[name]]
+    d = len(fields) - 1
+    grid = TimeGrid(0.0, 0.5, n_steps)
+    noise = BrownianGrid(grid=grid, d=d, n_paths=n_paths, seed=17)
+    x0 = m.project(np.arange(1.0, m.ambient_dim + 1.0))
+    ens = simulate(m, fields, x0, ControlPolicy.constant(np.ones(d + 1)), noise)
+    r = np.random.default_rng(3)
+    coef = r.uniform(-1.0, 1.0, size=(3, m.ambient_dim))
+    terminal = ens.states[-1] @ coef.T  # (N, 3)
+    a, b, c = r.uniform(-1.0, 1.0, size=(3, 3, 1))
+
+    def member(k):
+        return lambda i, x, y, z: a[k] * np.sin(y) + b[k] * np.tanh(z[:, 0]) + c[k] * x[:, 0]
+
+    def stacked(i, x, y, z):
+        return a * np.sin(y) + b * np.tanh(z[..., 0]) + c * x[:, 0]
+
+    return ens, [terminal[:, k] for k in range(3)], [member(k) for k in range(3)], stacked
+
+
+def _assert_lockstep_equals_separate(ens, terminals, drivers, stacked):
+    from geodp.bsde import backward_sweep
+
+    args = (ens.states, ens.noise.increments, ens.grid)
+    sol = backward_sweep(*args, stacked, np.stack(terminals), BASIS)
+    assert sol.Y.shape == (3,) + ens.states.shape[:2]
+    assert sol.Z.shape == (3, ens.grid.n_steps, ens.n_paths, ens.noise.d)
+    residual = 0.0
+    for k, (yT, fn) in enumerate(zip(terminals, drivers)):
+        one = backward_sweep(*args, fn, yT, BASIS)
+        np.testing.assert_array_equal(sol.Y[k], one.Y)
+        np.testing.assert_array_equal(sol.Z[k], one.Z)
+        assert sol.y_at_t0[k] == one.y_at_t0
+        residual = max(residual, one.picard_residual)
+    assert sol.picard_residual == residual
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_FIELDS))
+def test_lockstep_sweep_equals_separate_sweeps(name):
+    """Stacked sweeps share one regression per step and still equal their own
+    sweeps bit for bit; the start layer is degenerate, so it is the plain average."""
+    ens, terminals, drivers, stacked = _lockstep_members(name)
+    assert np.all(ens.states[0] == ens.states[0, 0])
+    _assert_lockstep_equals_separate(ens, terminals, drivers, stacked)
+
+
+def _truncated_condition(F):
+    from geodp.bsde import _SV_CUTOFF
+
+    w = np.linalg.eigvalsh(F.T @ F)
+    keep = w > w[-1] * _SV_CUTOFF
+    return float(w[-1] / np.min(w[keep]))
+
+
+def test_lockstep_sweep_equals_separate_sweeps_under_degree_1_fallback(monkeypatch):
+    """With the condition limit between the degree-1 and degree-2 conditions of
+    the first moving layer, that layer falls back to degree 1 in every sweep."""
+    from geodp import bsde
+
+    ens, terminals, drivers, stacked = _lockstep_members("sphere2")
+    X = ens.states[1]
+    c1 = _truncated_condition(RegressionBasis(degree=1).features(X))
+    c2 = _truncated_condition(BASIS.features(X))
+    assert c2 > 10.0 * c1
+    monkeypatch.setattr(bsde, "_COND_LIMIT", np.sqrt(c1 * c2))
+    R = ens.states[2]
+    np.testing.assert_array_equal(
+        conditional_expectation(X, R, BASIS),
+        bsde._regress(RegressionBasis(degree=1).features(X), R),
+    )
+    _assert_lockstep_equals_separate(ens, terminals, drivers, stacked)

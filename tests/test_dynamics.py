@@ -202,6 +202,32 @@ def test_feedback_policy_applied():
     assert abs(v[-1, 0, 0] - 1.0) > 1e-3
 
 
+@pytest.mark.parametrize("name", ["circle", "sphere2", "torus2"])
+def test_constant_policy_is_a_read_only_view(name):
+    """A constant policy hands out one read-only view of its control, and
+    simulates exactly like a feedback policy that returns fresh copies."""
+    m = get_manifold(name)
+    fields = [get_field(m, f) for f in CATALOG[name][:3]]
+    v = np.linspace(0.5, 1.0, len(fields))
+    const = ControlPolicy.constant(v)
+    X = np.ones((7, m.ambient_dim))
+    vals = const.values(0, X)
+    assert vals.shape == (7, len(fields)) and not vals.flags.writeable
+    with pytest.raises(ValueError):
+        vals[0, 0] = 0.0
+    v[0] = -1.0  # the policy keeps its own copy of v
+    np.testing.assert_array_equal(const.values(3, X), np.broadcast_to(vals[0], vals.shape))
+    assert const.values(3, X)[0, 0] == 0.5
+
+    copies = ControlPolicy.feedback(lambda i, X: np.tile(np.linspace(0.5, 1.0, len(fields)), (X.shape[0], 1)))
+    noise = _noise(TimeGrid(0.0, 0.5, 16), d=len(fields) - 1, n_paths=300, seed=8)
+    x0 = m.project(np.arange(1.0, m.ambient_dim + 1.0))
+    np.testing.assert_array_equal(
+        simulate(m, fields, x0, const, noise).states,
+        simulate(m, fields, x0, copies, noise).states,
+    )
+
+
 def test_flow_continuity_shared_noise():
     m = Circle()
     fields = [get_field(m, "zero"), get_field(m, "rot")]

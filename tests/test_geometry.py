@@ -111,6 +111,18 @@ def test_singular_projection():
         Sphere2().project(np.array([1e-12, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("name", ["circle", "sphere2", "torus2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_projection_rejects_non_finite_norms(name, bad):
+    """Every catalog projection goes through the norm guard, which also
+    rejects NaN and overflowing norms, in any factor and any row."""
+    m = get_manifold(name)
+    p = np.ones((3, m.ambient_dim))
+    p[1, -1] = bad
+    with pytest.raises(SingularProjection, match="non-finite"), np.errstate(over="ignore"):
+        m.project(p)
+
+
 def test_sphere_transport_around_equator():
     """Transport along a quarter of the equator rotates the frame consistently:
     the tangent 'east' direction maps to 'east' at the target, 'north' stays

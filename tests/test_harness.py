@@ -260,6 +260,18 @@ def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys, monkeyp
     assert "SingularProjection" in capsys.readouterr().err
 
 
+def test_cli_overflowing_field_exits_3_with_singular_projection(tmp_path, capsys):
+    """A field scale that passes validation but overflows the Euler step makes
+    non-finite states; the projection guard names it instead of a LinAlgError
+    traceback with exit 1."""
+    f = tmp_path / "c.yaml"
+    f.write_text("fields: [zero, 'scale:1e200:rot']\nmc:\n  n_paths: 256\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "run error: SingularProjection" in err and "non-finite" in err
+
+
 def test_cli_summary_reports_peak_rss_outside_metrics(tmp_path, capsys):
     f = tmp_path / "c.yaml"
     f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 256\n")
