@@ -212,20 +212,22 @@ def euler_step(m, fields, t, dt, X, v, dW):
     return m.project(Y)
 
 
-def grid_argmin(controls: np.ndarray, values):
+def grid_argmin(controls: np.ndarray, values: np.ndarray):
     """Pointwise minimum over the rows of a control grid.
 
-    ``values[k]`` is the objective (scalar or per-point array) under
-    ``controls[k]``.  Returns (minimum, minimizing row per point).  Rows are
-    visited in grid order and only a strictly smaller value replaces the
-    incumbent, so ties resolve to the first (lexicographically smallest) control.
+    ``values`` is stacked over the grid, of shape (k,) or (k, n_points):
+    ``values[k]`` is the objective (a scalar or a per-point array) under
+    ``controls[k]``.  Returns (minimum, minimizing row) per point.
+
+    The rule is ``np.argmin``'s.  The first minimum in grid order wins, so
+    ties, -0.0 against 0.0 among them, resolve to the first
+    (lexicographically smallest) control.  A NaN counts as the minimum, so a
+    NaN objective comes back as a NaN minimum with its own control and is
+    never passed over for another control.
     """
-    best, best_k = np.inf, 0
-    for k, val in enumerate(values):
-        better = val < best
-        best = np.where(better, val, best)
-        best_k = np.where(better, k, best_k)
-    return best, controls[best_k]
+    best_k = values.argmin(axis=0)
+    best = values[best_k] if values.ndim == 1 else values[best_k, np.arange(values.shape[1])]
+    return best, controls.take(best_k, axis=0)
 
 
 def simulate(

@@ -28,7 +28,7 @@ from .value import dpp_residual_check, export_value_field, value_function
 CSV_SCHEMA = """\
 paths.csv:        step, path, x0..x{n-1}            (embedded coordinates per step/path)
 value_field.csv:  time_index, node_index, x0..x{n-1}, u, v0..v{d}   (value table + argmin control)
-hjb_field.csv:    same columns as value_field.csv
+hjb_field.csv:    same columns and layers as value_field.csv (HJB step = time_index * stride)
 dpp_residuals.csv: delta_steps, time_index, node_index, residual
 convergence.csv:  level, error, ratio
 stability.csv:    instance, lhs, rhs, beta0, pass
@@ -176,9 +176,8 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
             multiple_of=grid.n_steps,
         )
         hgrid = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_hjb)
-        hf = solve_hjb(prob, hgrid, mesh, cfl_limit=tol["cfl_limit"])
-        stride = n_hjb // grid.n_steps
-        sup = float(np.max(np.abs(vf.u - hf.u[::stride])))
+        hf = solve_hjb(prob, hgrid, mesh, cfl_limit=tol["cfl_limit"], stride=n_hjb // grid.n_steps)
+        sup = float(np.max(np.abs(vf.u - hf.u)))
         level_tol = tol["agreement_sup"] / (2**level)
         metrics[f"sup_diff_level_{level}"] = sup
         metrics[f"tolerance_level_{level}"] = level_tol
@@ -314,7 +313,7 @@ def _exp_convergence_table(cfg, out_dir, dump_paths):
         mesh = cfg.build_mesh(sizes)
         n_hjb = hjb_steps_for_cfl(prob, float(tm["t0"]), float(tm["T"]), mesh, cfl_limit=tol["cfl_limit"])
         grid = TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=n_hjb)
-        hf = solve_hjb(prob, grid, mesh, cfl_limit=tol["cfl_limit"])
+        hf = solve_hjb(prob, grid, mesh, cfl_limit=tol["cfl_limit"], stride=n_hjb)
         if cfg["terminal"]["id"] == "constant":
             ref = np.full(mesh.n_nodes, float(cfg["terminal"]["params"].get("c", 1.0)))
         else:

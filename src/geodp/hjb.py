@@ -8,7 +8,8 @@ integral curve: with x(+-) = flow_step(x, +-h),
 
 and the time stepping is explicit with a CFL guard, which keeps the update a
 positively weighted average (a monotone scheme) for diffusion-dominated
-control sets.
+control sets.  Each step minimizes the Hamiltonian of every grid control at
+every node as one array, and the solver keeps only every ``stride``-th layer.
 
 The module also carries the pointwise Hamiltonian built from a smooth test
 function probe, the state-frozen backward ODE that realizes the inf over
@@ -129,19 +130,18 @@ def hamiltonian_F0(
     Ties resolve to the lexicographically smallest control (grid order).
     """
     controls = prob.controls.grid(points_per_axis)
-    best, best_v = grid_argmin(
-        controls, [float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls]
-    )
+    values = np.array([float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls])
+    best, best_v = grid_argmin(controls, values)
     return float(best), best_v
 
 
 @dataclass(frozen=True)
 class HjbField:
-    grid: TimeGrid
+    grid: TimeGrid  # the output grid: HJB step = time index * stride
     mesh: ManifoldMesh
-    u: np.ndarray  # (n_steps+1, n_nodes)
+    u: np.ndarray  # (grid.n_steps+1, n_nodes)
     cfl_ratio: float
-    argmin_control: np.ndarray  # (n_steps, n_nodes, d+1)
+    argmin_control: np.ndarray  # (grid.n_steps, n_nodes, d+1)
 
     def as_value_field(self) -> ValueField:
         return ValueField(
@@ -155,32 +155,35 @@ def _max_diffusion_load(prob: ControlProblem) -> float:
     return float(np.max(np.sum(controls[:, 1:] ** 2, axis=1)))
 
 
-def _stencil_hamiltonian(prob, t, nodes, un, d1, d2, v):
-    """Discrete Hamiltonian at every node under the constant control v."""
-    ham = v[0] * d1[0]
-    z = np.zeros((nodes.shape[0], prob.d))
-    for a in range(1, prob.d + 1):
-        ham = ham + 0.5 * v[a] ** 2 * d2[a]
-        z[:, a - 1] = v[a] * d1[a]
-    vv = np.broadcast_to(v, (nodes.shape[0], v.shape[0]))
-    return ham + prob.driver(t, nodes, un, z, vv)
-
-
 def solve_hjb(
     prob: ControlProblem,
     grid: TimeGrid,
     mesh: ManifoldMesh,
     h_stencil: Optional[float] = None,
     cfl_limit: float = 0.4,
+    stride: int = 1,
 ) -> HjbField:
     """Explicit backward sweep with flow-aligned stencils.
+
+    Only every ``stride``-th layer is kept: u at HJB steps 0, stride, ...,
+    n_steps and the minimizing control at steps 0, stride, ..., n_steps -
+    stride, on the output grid ``TimeGrid(t0, T, n_steps // stride)``.  A
+    caller that compares against a coarser value table passes the ratio of
+    the step counts; one that reads only t0 passes ``grid.n_steps``.
 
     Stencil points are precomputed at t0 (the catalog fields are autonomous),
     and so are their stencil gathers: the plus and minus points of all d+1
     fields are stacked into one (2, d+1, n_nodes, ambient) array and handed
-    to ``mesh.gather`` once, so each time step is a single gather of u.
-    Raises CflViolated when dt * max_v sum_a v_a^2 > cfl_limit * h^2.
+    to ``mesh.gather`` once, so each time step is a single gather of u.  Each
+    step evaluates the Hamiltonian of all k grid controls at all nodes as one
+    (k, n_nodes) array, with one driver call on y (n_nodes,), z (k, n_nodes,
+    d) and v (k, n_nodes, d+1), and minimizes it with one ``grid_argmin``.
+
+    Raises ValueError unless stride divides n_steps, and CflViolated when
+    dt * max_v sum_a v_a^2 > cfl_limit * h^2.
     """
+    if stride < 1 or grid.n_steps % stride:
+        raise ValueError(f"stride {stride} does not divide n_steps = {grid.n_steps}")
     h = h_stencil if h_stencil is not None else mesh.spacing()
     cfl_ratio = grid.dt * _max_diffusion_load(prob) / h**2
     if cfl_ratio > cfl_limit:
@@ -197,23 +200,39 @@ def solve_hjb(
     stencil = mesh.gather(
         np.array([[flow_step(m, V, grid.t0, nodes, s) for V in prob.fields] for s in (h, -h)])
     )
+    # Per-control coefficients, one row per control: v_0, 1/2 v_a^2 and v_a.
+    v0 = controls[:, :1]  # (k, 1)
+    half_v2 = [0.5 * controls[:, a : a + 1] ** 2 for a in range(1, prob.d + 1)]  # d of (k, 1)
+    v_diff = controls[:, None, 1:]  # (k, 1, d)
+    vv = np.broadcast_to(controls[:, None, :], (controls.shape[0], mesh.n_nodes, controls.shape[1]))
 
-    u = np.empty((grid.n_steps + 1, mesh.n_nodes))
-    u[grid.n_steps] = prob.terminal(nodes)
-    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
+    n_out = grid.n_steps // stride
+    u = np.empty((n_out + 1, mesh.n_nodes))
+    u[n_out] = prob.terminal(nodes)
+    un = u[n_out]
+    argmin = np.empty((n_out, mesh.n_nodes, controls.shape[1]))
 
     for i in range(grid.n_steps - 1, -1, -1):
-        un = u[i + 1]
         up, um = stencil(un)  # each (d+1, n_nodes)
         d1 = (up - um) / (2.0 * h)
-        d2 = (up - 2.0 * un + um) / h**2  # row 0 (the drift) is unused
-        best, argmin[i] = grid_argmin(
-            controls,
-            [_stencil_hamiltonian(prob, times[i + 1], nodes, un, d1, d2, v) for v in controls],
-        )
-        u[i] = un + dt * best
+        d2 = (up[1:] - 2.0 * un + um[1:]) / h**2  # diffusion fields only
+        ham = v0 * d1[0]  # (k, n_nodes)
+        for c, d2_a in zip(half_v2, d2):
+            ham = ham + c * d2_a
+        z = v_diff * d1[1:].T  # (k, n_nodes, d)
+        best, best_v = grid_argmin(controls, ham + prob.driver(times[i + 1], nodes, un, z, vv))
+        un = un + dt * best
+        if i % stride == 0:
+            u[i // stride] = un
+            argmin[i // stride] = best_v
 
-    return HjbField(grid=grid, mesh=mesh, u=u, cfl_ratio=cfl_ratio, argmin_control=argmin)
+    return HjbField(
+        grid=TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_out),
+        mesh=mesh,
+        u=u,
+        cfl_ratio=cfl_ratio,
+        argmin_control=argmin,
+    )
 
 
 def hjb_steps_for_cfl(

@@ -359,9 +359,9 @@ def value_function(
         )
         for v in controls
     ]
+    values = np.empty((controls.shape[0], mesh.n_nodes))
     for i in range(grid.n_steps - 1, -1, -1):
-        values = []
-        for v, gather in zip(controls, at_next):
+        for k, (v, gather) in enumerate(zip(controls, at_next)):
             u_next = gather(u[i + 1])  # (n_nodes, 3^d)
             y_bar = u_next @ w
             Z = (u_next * w) @ xi / sqrt_dt
@@ -369,7 +369,7 @@ def value_function(
             y = y_bar
             for _ in range(picard_iters):
                 y = y_bar + dt * prob.driver(times[i], nodes, y, Z, vv)
-            values.append(y)
+            values[k] = y
         u[i], argmin[i] = grid_argmin(controls, values)
 
     return ValueField(grid=grid, mesh=mesh, u=u, argmin_control=argmin)

@@ -3,9 +3,11 @@
 The reference formulas below are the per-call mesh interpolation written out
 directly (chart, cell, weights and combination in one expression).  The
 gathers must reproduce them bit for bit; ``solve_hjb`` must reproduce a sweep
-that interpolates every stencil point set afresh at every step, and
-``value_function`` one that rebuilds and interpolates its one-step states on
-every layer.
+that interpolates every stencil point set afresh at every step and takes the
+controls one at a time, and keep every stride-th layer of it;
+``value_function`` must reproduce one that rebuilds and interpolates its
+one-step states on every layer.  Both references minimize with their own
+strict-< scan over the controls, not with ``grid_argmin``.
 """
 
 import numpy as np
@@ -13,9 +15,9 @@ import pytest
 
 from geodp import rng as geodp_rng
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import ControlSet, TimeGrid, euler_step, grid_argmin
+from geodp.dynamics import ControlSet, TimeGrid, euler_step
 from geodp.geometry import flow_step, get_field, get_manifold
-from geodp.hjb import _stencil_hamiltonian, hjb_steps_for_cfl, solve_hjb
+from geodp.hjb import hjb_steps_for_cfl, solve_hjb
 from geodp.problem import ControlProblem
 from geodp.value import (
     CircleMesh,
@@ -184,8 +186,29 @@ CASES = {
 }
 
 
+def _ref_grid_argmin(controls, values):
+    """Strict-< scan over the controls in grid order: ties keep the first."""
+    best, best_k = np.inf, 0
+    for k, val in enumerate(values):
+        better = val < best
+        best = np.where(better, val, best)
+        best_k = np.where(better, k, best_k)
+    return best, controls[best_k]
+
+
+def _ref_stencil_hamiltonian(prob, t, nodes, un, d1, d2, v):
+    """Discrete Hamiltonian at every node under the constant control v."""
+    ham = v[0] * d1[0]
+    z = np.zeros((nodes.shape[0], prob.d))
+    for a in range(1, prob.d + 1):
+        ham = ham + 0.5 * v[a] ** 2 * d2[a]
+        z[:, a - 1] = v[a] * d1[a]
+    vv = np.broadcast_to(v, (nodes.shape[0], v.shape[0]))
+    return ham + prob.driver(t, nodes, un, z, vv)
+
+
 def _reference_solve_hjb(prob, grid, mesh):
-    """The sweep with 2(d+1) fresh interpolations per step."""
+    """The sweep with 2(d+1) fresh interpolations per step, one control at a time."""
     h = mesh.spacing()
     nodes = mesh.nodes
     controls = prob.controls.grid()
@@ -200,9 +223,9 @@ def _reference_solve_hjb(prob, grid, mesh):
         um = [_ref_interpolate(mesh, un, p) for p in minus]
         d1 = [(up[a] - um[a]) / (2.0 * h) for a in range(prob.d + 1)]
         d2 = [None] + [(up[a] - 2.0 * un + um[a]) / h**2 for a in range(1, prob.d + 1)]
-        best, argmin[i] = grid_argmin(
+        best, argmin[i] = _ref_grid_argmin(
             controls,
-            [_stencil_hamiltonian(prob, grid.times[i + 1], nodes, un, d1, d2, v)
+            [_ref_stencil_hamiltonian(prob, grid.times[i + 1], nodes, un, d1, d2, v)
              for v in controls],
         )
         u[i] = un + grid.dt * best
@@ -220,6 +243,26 @@ def test_solve_hjb_matches_per_step_interpolation(name):
     assert np.array_equal(hf.u, u)
     assert np.array_equal(hf.argmin_control, argmin)
     assert len(np.unique(argmin.reshape(-1, argmin.shape[-1]), axis=0)) > 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solve_hjb_stride_keeps_every_stride_th_layer(name):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    n = hjb_steps_for_cfl(prob, 0.0, 0.5, mesh, multiple_of=4)
+    full = solve_hjb(prob, TimeGrid(0.0, 0.5, n), mesh)
+    for s in (2, 4, n):
+        hf = solve_hjb(prob, TimeGrid(0.0, 0.5, n), mesh, stride=s)
+        assert hf.grid == TimeGrid(0.0, 0.5, n // s)
+        assert np.array_equal(hf.u, full.u[::s])
+        assert np.array_equal(hf.argmin_control, full.argmin_control[::s])
+
+
+@pytest.mark.parametrize("stride", [0, 5, 24])
+def test_solve_hjb_stride_must_divide_n_steps(stride):
+    make_prob, make_mesh = CASES["circle"]
+    with pytest.raises(ValueError, match="stride"):
+        solve_hjb(make_prob(), TimeGrid(0.0, 0.012, 12), make_mesh(), stride=stride)
 
 
 def _count_mesh_calls(monkeypatch, mesh):
@@ -273,7 +316,7 @@ def _reference_value_function(prob, grid, mesh, picard_iters=3):
             for _ in range(picard_iters):
                 y = y_bar + grid.dt * prob.driver(grid.times[i], nodes, y, Z, vv)
             values.append(y)
-        u[i], argmin[i] = grid_argmin(controls, values)
+        u[i], argmin[i] = _ref_grid_argmin(controls, values)
     return u, argmin
 
 

@@ -1,9 +1,11 @@
+import csv
 import filecmp
 import json
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from geodp.cli import main as cli_main
 from geodp.config import ExperimentConfig, print_defaults
 from geodp.errors import ConfigError, SingularProjection
 from geodp.harness import run
+from geodp.hjb import hjb_steps_for_cfl
 
 
 def _cfg(**over):
@@ -106,6 +109,39 @@ def test_convergence_table_constant_terminal_roundoff(tmp_path):
     rep = run(cfg, out_dir=str(tmp_path))
     assert rep.passed
     assert all(v <= 1e-10 for k, v in rep.metrics.items() if k.startswith("error_level"))
+
+
+def test_convergence_table_does_not_hold_the_full_hjb_field(tmp_path):
+    cfg = _cfg(experiment="convergence-table")
+    finest = cfg.build_mesh(cfg["ladder"][-1])
+    n_hjb = hjb_steps_for_cfl(cfg.build_problem(), 0.0, 1.0, finest)
+    # u and argmin_control of the finest level at every HJB step
+    full_field = ((n_hjb + 1) + n_hjb * 2) * finest.n_nodes * 8
+    tracemalloc.start()
+    try:
+        rep = run(cfg, out_dir=str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed
+    assert peak < full_field / 4
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_agreement_hjb_field_lines_up_with_value_field(tmp_path):
+    cfg = _cfg(experiment="solver-agreement", mesh={"n_theta": 48}, time={"n_steps": 16})
+    rep = run(cfg, out_dir=str(tmp_path))
+    vrows = _csv_rows(tmp_path / "value_field.csv")
+    hrows = _csv_rows(tmp_path / "hjb_field.csv")
+    assert len(vrows) == len(hrows) == 17 * 48
+    key = ["time_index", "node_index", "x0", "x1"]
+    assert [[r[k] for k in key] for r in hrows] == [[r[k] for k in key] for r in vrows]
+    diff = max(abs(float(h["u"]) - float(v["u"])) for h, v in zip(hrows, vrows))
+    assert 0.0 < diff <= rep.metrics["sup_diff_level_0"]
 
 
 def test_oracle_requires_zero_driver(tmp_path):
