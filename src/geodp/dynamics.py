@@ -8,6 +8,15 @@ where D_Va Va = (X A_a^T) A_a^T is the ambient directional-derivative
 correction that makes the projected chain consistent with the geometric
 (Stratonovich) dynamics, and proj is the metric projection, which enforces
 manifold invariance at every step instead of relying on it analytically.
+
+The step works coordinate-major: the states are an (n, N) array with one
+contiguous row per ambient coordinate, each field is one A X, and each
+factor's norm is a sum of squared rows rather than a reduction over a 2- to
+4-long axis.  ``simulate`` keeps each CHUNK of paths in that layout across
+all its steps and writes each step's rows into the path-major
+``TrajectoryEnsemble.states``.  The states stay path-major for their readers:
+bsde builds its regression features from them, and a Gram matrix summed
+from an F-ordered feature matrix differs in the last bits.
 """
 
 from __future__ import annotations
@@ -23,10 +32,12 @@ from . import rng
 from .errors import GridMismatch, NonTangentField
 from .geometry import ManifoldModel, VectorField
 
-# Paths are stepped in fixed-size chunks to bound the per-step temporaries.
-# Each path depends only on its own noise, so the states do not depend on the
-# chunk size; bsde accumulates its Gram matrices in chunks of the same size so
-# that cross-path sums have one fixed order.
+# Paths are stepped in fixed-size chunks to bound the per-step temporaries:
+# a chunk is held as an (n, CHUNK) coordinate-major array, a few rows of 16 KB
+# that stay in cache across its steps.  Each path depends only on its own
+# noise, so the states do not depend on the chunk size; bsde accumulates its
+# Gram matrices in chunks of the same size so that cross-path sums have one
+# fixed order.
 CHUNK = 2048
 
 
@@ -157,11 +168,16 @@ class ControlPolicy:
     @classmethod
     def constant(cls, v) -> "ControlPolicy":
         """The control v on every step and path.  ``values`` returns a
-        read-only broadcast view of one private copy of v, not a fresh array."""
+        read-only broadcast view of one private copy of v, not a fresh array,
+        and the same view again while the number of paths stays the same."""
         v = np.array(v, dtype=float, ndmin=1)
+        view = np.broadcast_to(v, (0, v.shape[0]))
 
         def fn(i, X):
-            return np.broadcast_to(v, (X.shape[0], v.shape[0]))
+            nonlocal view
+            if view.shape[0] != X.shape[0]:
+                view = np.broadcast_to(v, (X.shape[0], v.shape[0]))
+            return view
 
         return cls("open_loop_constant", fn)
 
@@ -194,22 +210,31 @@ class TrajectoryEnsemble:
 
 
 def euler_step(m, fields, t, dt, X, v, dW):
-    """One projected Euler step, broadcasting over the leading axes of X, v, dW.
+    """One projected Euler step in coordinate-major layout.
 
-    X: (..., n) states; v: (..., d+1) controls; dW: (..., d) increments.
-    With W_a = X A_a^T computed once per field, computes
-    X + dt*(v0*W_0 + 1/2 sum_a va^2 W_a A_a^T), then adds sum_a (va*W_a)*dW^a,
-    then projects.
+    X: (n, N) states, one row per ambient coordinate; v: (d+1, N) controls,
+    or (d+1, 1) for one control on every column; dW: (d, N) increments.
+    With W_a = A_a X computed once per field, computes
+    X + dt*(v0*W_0 + 1/2 sum_a va^2 A_a W_a), then adds sum_a (va*W_a)*dW^a,
+    then projects each factor's rows.  Every number is the one the path-major
+    formula X A_a^T gives, because each catalog matrix has at most one
+    nonzero per row; an overflow is left to the projection guard, which names
+    it, instead of being warned about.
     """
-    v = np.asarray(v, dtype=float)
-    W = [X @ f.A.T for f in fields]
-    drift = v[..., 0:1] * W[0]
-    for a in range(1, len(fields)):
-        drift = drift + 0.5 * v[..., a : a + 1] ** 2 * (W[a] @ fields[a].A.T)
-    Y = X + dt * drift
-    for a in range(1, len(fields)):
-        Y = Y + v[..., a : a + 1] * W[a] * dW[..., a - 1 : a]
-    return m.project(Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = [f.A @ X for f in fields]
+        drift = v[0] * W[0]
+        for a in range(1, len(fields)):
+            drift += 0.5 * v[a] ** 2 * (fields[a].A @ W[a])
+        drift *= dt
+        Y = drift
+        Y += X
+        for a in range(1, len(fields)):
+            Wa = W[a]
+            Wa *= v[a]
+            Wa *= dW[a - 1]
+            Y += Wa
+    return m.project(Y.T).T
 
 
 def grid_argmin(controls: np.ndarray, values: np.ndarray):
@@ -251,11 +276,13 @@ def simulate(
     states[0] = np.asarray(x0, dtype=float)
     for p0 in range(0, noise.n_paths, CHUNK):
         paths = slice(p0, p0 + CHUNK)
-        X = states[0, paths]
+        X = np.ascontiguousarray(states[0, paths].T)
         for i in range(grid.n_steps):
-            dW = noise.increments[i, paths]
-            X = euler_step(m, fields, times[i], dt, X, policy.values(i, X), dW)
-            states[i + 1, paths] = X
+            v = policy.values(i, states[i, paths]).T
+            X = euler_step(m, fields, times[i], dt, X, v, noise.increments[i, paths].T)
+            # Row by row: numpy copies a whole transposed block several times slower.
+            for k, row in enumerate(X):
+                states[i + 1, paths, k] = row
     return TrajectoryEnsemble(grid=grid, manifold=m, states=states, noise=noise, policy=policy)
 
 

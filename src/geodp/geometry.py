@@ -3,7 +3,9 @@
 The catalog is deliberately small and explicit: the unit circle in R^2, the
 unit sphere in R^3, and the flat torus S^1 x S^1 in R^4.  Points are stored in
 embedded (ambient) coordinates only, and all motion is ambient formulas plus
-metric projection, so no chart or Christoffel machinery is needed.
+metric projection, so no chart or Christoffel machinery is needed.  Each
+manifold is a product of unit spheres, listed by ``factor_dims``; the metric
+projection and the constraint violation are defined once from it.
 
 Every catalog vector field is linear, x -> A x with A skew: an infinitesimal
 isometry.  A field is stored as its matrix, its ambient derivative along
@@ -15,6 +17,8 @@ ambient vector of shape (n,) or a batch of shape (..., n).
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,12 +66,34 @@ class ManifoldModel:
 
     # -- embedding constraints ------------------------------------------------
 
+    @functools.cached_property
+    def factor_slices(self) -> tuple:
+        """The ambient coordinates of each unit-sphere factor, as slices."""
+        ends = itertools.accumulate(self.factor_dims)
+        return tuple(slice(e - k, e) for k, e in zip(self.factor_dims, ends))
+
     def constraint_violation(self, p):
-        """Max violation of the defining embedding constraints, per point."""
-        raise NotImplementedError
+        """Max over the factors of | |p_factor| - 1 |, per point."""
+        p = np.asarray(p, dtype=float)
+        return functools.reduce(
+            np.maximum, [np.abs(_row_norm(_coords(p, b)) - 1.0) for b in self.factor_slices]
+        )
 
     def project(self, p):
-        raise NotImplementedError
+        """Metric projection of points p of shape (..., n): each factor's
+        coordinates divided by their norm.  Raises SingularProjection where a
+        factor norm is below eps or not finite (an overflowed state).
+
+        The result has the memory order of p, and the norms read p's
+        coordinates as rows, so the transposed view of a coordinate-major
+        (n, N) array projects in its own layout: ``project(Y.T).T``.
+        """
+        p = np.asarray(p, dtype=float)
+        out = np.empty_like(p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in self.factor_slices:
+                np.divide(p[..., b], _guarded_norm(_coords(p, b))[..., None], out=out[..., b])
+        return out
 
     def tangent_project(self, x, w):
         """Orthogonal projection of an ambient vector onto the tangent space at x."""
@@ -115,15 +141,31 @@ class ManifoldModel:
         return f"{type(self).__name__}()"
 
 
-def _normalize(p, eps=_PROJ_EPS):
-    """p / |p|; raises SingularProjection where a norm is below eps or not
-    finite (an overflowed state), the one guard of every catalog projection."""
-    n = np.linalg.norm(p, axis=-1, keepdims=True)
-    ok = (n >= eps) & (n < np.inf)
-    if not np.all(ok):
-        bad = float(n[~ok][0])
+def _row_norm(rows):
+    """Euclidean norm across ``rows``, a sequence of equal-shape arrays, one
+    per coordinate: the square root of the left-to-right sum of their
+    squares.  Over the 2- to 4-long factors of the catalog this is
+    ``np.linalg.norm`` over the coordinate axis bit for bit, without a
+    reduction, so it serves the path-major and the coordinate-major layout."""
+    s = rows[0] * rows[0]
+    for r in rows[1:]:
+        s = s + r * r
+    return np.sqrt(s)
+
+
+def _coords(p, b):
+    """The rows p[..., k] of the coordinates k in slice b of points p (..., n)."""
+    return [p[..., k] for k in range(b.start, b.stop)]
+
+
+def _guarded_norm(rows, eps=_PROJ_EPS):
+    """``_row_norm(rows)``; raises SingularProjection where a norm is below eps
+    or not finite (an overflowed state), the one guard of every projection."""
+    n = np.asarray(_row_norm(rows))
+    if n.size and not (n.min() >= eps and n.max() < np.inf):  # a NaN fails both
+        bad = float(n[~((n >= eps) & (n < np.inf))][0])
         raise SingularProjection(f"norm {bad:.3g} is non-finite or below {eps}")
-    return p / n
+    return n
 
 
 def _rot90(p):
@@ -139,13 +181,6 @@ class Circle(ManifoldModel):
     ambient_dim = 2
     factor_dims = (2,)
     injectivity_radius = np.pi
-
-    def constraint_violation(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.abs(np.linalg.norm(p, axis=-1) - 1.0)
-
-    def project(self, p):
-        return _normalize(np.asarray(p, dtype=float))
 
     def tangent_project(self, x, w):
         x = np.asarray(x, dtype=float)
@@ -198,13 +233,6 @@ class Sphere2(ManifoldModel):
     ambient_dim = 3
     factor_dims = (3,)
     injectivity_radius = np.pi
-
-    def constraint_violation(self, p):
-        p = np.asarray(p, dtype=float)
-        return np.abs(np.linalg.norm(p, axis=-1) - 1.0)
-
-    def project(self, p):
-        return _normalize(np.asarray(p, dtype=float))
 
     def tangent_project(self, x, w):
         x = np.asarray(x, dtype=float)
@@ -276,16 +304,6 @@ class FlatTorus2(ManifoldModel):
     def _pairs(p):
         p = np.asarray(p, dtype=float)
         return p[..., 0:2], p[..., 2:4]
-
-    def constraint_violation(self, p):
-        a, b = self._pairs(p)
-        va = np.abs(np.linalg.norm(a, axis=-1) - 1.0)
-        vb = np.abs(np.linalg.norm(b, axis=-1) - 1.0)
-        return np.maximum(va, vb)
-
-    def project(self, p):
-        a, b = self._pairs(p)
-        return np.concatenate([_normalize(a), _normalize(b)], axis=-1)
 
     def tangent_project(self, x, w):
         xa, xb = self._pairs(x)

@@ -119,10 +119,11 @@ def _exp_oracle_circle(cfg, out_dir, dump_paths):
 
 
 def _probe_points(n_time: int, n_nodes: int, max_delta: int, count: int = 16):
+    # sorted(set(...)), not np.unique: the first np.unique call imports numpy.ma.
     k = int(np.sqrt(count))
-    tis = np.unique(np.linspace(0, max(n_time - max_delta - 1, 0), k).astype(int))
-    njs = np.unique(np.linspace(0, n_nodes - 1, k).astype(int))
-    return [(int(i), int(j)) for i in tis for j in njs]
+    tis = sorted(set(np.linspace(0, max(n_time - max_delta - 1, 0), k).astype(int).tolist()))
+    njs = sorted(set(np.linspace(0, n_nodes - 1, k).astype(int).tolist()))
+    return [(i, j) for i in tis for j in njs]
 
 
 def _exp_dpp_check(cfg, out_dir, dump_paths):

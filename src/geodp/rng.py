@@ -10,6 +10,12 @@ array bit for bit.
 The generator hashes the four indices with the splitmix64 finalizer and feeds
 two 53-bit uniforms into a Box-Muller transform.  This is not a
 cryptographic generator; it is a reproducibility device.
+
+``normal_increments`` fills its (n_steps, n_paths, d) result in blocks of
+whole steps of about ``_BLOCK_NORMALS`` normals (at least one step), so the
+uint64 temporaries of the hashing stay in cache instead of spanning the whole
+array.  Each number is still a pure function of its indices, so the block
+size does not change a bit of the result.
 """
 
 from __future__ import annotations
@@ -20,15 +26,19 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
+# Normals per block of whole steps in normal_increments: 2^14 float64s are
+# 128 KB, so a block's hashing temporaries fit in L2.
+_BLOCK_NORMALS = 1 << 14
+
 
 def _splitmix64(z: np.ndarray) -> np.ndarray:
     """Vectorized splitmix64 finalizer on uint64 arrays (modular arithmetic)."""
     with np.errstate(over="ignore"):
-        z = (z + _GOLDEN).astype(np.uint64)
+        z = z + _GOLDEN
         z ^= z >> np.uint64(30)
-        z = z * _MIX1
+        z *= _MIX1
         z ^= z >> np.uint64(27)
-        z = z * _MIX2
+        z *= _MIX2
         z ^= z >> np.uint64(31)
     return z
 
@@ -50,15 +60,20 @@ def _hash_indices(seed: int, step, path, comp) -> np.ndarray:
 
 def _to_unit(h: np.ndarray) -> np.ndarray:
     # 53-bit mantissa uniform in (0, 1]; the +1 keeps log() finite.
-    return ((h >> np.uint64(11)).astype(np.float64) + 1.0) * (2.0 ** -53)
+    u = (h >> np.uint64(11)).astype(np.float64)
+    u += 1.0
+    u *= 2.0 ** -53
+    return u
 
 
 def standard_normal(seed: int, step, path, comp) -> np.ndarray:
     """N(0,1) draw indexed by (seed, step, path, comp); broadcasts its index arrays."""
     h = _hash_indices(seed, step, path, comp)
-    u1 = _to_unit(h)
-    u2 = _to_unit(_splitmix64(h ^ _GOLDEN))
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    r = np.log(_to_unit(h))
+    r *= -2.0
+    theta = _to_unit(_splitmix64(h ^ _GOLDEN))
+    theta *= 2.0 * np.pi
+    return np.sqrt(r) * np.cos(theta)
 
 
 def normal_increments(
@@ -80,16 +95,22 @@ def normal_increments(
     2k+1 is the negation of absolute path 2k, whatever the offset's parity.
     Each increment is still a pure function of (seed, step, path, component).
     """
-    steps = np.arange(n_steps, dtype=np.uint64)[:, None, None]
-    comps = np.arange(d, dtype=np.uint64)[None, None, :]
-    paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)[None, :, None]
+    out = np.empty((n_steps, n_paths, d))
+    comps = np.arange(d, dtype=np.uint64)
+    paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)[:, None]
     if antithetic:
-        base = standard_normal(seed, steps, paths >> np.uint64(1), comps)
         sign = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)
-        z = base * sign
-    else:
+        paths = paths >> np.uint64(1)
+    sqrt_dt = np.sqrt(dt)
+    rows = max(1, _BLOCK_NORMALS // max(n_paths * d, 1))
+    for s0 in range(0, n_steps, rows):
+        s1 = min(s0 + rows, n_steps)
+        steps = np.arange(s0, s1, dtype=np.uint64)[:, None, None]
         z = standard_normal(seed, steps, paths, comps)
-    return z * np.sqrt(dt)
+        if antithetic:
+            z = z * sign
+        np.multiply(z, sqrt_dt, out=out[s0:s1])
+    return out
 
 
 def derive_seed(seed: int, *tags: int) -> int:

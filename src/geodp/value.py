@@ -353,9 +353,15 @@ def value_function(
 
     # One-step states from every node under every rule point, charted once
     # per control: the points are fixed and the catalog fields autonomous.
+    # The (node, rule point) pairs are the columns of one coordinate-major step.
+    n_rule = xi.shape[0]
+    X = np.repeat(nodes.T, n_rule, axis=1)
+    dW_cols = np.tile(dW.T, mesh.n_nodes)
     at_next = [
         mesh.gather(
-            euler_step(prob.manifold, prob.fields, grid.t0, dt, nodes[:, None, :], v, dW[None])
+            np.ascontiguousarray(
+                euler_step(prob.manifold, prob.fields, grid.t0, dt, X, v[:, None], dW_cols).T
+            ).reshape(mesh.n_nodes, n_rule, -1)
         )
         for v in controls
     ]

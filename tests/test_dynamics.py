@@ -134,6 +134,8 @@ def test_circle_diffusion_oracle():
     assert abs(est - ref) <= 3.0 * se + 0.01  # 0.01 covers the O(dt) scheme bias
 
 
+_catalog_manifold = st.sampled_from(sorted(CATALOG))
+
 # Drift field first, then the diffusion fields, and a start point.
 STEP_CASES = {
     "circle": (["zero", "rot"], [1.0, 0.0]),
@@ -161,18 +163,19 @@ def test_chunk_partition_invariance(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["sphere2", "torus2"])
 def test_euler_step_broadcast_matches_path_steps(name):
-    """Stepping every node with every shared sample in one broadcast call equals
-    stepping the flattened (node, sample) pairs as independent paths."""
+    """Stepping every node with every shared sample under one broadcast control
+    equals stepping the (node, sample) pairs with a control per path."""
     m = get_manifold(name)
     fields = [get_field(m, f) for f in STEP_CASES[name][0]]
     d = len(fields) - 1
     nodes = m.random_points(6, np.random.default_rng(0))
     dW = 0.1 * np.random.default_rng(1).standard_normal((5, d))
     v = np.array([0.4, 0.7, 1.2])
-    out = euler_step(m, fields, 0.0, 0.01, nodes[:, None, :], v, dW[None])
+    X = np.repeat(nodes.T, 5, axis=1)
+    dW_cols = np.tile(dW.T, 6)
+    out = euler_step(m, fields, 0.0, 0.01, X, v[:, None], dW_cols).T.reshape(6, 5, -1)
     assert out.shape == (6, 5, m.ambient_dim)
-    X = np.repeat(nodes, 5, axis=0)
-    paths = euler_step(m, fields, 0.0, 0.01, X, np.tile(v, (30, 1)), np.tile(dW, (6, 1)))
+    paths = euler_step(m, fields, 0.0, 0.01, X, np.tile(v[:, None], (1, 30)), dW_cols).T
     np.testing.assert_array_equal(out.reshape(30, -1), paths)
 
 
@@ -195,7 +198,54 @@ def test_euler_step_matches_broadcast_jacobian_reference(name):
     Y = X + 0.01 * drift
     for a in range(1, d + 1):
         Y = Y + v[:, a : a + 1] * fields[a](0.0, X) * dW[:, a - 1 : a]
-    np.testing.assert_array_equal(euler_step(m, fields, 0.0, 0.01, X, v, dW), m.project(Y))
+    got = euler_step(m, fields, 0.0, 0.01, np.ascontiguousarray(X.T), v.T, dW.T).T
+    np.testing.assert_array_equal(got, m.project(Y))
+
+
+def _row_major_step(m, fields, dt, X, v, dW):
+    """The path-major step that the coordinate-major kernel replaced: X A^T per
+    field, broadcasting over the leading axes of X (..., n), v (..., d+1) and
+    dW (..., d), and each factor divided by its np.linalg.norm."""
+    W = [X @ f.A.T for f in fields]
+    drift = v[..., 0:1] * W[0]
+    for a in range(1, len(fields)):
+        drift = drift + 0.5 * v[..., a : a + 1] ** 2 * (W[a] @ fields[a].A.T)
+    Y = X + dt * drift
+    for a in range(1, len(fields)):
+        Y = Y + v[..., a : a + 1] * W[a] * dW[..., a - 1 : a]
+    parts = np.split(Y, np.cumsum(m.factor_dims)[:-1], axis=-1)
+    return np.concatenate([q / np.linalg.norm(q, axis=-1, keepdims=True) for q in parts], axis=-1)
+
+
+@pytest.mark.parametrize("name, fid", [(name, fid) for name in sorted(CATALOG) for fid in CATALOG[name]])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_coordinate_major_step_equals_row_major_reference(name, fid, data):
+    """The coordinate-major step is bit-equal to the row-major one, for each
+    catalog field among random others, with a control per path (as simulate
+    steps feedback policies) and with one control for all (node, rule point)
+    columns (as value_function steps them)."""
+    m = get_manifold(name)
+    fids = data.draw(st.lists(st.sampled_from(CATALOG[name]), max_size=3), label="other fields")
+    fids.insert(data.draw(st.integers(0, len(fids)), label="position"), fid)
+    fields = [get_field(m, f) for f in fids]
+    d = len(fields) - 1
+    dt = data.draw(st.floats(1e-4, 0.1), label="dt")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
+    X = m.random_points(data.draw(st.integers(1, 64), label="n_points"), rng)
+    X = X + 0.1 * rng.standard_normal(X.shape)  # near, not on, the manifold
+    if data.draw(st.booleans(), label="per_path"):
+        v = np.concatenate([X[:, :1], rng.uniform(-2.0, 2.0, (len(X), d))], axis=1)
+        dW = np.sqrt(dt) * rng.standard_normal((len(X), d))
+        want = _row_major_step(m, fields, dt, X, v, dW)
+        got = euler_step(m, fields, 0.0, dt, np.ascontiguousarray(X.T), v.T, dW.T).T
+    else:
+        v = rng.uniform(-2.0, 2.0, d + 1)
+        dW = np.sqrt(dt) * rng.standard_normal((3**d, d))
+        want = _row_major_step(m, fields, dt, X[:, None, :], v, dW[None])
+        cols = euler_step(m, fields, 0.0, dt, np.repeat(X.T, len(dW), axis=1), v[:, None], np.tile(dW.T, len(X)))
+        got = cols.T.reshape(want.shape)
+    np.testing.assert_array_equal(got, want)
 
 
 def test_noise_dimension_mismatch():
@@ -413,9 +463,6 @@ def test_export_paths_roundtrip(tmp_path):
     assert len(lines) == 1 + 5 * 3
     vals = lines[1].split(",")
     assert float(vals[2]) == 1.0 and float(vals[3]) == 0.0
-
-
-_catalog_manifold = st.sampled_from(sorted(CATALOG))
 
 
 @settings(max_examples=40, deadline=None)

@@ -307,7 +307,9 @@ def _reference_value_function(prob, grid, mesh, picard_iters=3):
         values = []
         for v in controls:
             X1 = euler_step(prob.manifold, prob.fields, grid.times[i], grid.dt,
-                            nodes[:, None, :], v, (xi * sqrt_dt)[None])
+                            np.repeat(nodes.T, len(w), axis=1), v[:, None],
+                            np.tile((xi * sqrt_dt).T, mesh.n_nodes))
+            X1 = X1.T.reshape(mesh.n_nodes, len(w), -1)
             u_next = mesh.interpolate(u[i + 1], X1)
             y_bar = u_next @ w
             Z = (u_next * w) @ xi / sqrt_dt

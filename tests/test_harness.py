@@ -262,6 +262,12 @@ def test_cli_malformed_field_ids_exit_2(tmp_path, capsys):
         assert "config error" in err and "fields" in err and fid in err
 
 
+def _cli_env():
+    """The environment of a `geodp` subprocess that imports this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_closed_stdout_keeps_the_run_status(tmp_path):
     """`geodp run cfg.yaml | head -1`: a reader that closes the pipe before the
     summary is written leaves no BrokenPipeError traceback, and a passing run
@@ -269,12 +275,10 @@ def test_cli_closed_stdout_keeps_the_run_status(tmp_path):
     f = tmp_path / "c.yaml"
     f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 256\n")
     out = tmp_path / "o"
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     with open(tmp_path / "stderr.txt", "wb") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "geodp.cli", "run", str(f), "--out", str(out)],
-            stdout=subprocess.PIPE, stderr=err, env=env,
+            stdout=subprocess.PIPE, stderr=err, env=_cli_env(),
         )
         proc.stdout.close()
         rc = proc.wait(timeout=300)
@@ -302,10 +306,24 @@ def test_cli_overflowing_field_exits_3_with_singular_projection(tmp_path, capsys
     traceback with exit 1."""
     f = tmp_path / "c.yaml"
     f.write_text("fields: [zero, 'scale:1e200:rot']\nmc:\n  n_paths: 256\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "run error: SingularProjection" in err and "non-finite" in err
+
+
+def test_cli_overflowing_field_prints_only_the_run_error(tmp_path):
+    """The projection guard is the one report of an overflow: the stderr of
+    `geodp run` is the single run error line, with no numpy RuntimeWarning
+    before it."""
+    f = tmp_path / "c.yaml"
+    f.write_text("fields: [zero, 'scale:1e200:rot']\nmc:\n  n_paths: 256\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodp.cli", "run", str(f), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=_cli_env(), timeout=300,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("run error: SingularProjection: norm "), proc.stderr
 
 
 def test_cli_summary_reports_peak_rss_outside_metrics(tmp_path, capsys):
@@ -331,3 +349,15 @@ def test_cli_seed_override(tmp_path):
     cli_main(["run", str(f), "--out", str(out), "--seed", "99"])
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["seed"] == 99
+
+
+@pytest.mark.parametrize("n_time, n_nodes, max_delta, count", [
+    (32, 450, 4, 16), (16, 32, 4, 4), (5, 3, 4, 16), (8, 1, 8, 9), (64, 2048, 1, 25),
+])
+def test_probe_points_are_the_unique_grid_indices(n_time, n_nodes, max_delta, count):
+    k = int(np.sqrt(count))
+    tis = np.unique(np.linspace(0, max(n_time - max_delta - 1, 0), k).astype(int))
+    njs = np.unique(np.linspace(0, n_nodes - 1, k).astype(int))
+    want = [(int(i), int(j)) for i in tis for j in njs]
+    got = harness._probe_points(n_time, n_nodes, max_delta, count)
+    assert got == want and all(type(i) is int and type(j) is int for i, j in got)

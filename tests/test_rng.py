@@ -1,4 +1,7 @@
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from geodp import rng
@@ -122,4 +125,40 @@ def test_standard_normal_equals_full_broadcast_reference(seed, sizes, data):
     got = rng.standard_normal(seed, step, path, comp)
     want = _reference_standard_normal(seed, step, path, comp)
     assert np.shape(got) == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    block=st.integers(1, 64),
+    seed=_SEEDS,
+    n_steps=st.integers(0, 9),
+    n_paths=st.integers(0, 24),
+    d=st.integers(1, 3),
+    antithetic=st.booleans(),
+    path_offset=st.integers(0, 2**40),
+)
+def test_blocked_increments_equal_one_shot_reference(block, seed, n_steps, n_paths, d, antithetic, path_offset):
+    """The rows are generated in blocks of whole steps; for any block size the
+    result is the one-shot array bit for bit, whether a step holds fewer or
+    more normals than a block and whether or not the block rows divide n_steps."""
+    with mock.patch.object(rng, "_BLOCK_NORMALS", block):
+        got = rng.normal_increments(seed, n_steps, n_paths, d, 0.03, antithetic=antithetic, path_offset=path_offset)
+    want = _reference_increments(seed, n_steps, n_paths, d, 0.03, antithetic, path_offset)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("antithetic", [False, True], ids=["plain", "antithetic"])
+@pytest.mark.parametrize(
+    "n_steps, n_paths, d, path_offset",
+    [
+        (200, 100, 2, 7),  # 81 steps per block: blocks of 81, 81 and 38 steps
+        (3, 6001, 3, 1),  # one step holds more normals than a block
+        (64, 2048, 1, 2049),  # the 8-step blocks of a simulate chunk
+    ],
+)
+def test_blocked_increments_at_the_block_size(n_steps, n_paths, d, path_offset, antithetic):
+    got = rng.normal_increments(11, n_steps, n_paths, d, 0.01, antithetic=antithetic, path_offset=path_offset)
+    want = _reference_increments(11, n_steps, n_paths, d, 0.01, antithetic, path_offset)
     np.testing.assert_array_equal(got, want)
