@@ -31,7 +31,6 @@ from .errors import (
     CutLocus,
     GeodpError,
     GridMismatch,
-    IllConditionedRegression,
     NonTangentField,
     SingularProjection,
 )
@@ -70,6 +69,7 @@ from .problem import ControlProblem
 from .value import (
     CircleMesh,
     ManifoldMesh,
+    PeriodicMesh,
     SphereMesh,
     TorusMesh,
     ValueField,

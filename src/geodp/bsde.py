@@ -28,14 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import CHUNK, TrajectoryEnsemble
-from .errors import (
-    ComparisonViolated,
-    ContractionViolated,
-    GridMismatch,
-    IllConditionedRegression,
-)
+from .errors import ComparisonViolated, ContractionViolated, GridMismatch
 
-_COND_LIMIT = 1e12
 # Relative singular-value cutoff: ambient monomials are exactly collinear on an
 # embedded manifold (e.g. x1^2 + x2^2 = 1), so the null directions of the
 # feature matrix are structural and are truncated rather than flagged.
@@ -114,20 +108,14 @@ def _chunked_gram(F: np.ndarray, R: np.ndarray):
 def _regress(F: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Least-squares prediction of each column of R on features F, at the samples.
 
-    Solved through the SVD of the Gram matrix with structural null directions
-    truncated; raises IllConditionedRegression only if the truncated system is
-    still numerically unusable.
+    Solved through the eigendecomposition of the Gram matrix with the
+    directions below ``_SV_CUTOFF`` times the largest eigenvalue truncated, so
+    the kept system's condition number is below 1 / _SV_CUTOFF.  The constant
+    feature makes the largest eigenvalue at least the sample count.
     """
     G, b = _chunked_gram(F, R)
     w, V = np.linalg.eigh(G)
-    wmax = float(w[-1])
-    if wmax <= 0.0:
-        raise IllConditionedRegression("feature Gram matrix is zero")
-    keep = w > wmax * _SV_CUTOFF
-    if float(wmax / np.min(w[keep])) > _COND_LIMIT:
-        raise IllConditionedRegression(
-            f"truncated Gram condition {wmax / np.min(w[keep]):.3g}"
-        )
+    keep = w > w[-1] * _SV_CUTOFF
     Vk = V[:, keep]
     beta = Vk @ ((Vk.T @ b) / w[keep][:, None])
     return F @ beta
@@ -142,12 +130,7 @@ def conditional_expectation(
     if spread < 1e-12:
         mean = np.mean(R, axis=0)
         return np.broadcast_to(mean, R.shape).copy()
-    try:
-        return _regress(basis.features(X), R)
-    except IllConditionedRegression:
-        if basis.degree <= 1:
-            raise
-        return _regress(RegressionBasis(degree=1).features(X), R)
+    return _regress(basis.features(X), R)
 
 
 def backward_sweep(

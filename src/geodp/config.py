@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
@@ -67,6 +68,45 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+# Accepted values, by the type of the default value: an int is accepted where
+# the default is a float, and a bool never as a number.
+_LEAF_TYPES = {
+    int: (_is_int, "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _check_types(value, default, key: str) -> None:
+    """Raise ConfigError naming the dotted key of the first value whose type
+    differs from that of its default: mappings are checked key by key (keys
+    without a default are not checked) and a list's entries against the
+    default's first entry."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(key, f"must be a mapping, got {value!r}")
+        for k, v in value.items():
+            if k in default and default[k] is not None:
+                _check_types(v, default[k], f"{key}.{k}" if key else k)
+    elif isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(key, f"must be a list, got {value!r}")
+        for i, v in enumerate(value):
+            _check_types(v, default[0], f"{key}[{i}]")
+    else:
+        accepts, what = _LEAF_TYPES[type(default)]
+        if not accepts(value):
+            raise ConfigError(key, f"must be {what}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     raw: Dict[str, Any]
@@ -92,6 +132,15 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         r = self.raw
+        _check_types(r, DEFAULTS, "")
+        if r["x0"] is not None:
+            _check_types(r["x0"], [0.0], "x0")
+        for key, sizes in [("mesh", r["mesh"])] + [
+            (f"ladder[{k}]", s) for k, s in enumerate(r["ladder"])
+        ]:
+            for name, n in sizes.items():
+                if not _is_int(n):
+                    raise ConfigError(f"{key}.{name}", f"mesh sizes must be integers, got {n!r}")
         if r["experiment"] not in EXPERIMENTS:
             raise ConfigError("experiment", f"unknown experiment '{r['experiment']}'")
         try:
@@ -139,8 +188,17 @@ class ExperimentConfig:
             raise ConfigError(
                 "time.n_steps", f"dt = {dt:.3g} exceeds the value table's 0.1 bound"
             )
-        if r["mc"]["n_paths"] < 1:
-            raise ConfigError("mc.n_paths", "must be >= 1")
+        for key in ("mc.n_paths", "dpp.n_paths", "dpp.n_probes", "estimates.n_instances",
+                    "agreement.levels"):
+            section, name = key.split(".")
+            if r[section][name] < 1:
+                raise ConfigError(key, "must be >= 1")
+        if r["experiment"] == "dpp-check":
+            deltas = r["dpp"]["delta_steps"]
+            if not deltas or not all(1 <= ds <= tm["n_steps"] for ds in deltas):
+                raise ConfigError(
+                    "dpp.delta_steps", f"need at least one entry, each in [1, n_steps = {tm['n_steps']}]"
+                )
         if r["experiment"] == "convergence-table":
             if len(r["ladder"]) < 3:
                 raise ConfigError("ladder", "need at least 3 levels")

@@ -21,10 +21,6 @@ class ContractionViolated(GeodpError):
     """Driver Lipschitz constant times dt is >= 1; the implicit step would not contract."""
 
 
-class IllConditionedRegression(GeodpError):
-    """Normal equations of the conditional-expectation regression are numerically singular."""
-
-
 class ComparisonViolated(GeodpError):
     """Ordered BSDE inputs produced unordered solutions at some node."""
 

@@ -4,8 +4,10 @@ The catalog is deliberately small and explicit: the unit circle in R^2, the
 unit sphere in R^3, and the flat torus S^1 x S^1 in R^4.  Points are stored in
 embedded (ambient) coordinates only, and all motion is ambient formulas plus
 metric projection, so no chart or Christoffel machinery is needed.  Each
-manifold is a product of unit spheres, listed by ``factor_dims``; the metric
-projection and the constraint violation are defined once from it.
+manifold is a product of unit spheres, declared by ``factor_dims`` alone:
+``ManifoldModel`` defines every primitive once, as the unit-sphere formula
+applied factor by factor (projection, tangent projection, exp, log, parallel
+transport, sampling and chart), with the product distance sqrt(sum d_b^2).
 
 Every catalog vector field is linear, x -> A x with A skew: an infinitesimal
 isometry.  A field is stored as its matrix, its ambient derivative along
@@ -55,22 +57,43 @@ class VectorField:
 
 
 class ManifoldModel:
-    """Base class for the explicitly embedded catalog manifolds."""
+    """A product of unit spheres, declared by ``name`` and ``factor_dims``.
+
+    Every primitive is the unit-sphere formula applied to each factor's
+    coordinates; the factor results are concatenated (points, tangent
+    vectors, chart angles) or combined as sqrt(sum d_b^2) (distance).  The
+    injectivity radius of every catalog manifold is pi, and the cut-locus
+    guard tests the whole-manifold distance against it.
+    """
 
     name: str
-    intrinsic_dim: int
-    ambient_dim: int
     # Ambient dimensions of the unit-sphere factors, in coordinate order.
     factor_dims: tuple
-    injectivity_radius: float
+    injectivity_radius = np.pi
 
-    # -- embedding constraints ------------------------------------------------
+    @property
+    def ambient_dim(self) -> int:
+        return sum(self.factor_dims)
+
+    @property
+    def intrinsic_dim(self) -> int:
+        return sum(k - 1 for k in self.factor_dims)
 
     @functools.cached_property
     def factor_slices(self) -> tuple:
         """The ambient coordinates of each unit-sphere factor, as slices."""
         ends = itertools.accumulate(self.factor_dims)
         return tuple(slice(e - k, e) for k, e in zip(self.factor_dims, ends))
+
+    def _by_factor(self, formula, *arrays):
+        """``formula`` applied to each factor's coordinates of ``arrays``,
+        the results concatenated along the last axis."""
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        return np.concatenate(
+            [formula(*(a[..., b] for a in arrays)) for b in self.factor_slices], axis=-1
+        )
+
+    # -- embedding constraints ------------------------------------------------
 
     def constraint_violation(self, p):
         """Max over the factors of | |p_factor| - 1 |, per point."""
@@ -97,7 +120,7 @@ class ManifoldModel:
 
     def tangent_project(self, x, w):
         """Orthogonal projection of an ambient vector onto the tangent space at x."""
-        raise NotImplementedError
+        return self._by_factor(_sphere_tangent, x, w)
 
     def tangency_defect(self, x, v):
         """Norm of the normal component of v at x."""
@@ -107,17 +130,23 @@ class ManifoldModel:
     # -- metric primitives ----------------------------------------------------
 
     def distance(self, x, y):
-        raise NotImplementedError
+        """Product-metric distance sqrt(sum_b d_b^2) of the factor angles d_b;
+        with one factor this is d_0 bit for bit, since sqrt(d*d) == d."""
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return _row_norm([_sphere_angle(x[..., b], y[..., b]) for b in self.factor_slices])
 
     def exp(self, x, v):
-        raise NotImplementedError
+        return self._by_factor(_sphere_exp, x, v)
 
     def log(self, x, y):
-        raise NotImplementedError
+        self._check_cut(x, y)
+        return self._by_factor(_sphere_log, x, y)
 
     def transport(self, x, y, v):
         """Parallel transport of v in T_xM to T_yM along the minimizing geodesic."""
-        raise NotImplementedError
+        self._check_cut(x, y)
+        return self._by_factor(_sphere_transport, x, y, v)
 
     def _check_cut(self, x, y):
         d = self.distance(x, y)
@@ -130,12 +159,23 @@ class ManifoldModel:
     # -- sampling and charts --------------------------------------------------
 
     def random_points(self, n, rng):
-        """n points uniform on the manifold (for sampled checks)."""
-        raise NotImplementedError
+        """n points uniform on the manifold (for sampled checks): projected
+        standard normals, uniform on each factor and independent across them."""
+        return self.project(rng.standard_normal((n, self.ambient_dim)))
 
     def chart(self, x):
-        """Intrinsic angle coordinates of shape (..., intrinsic_dim); used by meshes."""
-        raise NotImplementedError
+        """Intrinsic angle coordinates of shape (..., intrinsic_dim); used by
+        meshes.  Per factor: the angle arctan2(x1, x0) of a 2-coordinate
+        factor, (lat, lon) with lat in [-pi/2, pi/2] and lon in (-pi, pi] of a
+        3-coordinate one."""
+        x = np.asarray(x, dtype=float)
+        angles = []
+        for b in self.factor_slices:
+            c = x[..., b]
+            if c.shape[-1] == 3:
+                angles.append(np.arcsin(np.clip(c[..., 2], -1.0, 1.0)))
+            angles.append(np.arctan2(c[..., 1], c[..., 0]))
+        return np.stack(angles, axis=-1)
 
     def __repr__(self):
         return f"{type(self).__name__}()"
@@ -168,202 +208,67 @@ def _guarded_norm(rows, eps=_PROJ_EPS):
     return n
 
 
-def _rot90(p):
-    """(x1, x2) -> (-x2, x1), batched."""
-    return np.stack([-p[..., 1], p[..., 0]], axis=-1)
+# ---------------------------------------------------------------------------
+# Unit-sphere formulas, on the coordinates (..., k) of one factor
+# ---------------------------------------------------------------------------
+
+
+def _sphere_tangent(x, w):
+    return w - np.sum(w * x, axis=-1, keepdims=True) * x
+
+
+def _sphere_angle(x, y):
+    return np.arccos(np.clip(np.sum(x * y, axis=-1), -1.0, 1.0))
+
+
+def _sphere_exp(x, v):
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    small = nv < 1e-300
+    safe = np.where(small, 1.0, nv)
+    out = np.cos(nv) * x + np.sin(nv) * (v / safe)
+    return np.where(small, x, out)
+
+
+def _sphere_log(x, y, th=None):
+    """log_x y; ``th`` is the angle between x and y (..., 1) when the caller has it."""
+    if th is None:
+        th = _sphere_angle(x, y)[..., None]
+    w = y - np.sum(x * y, axis=-1, keepdims=True) * x
+    nw = np.linalg.norm(w, axis=-1, keepdims=True)
+    small = nw < 1e-14
+    safe = np.where(small, 1.0, nw)
+    return np.where(small, 0.0 * x, th * w / safe)
+
+
+def _sphere_transport(x, y, v):
+    th = _sphere_angle(x, y)[..., None]
+    small = th < 1e-14
+    safe = np.where(small, 1.0, th)
+    u = _sphere_log(x, y, th) / safe
+    a = np.sum(v * u, axis=-1, keepdims=True)
+    out = v + a * ((np.cos(th) - 1.0) * u - np.sin(th) * x)
+    return np.where(small, v, out)
 
 
 class Circle(ManifoldModel):
     """Unit circle S^1 in R^2."""
 
     name = "circle"
-    intrinsic_dim = 1
-    ambient_dim = 2
     factor_dims = (2,)
-    injectivity_radius = np.pi
-
-    def tangent_project(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return w - np.sum(w * x, axis=-1, keepdims=True) * x
-
-    def distance(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.arccos(np.clip(np.sum(x * y, axis=-1), -1.0, 1.0))
-
-    def exp(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        a = np.sum(v * _rot90(x), axis=-1, keepdims=True)
-        return np.cos(a) * x + np.sin(a) * _rot90(x)
-
-    def log(self, x, y):
-        self._check_cut(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        ang = np.arctan2(
-            x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0],
-            np.sum(x * y, axis=-1),
-        )
-        return ang[..., None] * _rot90(x)
-
-    def transport(self, x, y, v):
-        self._check_cut(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        a = np.sum(v * _rot90(x), axis=-1, keepdims=True)
-        return a * _rot90(y)
-
-    def random_points(self, n, rng):
-        th = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-
-    def chart(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.arctan2(x[..., 1], x[..., 0])[..., None]
 
 
 class Sphere2(ManifoldModel):
     """Unit sphere S^2 in R^3 (sectional curvature +1)."""
 
     name = "sphere2"
-    intrinsic_dim = 2
-    ambient_dim = 3
     factor_dims = (3,)
-    injectivity_radius = np.pi
-
-    def tangent_project(self, x, w):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return w - np.sum(w * x, axis=-1, keepdims=True) * x
-
-    def distance(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.arccos(np.clip(np.sum(x * y, axis=-1), -1.0, 1.0))
-
-    def exp(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v, axis=-1, keepdims=True)
-        small = nv < 1e-300
-        safe = np.where(small, 1.0, nv)
-        out = np.cos(nv) * x + np.sin(nv) * (v / safe)
-        return np.where(small, x, out)
-
-    def log(self, x, y):
-        self._check_cut(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        th = self.distance(x, y)[..., None]
-        w = y - np.sum(x * y, axis=-1, keepdims=True) * x
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
-        small = nw < 1e-14
-        safe = np.where(small, 1.0, nw)
-        return np.where(small, 0.0 * x, th * w / safe)
-
-    def transport(self, x, y, v):
-        self._check_cut(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        th = self.distance(x, y)[..., None]
-        lg = self.log(x, y)
-        small = th < 1e-14
-        safe = np.where(small, 1.0, th)
-        u = lg / safe
-        a = np.sum(v * u, axis=-1, keepdims=True)
-        out = v + a * ((np.cos(th) - 1.0) * u - np.sin(th) * x)
-        return np.where(small, v, out)
-
-    def random_points(self, n, rng):
-        g = rng.standard_normal(size=(n, 3))
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-    def chart(self, x):
-        # (lat, lon): lat in [-pi/2, pi/2], lon in (-pi, pi].
-        x = np.asarray(x, dtype=float)
-        lat = np.arcsin(np.clip(x[..., 2], -1.0, 1.0))
-        lon = np.arctan2(x[..., 1], x[..., 0])
-        return np.stack([lat, lon], axis=-1)
 
 
 class FlatTorus2(ManifoldModel):
     """Flat torus S^1 x S^1 in R^4, each coordinate pair on the unit circle."""
 
     name = "torus2"
-    intrinsic_dim = 2
-    ambient_dim = 4
     factor_dims = (2, 2)
-    # Injectivity radius of each factor; used as the (conservative) guard.
-    injectivity_radius = np.pi
-
-    @staticmethod
-    def _pairs(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 0:2], p[..., 2:4]
-
-    def tangent_project(self, x, w):
-        xa, xb = self._pairs(x)
-        wa, wb = self._pairs(w)
-        ta = wa - np.sum(wa * xa, axis=-1, keepdims=True) * xa
-        tb = wb - np.sum(wb * xb, axis=-1, keepdims=True) * xb
-        return np.concatenate([ta, tb], axis=-1)
-
-    def distance(self, x, y):
-        xa, xb = self._pairs(x)
-        ya, yb = self._pairs(y)
-        da = np.arccos(np.clip(np.sum(xa * ya, axis=-1), -1.0, 1.0))
-        db = np.arccos(np.clip(np.sum(xb * yb, axis=-1), -1.0, 1.0))
-        return np.sqrt(da**2 + db**2)
-
-    def exp(self, x, v):
-        xa, xb = self._pairs(x)
-        va, vb = self._pairs(v)
-        aa = np.sum(va * _rot90(xa), axis=-1, keepdims=True)
-        ab = np.sum(vb * _rot90(xb), axis=-1, keepdims=True)
-        na = np.cos(aa) * xa + np.sin(aa) * _rot90(xa)
-        nb = np.cos(ab) * xb + np.sin(ab) * _rot90(xb)
-        return np.concatenate([na, nb], axis=-1)
-
-    @staticmethod
-    def _factor_angle(xa, ya):
-        return np.arctan2(
-            xa[..., 0] * ya[..., 1] - xa[..., 1] * ya[..., 0],
-            np.sum(xa * ya, axis=-1),
-        )
-
-    def log(self, x, y):
-        self._check_cut(x, y)
-        xa, xb = self._pairs(x)
-        ya, yb = self._pairs(y)
-        aa = self._factor_angle(xa, ya)[..., None]
-        ab = self._factor_angle(xb, yb)[..., None]
-        return np.concatenate([aa * _rot90(xa), ab * _rot90(xb)], axis=-1)
-
-    def transport(self, x, y, v):
-        self._check_cut(x, y)
-        xa, xb = self._pairs(x)
-        ya, yb = self._pairs(y)
-        va, vb = self._pairs(v)
-        ca = np.sum(va * _rot90(xa), axis=-1, keepdims=True)
-        cb = np.sum(vb * _rot90(xb), axis=-1, keepdims=True)
-        return np.concatenate([ca * _rot90(ya), cb * _rot90(yb)], axis=-1)
-
-    def random_points(self, n, rng):
-        th = rng.uniform(0.0, 2.0 * np.pi, size=(n, 2))
-        return np.stack(
-            [np.cos(th[:, 0]), np.sin(th[:, 0]), np.cos(th[:, 1]), np.sin(th[:, 1])],
-            axis=-1,
-        )
-
-    def chart(self, x):
-        xa, xb = self._pairs(x)
-        t1 = np.arctan2(xa[..., 1], xa[..., 0])
-        t2 = np.arctan2(xb[..., 1], xb[..., 0])
-        return np.stack([t1, t2], axis=-1)
 
 
 def flow_step(m: ManifoldModel, V: VectorField, t: float, x, h: float) -> np.ndarray:

@@ -19,10 +19,17 @@ the sphere, periodic bilinear on the torus), so each layer is a positively
 weighted average of the next one plus dt times the driver: the scheme keeps
 comparison and the maximum principle, and the table is deterministic.
 
+Two meshes cover the catalog: ``PeriodicMesh``, one periodic tensor mesh over
+the factor angles of a product of circles (``PeriodicMesh(n_theta)`` on the
+circle, ``PeriodicMesh(n1, n2)`` on the torus; ``CircleMesh`` and
+``TorusMesh`` are its names there), and ``SphereMesh``.  ``make_mesh`` picks
+one from the manifold's ``factor_dims``.
+
 Each mesh exposes its interpolation as ``gather(points)``: chart, cell
 indices and weights are built once for a point set, and the returned function
-maps nodal values to interpolated values with a few takes and the bilinear
-combination.  ``interpolate(values, points)`` is ``gather(points)(values)``.
+maps nodal values to interpolated values (on the periodic mesh, one take of
+the cell corners and one lerp per axis).  ``interpolate(values, points)`` is
+``gather(points)(values)``.
 Because the rule's points are fixed and the catalog fields are autonomous,
 ``value_function`` builds one gather per control before its time loop.
 """
@@ -45,6 +52,9 @@ from .problem import ControlProblem
 # ---------------------------------------------------------------------------
 # Meshes
 # ---------------------------------------------------------------------------
+
+# The catalog's products of circles, by their number of factors.
+_PRODUCTS_OF_CIRCLES = {1: Circle, 2: FlatTorus2}
 
 
 class ManifoldMesh:
@@ -84,36 +94,63 @@ class ManifoldMesh:
         raise NotImplementedError
 
 
-class CircleMesh(ManifoldMesh):
-    def __init__(self, n_theta: int = 128):
-        if n_theta < 3:
-            raise ValueError("n_theta must be >= 3")
-        self.manifold = Circle()
-        self.n_theta = n_theta
-        th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-        self.nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
+class PeriodicMesh(ManifoldMesh):
+    """Tensor mesh over the factor angles of a product of circles.
+
+    ``PeriodicMesh(n_theta)`` meshes the circle and ``PeriodicMesh(n1, n2)``
+    the flat torus: ``sizes[a]`` equally spaced angles on factor a, node k at
+    the row-major position of its angle indices, and periodic multilinear
+    interpolation.
+    """
+
+    def __init__(self, *sizes: int):
+        if len(sizes) not in _PRODUCTS_OF_CIRCLES or min(sizes) < 3:
+            raise ValueError(f"need one or two mesh sizes, each >= 3; got {sizes}")
+        self.manifold = _PRODUCTS_OF_CIRCLES[len(sizes)]()
+        self.sizes = sizes
+        angles = [2.0 * np.pi * np.arange(n) / n for n in sizes]
+        grids = np.meshgrid(*angles, indexing="ij")
+        self.nodes = np.stack(
+            [f(g) for g in grids for f in (np.cos, np.sin)], axis=-1
+        ).reshape(-1, 2 * len(sizes))
 
     def gather(self, points):
-        th = self.manifold.chart(points)[..., 0]
-        pos = (th % (2.0 * np.pi)) / (2.0 * np.pi) * self.n_theta
-        i0 = np.floor(pos).astype(int) % self.n_theta
-        w = pos - np.floor(pos)
-        i1 = (i0 + 1) % self.n_theta
+        """The 2^d corner node indices of each point's cell, as one flat-index
+        array with the corner axes first, and the (1 - w, w) weights per axis.
+        ``apply`` is one take and then one lerp per axis, from the last axis
+        to the first: on the torus (1 - w1)((1 - w2) u00 + w2 u01) +
+        w1((1 - w2) u10 + w2 u11)."""
+        ch = self.manifold.chart(points)
+        corners = None
+        lerps = []
+        for a, n in enumerate(self.sizes):
+            pos = (ch[..., a] % (2.0 * np.pi)) / (2.0 * np.pi) * n
+            i0 = np.floor(pos).astype(int) % n
+            w = pos - np.floor(pos)
+            ends = np.stack([i0, (i0 + 1) % n])
+            corners = ends if corners is None else np.expand_dims(corners, a) * n + ends
+            lead = (slice(None),) * a
+            lerps.append((1.0 - w, w, lead + (0,), lead + (1,)))
+        lerps.reverse()
 
         def apply(values):
-            values = np.asarray(values, dtype=float)
-            return (1.0 - w) * values[i0] + w * values[i1]
+            u = np.asarray(values, dtype=float).take(corners)
+            for w0, w1, lo, hi in lerps:
+                u = w0 * u[lo] + w1 * u[hi]
+            return u
 
         return apply
 
     def neighbor_pairs(self):
-        return [(k, (k + 1) % self.n_theta) for k in range(self.n_theta)]
+        k = np.arange(self.n_nodes).reshape(self.sizes)
+        succ = np.stack([np.roll(k, -1, axis=a).ravel() for a in range(k.ndim)], axis=-1)
+        return [(i, j) for i, row in enumerate(succ.tolist()) for j in row]
 
     def spacing(self):
-        return 2.0 * np.pi / self.n_theta
+        return 2.0 * np.pi / max(self.sizes)
 
     def refine(self):
-        return CircleMesh(2 * self.n_theta)
+        return PeriodicMesh(*(2 * n for n in self.sizes))
 
 
 class SphereMesh(ManifoldMesh):
@@ -198,64 +235,23 @@ class SphereMesh(ManifoldMesh):
         return SphereMesh(2 * self.n_lat - 1, 2 * self.n_lon)
 
 
-class TorusMesh(ManifoldMesh):
-    def __init__(self, n1: int = 64, n2: int = 64):
-        if n1 < 3 or n2 < 3:
-            raise ValueError("need n1, n2 >= 3")
-        self.manifold = FlatTorus2()
-        self.n1 = n1
-        self.n2 = n2
-        t1 = 2.0 * np.pi * np.arange(n1) / n1
-        t2 = 2.0 * np.pi * np.arange(n2) / n2
-        G1, G2 = np.meshgrid(t1, t2, indexing="ij")
-        self.nodes = np.stack(
-            [np.cos(G1), np.sin(G1), np.cos(G2), np.sin(G2)], axis=-1
-        ).reshape(-1, 4)
+# The names the circle and torus meshes had as separate classes.
+CircleMesh = TorusMesh = PeriodicMesh
 
-    def gather(self, points):
-        ch = self.manifold.chart(points)
-        p1 = (ch[..., 0] % (2.0 * np.pi)) / (2.0 * np.pi) * self.n1
-        p2 = (ch[..., 1] % (2.0 * np.pi)) / (2.0 * np.pi) * self.n2
-        i0 = np.floor(p1).astype(int) % self.n1
-        j0 = np.floor(p2).astype(int) % self.n2
-        w1 = p1 - np.floor(p1)
-        w2 = p2 - np.floor(p2)
-        i1 = (i0 + 1) % self.n1
-        j1 = (j0 + 1) % self.n2
-
-        def apply(values):
-            values = np.asarray(values, dtype=float).reshape(self.n1, self.n2)
-            return (1.0 - w1) * ((1.0 - w2) * values[i0, j0] + w2 * values[i0, j1]) + w1 * (
-                (1.0 - w2) * values[i1, j0] + w2 * values[i1, j1]
-            )
-
-        return apply
-
-    def neighbor_pairs(self):
-        pairs = []
-        for i in range(self.n1):
-            for j in range(self.n2):
-                k = i * self.n2 + j
-                pairs.append((k, ((i + 1) % self.n1) * self.n2 + j))
-                pairs.append((k, i * self.n2 + (j + 1) % self.n2))
-        return pairs
-
-    def spacing(self):
-        return 2.0 * np.pi / max(self.n1, self.n2)
-
-    def refine(self):
-        return TorusMesh(2 * self.n1, 2 * self.n2)
+# Mesh class and size keys (with their defaults), by the manifold's factor dimensions.
+_MESH_RULES = {
+    (2,): (PeriodicMesh, {"n_theta": 128}),
+    (3,): (SphereMesh, {"n_lat": 32, "n_lon": 64}),
+    (2, 2): (PeriodicMesh, {"n1": 64, "n2": 64}),
+}
 
 
 def make_mesh(m: ManifoldModel, sizes: Optional[dict] = None) -> ManifoldMesh:
     sizes = sizes or {}
-    if isinstance(m, Circle):
-        return CircleMesh(int(sizes.get("n_theta", 128)))
-    if isinstance(m, Sphere2):
-        return SphereMesh(int(sizes.get("n_lat", 32)), int(sizes.get("n_lon", 64)))
-    if isinstance(m, FlatTorus2):
-        return TorusMesh(int(sizes.get("n1", 64)), int(sizes.get("n2", 64)))
-    raise KeyError(f"no mesh rule for manifold '{m.name}'")
+    if m.factor_dims not in _MESH_RULES:
+        raise KeyError(f"no mesh rule for manifold '{m.name}'")
+    cls, defaults = _MESH_RULES[m.factor_dims]
+    return cls(*(int(sizes.get(key, n)) for key, n in defaults.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -272,30 +272,3 @@ def test_lockstep_sweep_equals_separate_sweeps(name):
     ens, terminals, drivers, stacked = _lockstep_members(name)
     assert np.all(ens.states[0] == ens.states[0, 0])
     _assert_lockstep_equals_separate(ens, terminals, drivers, stacked)
-
-
-def _truncated_condition(F):
-    from geodp.bsde import _SV_CUTOFF
-
-    w = np.linalg.eigvalsh(F.T @ F)
-    keep = w > w[-1] * _SV_CUTOFF
-    return float(w[-1] / np.min(w[keep]))
-
-
-def test_lockstep_sweep_equals_separate_sweeps_under_degree_1_fallback(monkeypatch):
-    """With the condition limit between the degree-1 and degree-2 conditions of
-    the first moving layer, that layer falls back to degree 1 in every sweep."""
-    from geodp import bsde
-
-    ens, terminals, drivers, stacked = _lockstep_members("sphere2")
-    X = ens.states[1]
-    c1 = _truncated_condition(RegressionBasis(degree=1).features(X))
-    c2 = _truncated_condition(BASIS.features(X))
-    assert c2 > 10.0 * c1
-    monkeypatch.setattr(bsde, "_COND_LIMIT", np.sqrt(c1 * c2))
-    R = ens.states[2]
-    np.testing.assert_array_equal(
-        conditional_expectation(X, R, BASIS),
-        bsde._regress(RegressionBasis(degree=1).features(X), R),
-    )
-    _assert_lockstep_equals_separate(ens, terminals, drivers, stacked)

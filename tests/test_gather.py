@@ -22,6 +22,7 @@ from geodp.problem import ControlProblem
 from geodp.value import (
     CircleMesh,
     ManifoldMesh,
+    PeriodicMesh,
     SphereMesh,
     TorusMesh,
     gauss_hermite_rule,
@@ -35,12 +36,13 @@ from geodp.value import (
 
 
 def _ref_circle(mesh, values, points):
+    (n_theta,) = mesh.sizes
     values = np.asarray(values, dtype=float)
     th = mesh.manifold.chart(points)[..., 0]
-    pos = (th % (2.0 * np.pi)) / (2.0 * np.pi) * mesh.n_theta
-    i0 = np.floor(pos).astype(int) % mesh.n_theta
+    pos = (th % (2.0 * np.pi)) / (2.0 * np.pi) * n_theta
+    i0 = np.floor(pos).astype(int) % n_theta
     w = pos - np.floor(pos)
-    i1 = (i0 + 1) % mesh.n_theta
+    i1 = (i0 + 1) % n_theta
     return (1.0 - w) * values[i0] + w * values[i1]
 
 
@@ -76,24 +78,50 @@ def _ref_sphere(mesh, values, points):
 
 
 def _ref_torus(mesh, values, points):
-    values = np.asarray(values, dtype=float).reshape(mesh.n1, mesh.n2)
+    n1, n2 = mesh.sizes
+    values = np.asarray(values, dtype=float).reshape(n1, n2)
     ch = mesh.manifold.chart(points)
-    p1 = (ch[..., 0] % (2.0 * np.pi)) / (2.0 * np.pi) * mesh.n1
-    p2 = (ch[..., 1] % (2.0 * np.pi)) / (2.0 * np.pi) * mesh.n2
-    i0 = np.floor(p1).astype(int) % mesh.n1
-    j0 = np.floor(p2).astype(int) % mesh.n2
+    p1 = (ch[..., 0] % (2.0 * np.pi)) / (2.0 * np.pi) * n1
+    p2 = (ch[..., 1] % (2.0 * np.pi)) / (2.0 * np.pi) * n2
+    i0 = np.floor(p1).astype(int) % n1
+    j0 = np.floor(p2).astype(int) % n2
     w1 = p1 - np.floor(p1)
     w2 = p2 - np.floor(p2)
-    i1 = (i0 + 1) % mesh.n1
-    j1 = (j0 + 1) % mesh.n2
+    i1 = (i0 + 1) % n1
+    j1 = (j0 + 1) % n2
     return (1.0 - w1) * ((1.0 - w2) * values[i0, j0] + w2 * values[i0, j1]) + w1 * (
         (1.0 - w2) * values[i1, j0] + w2 * values[i1, j1]
     )
 
 
 def _ref_interpolate(mesh, values, points):
-    ref = {CircleMesh: _ref_circle, SphereMesh: _ref_sphere, TorusMesh: _ref_torus}
-    return ref[type(mesh)](mesh, values, points)
+    ref = {"circle": _ref_circle, "sphere2": _ref_sphere, "torus2": _ref_torus}
+    return ref[mesh.manifold.name](mesh, values, points)
+
+
+# The nodes, neighbour pairs, spacing and refinement of the former separate
+# circle and torus mesh classes.
+
+
+def _ref_circle_mesh(n_theta):
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    nodes = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    pairs = [(k, (k + 1) % n_theta) for k in range(n_theta)]
+    return nodes, pairs, 2.0 * np.pi / n_theta, (2 * n_theta,)
+
+
+def _ref_torus_mesh(n1, n2):
+    t1 = 2.0 * np.pi * np.arange(n1) / n1
+    t2 = 2.0 * np.pi * np.arange(n2) / n2
+    G1, G2 = np.meshgrid(t1, t2, indexing="ij")
+    nodes = np.stack([np.cos(G1), np.sin(G1), np.cos(G2), np.sin(G2)], axis=-1).reshape(-1, 4)
+    pairs = []
+    for i in range(n1):
+        for j in range(n2):
+            k = i * n2 + j
+            pairs.append((k, ((i + 1) % n1) * n2 + j))
+            pairs.append((k, i * n2 + (j + 1) % n2))
+    return nodes, pairs, 2.0 * np.pi / max(n1, n2), (2 * n1, 2 * n2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +158,10 @@ def _torus_points(mesh, rng):
 
 MESHES = {
     "circle": (lambda: CircleMesh(24), _circle_points),
+    "circle-400": (lambda: CircleMesh(400), _circle_points),
     "sphere": (lambda: SphereMesh(7, 12), _sphere_points),
     "torus": (lambda: TorusMesh(6, 9), _torus_points),
+    "torus-28": (lambda: TorusMesh(28, 28), _torus_points),
 }
 
 
@@ -150,6 +180,18 @@ def test_gather_is_bit_identical_to_reference_formula(name):
         assert np.array_equal(mesh.interpolate(vals, pts), ref)
         assert np.array_equal(apply_stacked(vals), _ref_interpolate(mesh, vals, stacked))
         np.testing.assert_allclose(apply_flat(vals)[: mesh.n_nodes], vals, atol=1e-12)
+
+
+@pytest.mark.parametrize("sizes", [(3,), (24,), (400,), (6, 9), (9, 6), (28, 28)])
+def test_periodic_mesh_matches_the_former_circle_and_torus_meshes(sizes):
+    mesh = PeriodicMesh(*sizes)
+    nodes, pairs, spacing, refined = (_ref_circle_mesh if len(sizes) == 1 else _ref_torus_mesh)(*sizes)
+    assert np.array_equal(mesh.nodes, nodes)
+    assert mesh.neighbor_pairs() == pairs
+    assert all(type(k) is int for pair in mesh.neighbor_pairs() for k in pair)
+    assert mesh.spacing() == spacing
+    assert mesh.refine().sizes == refined
+    assert mesh.manifold.name == ("circle" if len(sizes) == 1 else "torus2")
 
 
 def test_interpolate_is_defined_once_on_the_base_mesh():

@@ -243,3 +243,139 @@ def test_malformed_field_ids_raise_value_error(name, fid):
 def test_get_manifold_unknown():
     with pytest.raises(KeyError):
         get_manifold("klein_bottle")
+
+
+# ---------------------------------------------------------------------------
+# The former per-class formulas, kept as references for the per-factor ones
+# ---------------------------------------------------------------------------
+
+
+def _ref_rot90(p):
+    return np.stack([-p[..., 1], p[..., 0]], axis=-1)
+
+
+def _ref_circle_chart(x):
+    return np.arctan2(x[..., 1], x[..., 0])[..., None]
+
+
+def _ref_sphere_chart(x):
+    lat = np.arcsin(np.clip(x[..., 2], -1.0, 1.0))
+    lon = np.arctan2(x[..., 1], x[..., 0])
+    return np.stack([lat, lon], axis=-1)
+
+
+def _ref_torus_chart(x):
+    t1 = np.arctan2(x[..., 1], x[..., 0])
+    t2 = np.arctan2(x[..., 3], x[..., 2])
+    return np.stack([t1, t2], axis=-1)
+
+
+def _ref_sphere_tangent(x, w):
+    return w - np.sum(w * x, axis=-1, keepdims=True) * x
+
+
+def _ref_torus_tangent(x, w):
+    ta = _ref_sphere_tangent(x[..., 0:2], w[..., 0:2])
+    tb = _ref_sphere_tangent(x[..., 2:4], w[..., 2:4])
+    return np.concatenate([ta, tb], axis=-1)
+
+
+def _ref_circle_exp(x, v):
+    a = np.sum(v * _ref_rot90(x), axis=-1, keepdims=True)
+    return np.cos(a) * x + np.sin(a) * _ref_rot90(x)
+
+
+def _ref_sphere_exp(x, v):
+    nv = np.linalg.norm(v, axis=-1, keepdims=True)
+    small = nv < 1e-300
+    out = np.cos(nv) * x + np.sin(nv) * (v / np.where(small, 1.0, nv))
+    return np.where(small, x, out)
+
+
+def _ref_torus_exp(x, v):
+    return np.concatenate(
+        [_ref_circle_exp(x[..., 0:2], v[..., 0:2]), _ref_circle_exp(x[..., 2:4], v[..., 2:4])],
+        axis=-1,
+    )
+
+
+REFERENCES = {
+    "circle": (_ref_circle_chart, _ref_sphere_tangent, _ref_circle_exp),
+    "sphere2": (_ref_sphere_chart, _ref_sphere_tangent, _ref_sphere_exp),
+    "torus2": (_ref_torus_chart, _ref_torus_tangent, _ref_torus_exp),
+}
+
+
+def _special_points(m):
+    """Signed zeros, seams and poles of the charts, plus the first mesh node."""
+    if m.name == "sphere2":
+        return np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0],
+                         [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [1e-17, -1e-17, -1.0]])
+    pair = np.array([[1.0, 0.0], [-1.0, 0.0], [-1.0, -0.0], [0.0, -1.0], [-0.0, 1.0]])
+    if m.name == "circle":
+        return pair
+    return np.concatenate([np.repeat(pair, 5, axis=0), np.tile(pair, (5, 1))], axis=-1)
+
+
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
+def test_chart_and_tangent_projection_equal_the_former_formulas(m):
+    ref_chart, ref_tangent, _ = REFERENCES[m.name]
+    rng = _rng(8)
+    x = np.concatenate([_special_points(m), m.random_points(300, rng)])
+    assert np.array_equal(m.chart(x), ref_chart(x))
+    stacked = x[:300].reshape(30, 10, 1, m.ambient_dim)
+    assert np.array_equal(m.chart(stacked), ref_chart(stacked))
+    w = rng.standard_normal(x.shape)
+    assert np.array_equal(m.tangent_project(x, w), ref_tangent(x, w))
+    # one point against a batch of vectors, as harness._pair_direction uses it
+    eye = np.eye(m.ambient_dim)
+    assert np.array_equal(m.tangent_project(x[0], eye), ref_tangent(x[0], eye))
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere2", "torus2"])
+def test_exp_at_the_estimates_pair_equals_the_former_formula(name):
+    """The flow-continuity pair of ``estimates``: x0 the first mesh node, x1
+    at pair_distance along the tangent of the all-ones vector."""
+    from geodp.config import DEFAULTS, ExperimentConfig
+    from geodp.harness import _pair_direction
+
+    fields = {"circle": ["zero", "rot"], "sphere2": ["zero", "rot_z"], "torus2": ["zero", "rot1"]}
+    cfg = ExperimentConfig.from_dict({"manifold": name, "fields": fields[name]})
+    m = get_manifold(name)
+    x0 = cfg.x0()
+    v = DEFAULTS["estimates"]["pair_distance"] * _pair_direction(m, x0)
+    assert np.array_equal(m.exp(x0, v), REFERENCES[name][2](x0, v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), r=st.floats(1e-3, 3.0))
+def test_torus_primitives_are_the_circle_primitives_per_factor(seed, r):
+    """exp, log and transport on the torus are the circle's on each coordinate
+    pair, and its distance is the hypot sqrt(d_a^2 + d_b^2) of the pair
+    distances, as the former torus class computed it."""
+    rng = _rng(seed)
+    t, c = FlatTorus2(), Circle()
+    x, z = t.random_points(2, rng)
+    v = _random_tangent(t, x, rng, scale=min(r, 2.0))
+    y = t.exp(x, v)
+    pairs = (slice(0, 2), slice(2, 4))
+    assert np.array_equal(y, np.concatenate([c.exp(x[b], v[b]) for b in pairs]))
+    da, db = (c.distance(x[b], z[b]) for b in pairs)
+    assert t.distance(x, z) == np.sqrt(da**2 + db**2)
+    assert t.distance(x, z) == pytest.approx(np.hypot(da, db), rel=1e-15)
+    if max(c.distance(x[b], y[b]) for b in pairs) >= np.pi - 1e-6:
+        return
+    assert np.array_equal(t.log(x, y), np.concatenate([c.log(x[b], y[b]) for b in pairs]))
+    w = _random_tangent(t, x, rng)
+    assert np.array_equal(t.transport(x, y, w),
+                          np.concatenate([c.transport(x[b], y[b], w[b]) for b in pairs]))
+
+
+def test_catalog_manifolds_are_declarations():
+    """Circle, Sphere2 and FlatTorus2 declare a name and factor dimensions and
+    define no method; the dimensions follow from the factors."""
+    for m, dims, ambient, intrinsic in ((Circle(), (2,), 2, 1), (Sphere2(), (3,), 3, 2),
+                                        (FlatTorus2(), (2, 2), 4, 2)):
+        assert not [k for k, v in vars(type(m)).items() if callable(v) or isinstance(v, property)]
+        assert (m.factor_dims, m.ambient_dim, m.intrinsic_dim) == (dims, ambient, intrinsic)
+        assert m.chart(m.random_points(3, _rng(0))).shape == (3, intrinsic)

@@ -64,6 +64,27 @@ def test_defaults_validate_and_print():
         ({"fields": ["zero", "scale:0.5"]}, "fields"),
         ({"fields": ["zero", "scale:nan:rot"]}, "fields"),
         ({"manifold": "torus2", "fields": ["const_angle:x", "rot1"]}, "fields"),
+        ({"time": {"n_steps": "64"}}, "time.n_steps"),
+        ({"time": {"T": "1"}}, "time.T"),
+        ({"time": {"T": True}}, "time.T"),
+        ({"mc": {"n_paths": "x"}}, "mc.n_paths"),
+        ({"seed": "abc"}, "seed"),
+        ({"x0": [1, "a"]}, "x0[1]"),
+        ({"fields": ["zero", 1]}, "fields[1]"),
+        ({"control_set": {"lower": 0}}, "control_set.lower"),
+        ({"mesh": {"n_theta": 64.5}}, "mesh.n_theta"),
+        ({"manifold": "torus2", "fields": ["zero", "rot1"], "mesh": {"n1": 8.0}}, "mesh.n1"),
+        (
+            {"experiment": "convergence-table",
+             "ladder": [{"n_theta": 32}, {"n_theta": 64}, {"n_lat": 9.5}]},
+            "ladder[2].n_lat",
+        ),
+        ({"estimates": {"n_instances": 0}}, "estimates.n_instances"),
+        ({"experiment": "dpp-check", "dpp": {"delta_steps": [0, 4]}}, "dpp.delta_steps"),
+        ({"experiment": "dpp-check", "dpp": {"delta_steps": [1, 65]}}, "dpp.delta_steps"),
+        ({"agreement": {"levels": 0}}, "agreement.levels"),
+        ({"experiment": "dpp-check", "dpp": {"n_paths": 0}}, "dpp.n_paths"),
+        ({"experiment": "dpp-check", "dpp": {"n_probes": 0}}, "dpp.n_probes"),
     ],
 )
 def test_config_validation_errors(override, field):
