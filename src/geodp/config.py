@@ -188,8 +188,8 @@ class ExperimentConfig:
             raise ConfigError(
                 "time.n_steps", f"dt = {dt:.3g} exceeds the value table's 0.1 bound"
             )
-        for key in ("mc.n_paths", "dpp.n_paths", "dpp.n_probes", "estimates.n_instances",
-                    "agreement.levels"):
+        for key in ("mc.n_paths", "mc.picard_iters", "mc.basis_degree", "dpp.n_paths",
+                    "dpp.n_probes", "estimates.n_instances", "agreement.levels"):
             section, name = key.split(".")
             if r[section][name] < 1:
                 raise ConfigError(key, "must be >= 1")

@@ -237,12 +237,13 @@ def euler_step(m, fields, t, dt, X, v, dW):
     return m.project(Y.T).T
 
 
-def grid_argmin(controls: np.ndarray, values: np.ndarray):
+def grid_argmin(values: np.ndarray):
     """Pointwise minimum over the rows of a control grid.
 
     ``values`` is stacked over the grid, of shape (k,) or (k, n_points):
-    ``values[k]`` is the objective (a scalar or a per-point array) under
-    ``controls[k]``.  Returns (minimum, minimizing row) per point.
+    ``values[k]`` is the objective (a scalar or a per-point array) under the
+    grid's k-th control.  Returns (minimum, minimizing row index) per point;
+    the minimizing controls are ``controls[rows]``.
 
     The rule is ``np.argmin``'s.  The first minimum in grid order wins, so
     ties, -0.0 against 0.0 among them, resolve to the first
@@ -250,9 +251,13 @@ def grid_argmin(controls: np.ndarray, values: np.ndarray):
     NaN objective comes back as a NaN minimum with its own control and is
     never passed over for another control.
     """
-    best_k = values.argmin(axis=0)
-    best = values[best_k] if values.ndim == 1 else values[best_k, np.arange(values.shape[1])]
-    return best, controls.take(best_k, axis=0)
+    if values.shape[0] == 1:  # one control: its row (a view) is the minimum, NaN or not
+        return values[0], np.zeros(values.shape[1:], dtype=np.intp)
+    rows = values.argmin(axis=0)
+    if values.ndim == 1:
+        return values[rows], rows
+    n = values.shape[1]
+    return values.take(rows * n + np.arange(n)), rows
 
 
 def simulate(

@@ -218,7 +218,10 @@ def _sphere_tangent(x, w):
 
 
 def _sphere_angle(x, y):
-    return np.arccos(np.clip(np.sum(x * y, axis=-1), -1.0, 1.0))
+    """Angle between unit vectors: arctan2 of its sine |y - <x, y> x| and its
+    cosine <x, y>, accurate near 0 and pi, where arccos of <x, y> is not."""
+    c = np.sum(x * y, axis=-1)
+    return np.arctan2(np.linalg.norm(y - c[..., None] * x, axis=-1), c)
 
 
 def _sphere_exp(x, v):

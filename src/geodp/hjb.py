@@ -131,8 +131,8 @@ def hamiltonian_F0(
     """
     controls = prob.controls.grid(points_per_axis)
     values = np.array([float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls])
-    best, best_v = grid_argmin(controls, values)
-    return float(best), best_v
+    best, row = grid_argmin(values)
+    return float(best), controls[row]
 
 
 @dataclass(frozen=True)
@@ -172,12 +172,22 @@ def solve_hjb(
     the step counts; one that reads only t0 passes ``grid.n_steps``.
 
     Stencil points are precomputed at t0 (the catalog fields are autonomous),
-    and so are their stencil gathers: the plus and minus points of all d+1
-    fields are stacked into one (2, d+1, n_nodes, ambient) array and handed
-    to ``mesh.gather`` once, so each time step is a single gather of u.  Each
+    and so are their stencil gathers: the plus and minus points of the fields
+    are stacked into one (2, fields, n_nodes, ambient) array and handed to
+    ``mesh.gather`` once, so each time step is a single gather of u.  Each
     step evaluates the Hamiltonian of all k grid controls at all nodes as one
     (k, n_nodes) array, with one driver call on y (n_nodes,), z (k, n_nodes,
-    d) and v (k, n_nodes, d+1), and minimizes it with one ``grid_argmin``.
+    d) and v (k, n_nodes, d+1), and minimizes it with one ``grid_argmin``;
+    the differences and the Hamiltonian are computed in buffers made once,
+    and the minimizing controls are looked up only on kept layers.
+
+    Zero drift: when the drift field's matrix is zero, only the d diffusion
+    fields are gathered and the drift term starts the Hamiltonian as
+    v_0 * (+0.0).  This is exact, not an approximation: the zero field's plus
+    and minus stencil points are one and the same point, so for finite u
+    their gathered values are equal, u(x+) - u(x-) is +0.0, and v_0 times its
+    central difference is v_0 * (+0.0) bit for bit.  The rule reads only the
+    drift matrix; nonzero drift keeps the full d+1 field stencil.
 
     Raises ValueError unless stride divides n_steps, and CflViolated when
     dt * max_v sum_a v_a^2 > cfl_limit * h^2.
@@ -193,38 +203,56 @@ def solve_hjb(
 
     m = prob.manifold
     nodes = mesh.nodes
+    n = mesh.n_nodes
     dt = grid.dt
     times = grid.times
     controls = prob.controls.grid()
+    k = controls.shape[0]
 
+    # A zero drift's central difference is exactly +0.0 (see above): gather only the rest.
+    zero_drift = not np.any(prob.fields[0].A)
+    moving = prob.fields[1:] if zero_drift else prob.fields
     stencil = mesh.gather(
-        np.array([[flow_step(m, V, grid.t0, nodes, s) for V in prob.fields] for s in (h, -h)])
+        np.array([[flow_step(m, V, grid.t0, nodes, s) for V in moving] for s in (h, -h)])
+        .reshape(2, len(moving), *nodes.shape)
     )
+    first = len(moving) - prob.d  # row of the first diffusion field in the stencil
     # Per-control coefficients, one row per control: v_0, 1/2 v_a^2 and v_a.
     v0 = controls[:, :1]  # (k, 1)
     half_v2 = [0.5 * controls[:, a : a + 1] ** 2 for a in range(1, prob.d + 1)]  # d of (k, 1)
     v_diff = controls[:, None, 1:]  # (k, 1, d)
-    vv = np.broadcast_to(controls[:, None, :], (controls.shape[0], mesh.n_nodes, controls.shape[1]))
+    vv = np.broadcast_to(controls[:, None, :], (k, n, controls.shape[1]))
+    ham0 = v0 * 0.0  # (k, 1): v_0 times the zero drift's central difference
+
+    # Per-step buffers: differences, Hamiltonian and its per-field term.  z
+    # is left to numpy, which lays it out like d1.T; written into a C-ordered
+    # (k, n_nodes, d) buffer it made the 28^2 torus step 15% slower.
+    d1 = np.empty((len(moving), n))
+    d2 = np.empty((prob.d, n))
+    ham = np.empty((k, n))
+    term = np.empty((k, n))
 
     n_out = grid.n_steps // stride
-    u = np.empty((n_out + 1, mesh.n_nodes))
+    u = np.empty((n_out + 1, n))
     u[n_out] = prob.terminal(nodes)
-    un = u[n_out]
-    argmin = np.empty((n_out, mesh.n_nodes, controls.shape[1]))
+    un = u[n_out].copy()
+    argmin = np.empty((n_out, n, controls.shape[1]))
 
     for i in range(grid.n_steps - 1, -1, -1):
-        up, um = stencil(un)  # each (d+1, n_nodes)
-        d1 = (up - um) / (2.0 * h)
-        d2 = (up[1:] - 2.0 * un + um[1:]) / h**2  # diffusion fields only
-        ham = v0 * d1[0]  # (k, n_nodes)
+        up, um = stencil(un)  # each (len(moving), n_nodes)
+        np.divide(np.subtract(up, um, out=d1), 2.0 * h, out=d1)
+        np.subtract(up[first:], 2.0 * un, out=d2)
+        np.divide(np.add(d2, um[first:], out=d2), h**2, out=d2)
+        acc = ham0 if zero_drift else np.multiply(v0, d1[0], out=ham)
         for c, d2_a in zip(half_v2, d2):
-            ham = ham + c * d2_a
-        z = v_diff * d1[1:].T  # (k, n_nodes, d)
-        best, best_v = grid_argmin(controls, ham + prob.driver(times[i + 1], nodes, un, z, vv))
-        un = un + dt * best
+            acc = np.add(acc, np.multiply(c, d2_a, out=term), out=ham)
+        z = v_diff * d1[first:].T  # (k, n_nodes, d)
+        np.add(acc, prob.driver(times[i + 1], nodes, un, z, vv), out=ham)
+        best, rows = grid_argmin(ham)
+        un += dt * best
         if i % stride == 0:
             u[i // stride] = un
-            argmin[i // stride] = best_v
+            argmin[i // stride] = controls[rows]
 
     return HjbField(
         grid=TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_out),

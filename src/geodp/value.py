@@ -372,7 +372,8 @@ def value_function(
             for _ in range(picard_iters):
                 y = y_bar + dt * prob.driver(times[i], nodes, y, Z, vv)
             values[k] = y
-        u[i], argmin[i] = grid_argmin(controls, values)
+        u[i], rows = grid_argmin(values)
+        argmin[i] = controls[rows]
 
     return ValueField(grid=grid, mesh=mesh, u=u, argmin_control=argmin)
 

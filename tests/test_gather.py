@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from geodp import rng as geodp_rng
+from geodp.bsde import Driver
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import ControlSet, TimeGrid, euler_step
 from geodp.geometry import flow_step, get_field, get_manifold
@@ -205,21 +206,38 @@ def test_interpolate_is_defined_once_on_the_base_mesh():
 # ---------------------------------------------------------------------------
 
 
-def _problem(manifold, fields, lower, upper, points):
+def _problem(manifold, fields, lower, upper, points, driver=None):
     m = get_manifold(manifold)
     return ControlProblem(
         manifold=m,
         fields=[get_field(m, f) for f in fields],
-        driver=get_driver("smooth", None),
+        driver=driver or get_driver("smooth", None),
         terminal=get_terminal("coord", {"index": 0, "scale": 1.0}),
         controls=ControlSet(lower=np.array(lower), upper=np.array(upper),
                             grid_points_per_axis=points),
     )
 
 
+# With d = 0 there is no z to read: the drift-only case's driver reads the control.
+_CONTROL_DRIVER = Driver(
+    f=lambda t, x, y, z, v: v[..., 0] * x[..., 1] - 0.5 * y,
+    lipschitz_K=0.5,
+    bound_K0=0.5,
+)
+
 CASES = {
     "circle": (lambda: _problem("circle", ["zero", "rot"], [0.0, 0.5], [0.0, 1.0], 2),
                lambda: CircleMesh(24)),
+    "circle-drift": (lambda: _problem("circle", ["rot", "rot"], [-0.5, 0.5], [0.5, 1.0], 2),
+                     lambda: CircleMesh(24)),
+    "circle-zero-diffusion": (
+        lambda: _problem("circle", ["rot", "zero"], [-0.5, 0.5], [0.5, 1.0], 2),
+        lambda: CircleMesh(24),
+    ),
+    "circle-drift-only": (
+        lambda: _problem("circle", ["zero"], [-0.5], [0.5], 2, driver=_CONTROL_DRIVER),
+        lambda: CircleMesh(24),
+    ),
     "sphere": (lambda: _problem("sphere2", ["rot_x", "rot_z"], [0.5, 0.5], [1.0, 1.0], 2),
                lambda: SphereMesh(7, 12)),
     "torus": (lambda: _problem("torus2", ["zero", "rot1", "rot2"], [0.0, 0.5, 0.5],

@@ -136,6 +136,20 @@ def test_sphere_transport_around_equator():
     np.testing.assert_allclose(m.transport(x, y, north), north, atol=1e-12)
 
 
+@pytest.mark.parametrize("a", [1e-12, 1e-8, 1e-6, 1e-3, np.pi - 1e-6])
+def test_log_and_distance_are_accurate_at_small_and_near_pi_angles(a):
+    """The angle comes from arctan2(sine, cosine): arccos of the cosine
+    returned 0 at a = 1e-8 and a relative error of 4e-5 at a = 1e-6."""
+    m = get_manifold("circle")
+    x, y = np.array([1.0, 0.0]), np.array([np.cos(a), np.sin(a)])
+    np.testing.assert_allclose(m.distance(x, y), a, rtol=1e-12)
+    np.testing.assert_allclose(m.log(x, y), [0.0, a], rtol=1e-12, atol=1e-15 * a)
+    s = get_manifold("sphere2")
+    xs, ys = np.array([0.0, 0.0, 1.0]), np.array([np.sin(a), 0.0, np.cos(a)])
+    np.testing.assert_allclose(s.distance(xs, ys), a, rtol=1e-12)
+    np.testing.assert_allclose(s.log(xs, ys), [a, 0.0, 0.0], rtol=1e-12, atol=1e-15 * a)
+
+
 def test_torus_distance_is_product_metric():
     m = FlatTorus2()
     a, b = 0.7, 1.1

@@ -85,6 +85,10 @@ def test_defaults_validate_and_print():
         ({"agreement": {"levels": 0}}, "agreement.levels"),
         ({"experiment": "dpp-check", "dpp": {"n_paths": 0}}, "dpp.n_paths"),
         ({"experiment": "dpp-check", "dpp": {"n_probes": 0}}, "dpp.n_probes"),
+        ({"mc": {"picard_iters": 0}}, "mc.picard_iters"),
+        ({"experiment": "dpp-check", "mc": {"picard_iters": -2}}, "mc.picard_iters"),
+        ({"mc": {"basis_degree": 0}}, "mc.basis_degree"),
+        ({"experiment": "estimates", "mc": {"basis_degree": -1}}, "mc.basis_degree"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -264,6 +268,21 @@ def test_cli_mesh_and_control_set_errors_exit_2(tmp_path, capsys):
     for text, key in (
         ("experiment: dpp-check\nmesh:\n  n_theta: 2\n", "mesh"),
         ("control_set:\n  grid_points_per_axis: 0\n", "control_set"),
+    ):
+        f = tmp_path / "c.yaml"
+        f.write_text(text)
+        assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
+
+def test_cli_nonpositive_picard_iters_and_basis_degree_exit_2(tmp_path, capsys):
+    """Zero or negative Picard iterations would never apply the driver, and a
+    nonpositive degree would regress on the constant alone: both are config
+    errors naming the key."""
+    for text, key in (
+        ("experiment: dpp-check\nmc:\n  picard_iters: -2\n", "mc.picard_iters"),
+        ("experiment: dpp-check\nmc:\n  basis_degree: -1\n", "mc.basis_degree"),
     ):
         f = tmp_path / "c.yaml"
         f.write_text(text)
