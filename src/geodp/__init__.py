@@ -69,7 +69,6 @@ from .problem import ControlProblem
 from .value import (
     CircleMesh,
     ManifoldMesh,
-    PeriodicMesh,
     SphereMesh,
     TorusMesh,
     ValueField,

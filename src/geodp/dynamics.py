@@ -158,8 +158,7 @@ class ControlPolicy:
     shape (N, n), as an array of shape (N, d+1).
     """
 
-    def __init__(self, kind: str, fn: Callable[[int, np.ndarray], np.ndarray]):
-        self.kind = kind
+    def __init__(self, fn: Callable[[int, np.ndarray], np.ndarray]):
         self._fn = fn
 
     def values(self, i: int, X: np.ndarray) -> np.ndarray:
@@ -179,11 +178,11 @@ class ControlPolicy:
                 view = np.broadcast_to(v, (X.shape[0], v.shape[0]))
             return view
 
-        return cls("open_loop_constant", fn)
+        return cls(fn)
 
     @classmethod
     def feedback(cls, fn: Callable[[int, np.ndarray], np.ndarray]) -> "ControlPolicy":
-        return cls("feedback", fn)
+        return cls(fn)
 
 
 @dataclass(frozen=True)

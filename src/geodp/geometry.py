@@ -62,8 +62,10 @@ class ManifoldModel:
     Every primitive is the unit-sphere formula applied to each factor's
     coordinates; the factor results are concatenated (points, tangent
     vectors, chart angles) or combined as sqrt(sum d_b^2) (distance).  The
-    injectivity radius of every catalog manifold is pi, and the cut-locus
-    guard tests the whole-manifold distance against it.
+    injectivity radius of every catalog manifold is pi, that of a unit
+    sphere.  A product's minimizing geodesic is unique exactly when each
+    factor's is, so the cut-locus guard tests the largest factor angle
+    against pi, not the product distance; with one factor the two agree.
     """
 
     name: str
@@ -149,10 +151,14 @@ class ManifoldModel:
         return self._by_factor(_sphere_transport, x, y, v)
 
     def _check_cut(self, x, y):
-        d = self.distance(x, y)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        d = functools.reduce(
+            np.maximum, [_sphere_angle(x[..., b], y[..., b]) for b in self.factor_slices]
+        )
         if np.any(d >= self.injectivity_radius - _CUT_GUARD):
             raise CutLocus(
-                f"{self.name}: distance {np.max(d):.6g} reaches the injectivity "
+                f"{self.name}: factor angle {np.max(d):.6g} reaches the injectivity "
                 f"radius {self.injectivity_radius:.6g}"
             )
 

@@ -85,6 +85,20 @@ ZERO_PROBE = TestFunctionProbe(
 )
 
 
+def _probe_terms(prob: ControlProblem, probe: TestFunctionProbe, t: float, x, v):
+    """The probe's part of the shifted generator at points x (N, n) under v:
+    phi, the sum of the time term, the transport term and the half
+    second-order terms, and the z shift (N, d)."""
+    m = prob.manifold
+    phi = probe.value(t, x)
+    out = probe.time_derivative(t, x) + v[..., 0] * probe.dir1(m, prob.fields[0], t, x)
+    z_shift = np.zeros((x.shape[0], prob.d))
+    for a in range(1, prob.d + 1):
+        out = out + 0.5 * v[..., a] ** 2 * probe.dir2(m, prob.fields[a], t, x)
+        z_shift[:, a - 1] = v[..., a] * probe.dir1(m, prob.fields[a], t, x)
+    return phi, out, z_shift
+
+
 def hamiltonian_F(
     prob: ControlProblem,
     probe: TestFunctionProbe,
@@ -96,7 +110,6 @@ def hamiltonian_F(
 ) -> np.ndarray:
     """Probe-shifted generator: time term + transport + half second-order term
     + driver evaluated at the shifted (y, z) arguments."""
-    m = prob.manifold
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -105,12 +118,7 @@ def hamiltonian_F(
     if single:
         x = x[None, :]
         y = np.atleast_1d(y)
-    phi = probe.value(t, x)
-    out = probe.time_derivative(t, x) + v[..., 0] * probe.dir1(m, prob.fields[0], t, x)
-    z_shift = np.zeros((x.shape[0], prob.d))
-    for a in range(1, prob.d + 1):
-        out = out + 0.5 * v[..., a] ** 2 * probe.dir2(m, prob.fields[a], t, x)
-        z_shift[:, a - 1] = v[..., a] * probe.dir1(m, prob.fields[a], t, x)
+    phi, out, z_shift = _probe_terms(prob, probe, t, x, v)
     vv = np.broadcast_to(v, (x.shape[0], v.shape[-1]) if v.ndim == 1 else v.shape)
     out = out + prob.driver(t, x, y + phi, z + z_shift, vv)
     return out[0] if single else out
@@ -159,7 +167,6 @@ def solve_hjb(
     prob: ControlProblem,
     grid: TimeGrid,
     mesh: ManifoldMesh,
-    h_stencil: Optional[float] = None,
     cfl_limit: float = 0.4,
     stride: int = 1,
 ) -> HjbField:
@@ -194,7 +201,7 @@ def solve_hjb(
     """
     if stride < 1 or grid.n_steps % stride:
         raise ValueError(f"stride {stride} does not divide n_steps = {grid.n_steps}")
-    h = h_stencil if h_stencil is not None else mesh.spacing()
+    h = mesh.spacing()
     cfl_ratio = grid.dt * _max_diffusion_load(prob) / h**2
     if cfl_ratio > cfl_limit:
         raise CflViolated(
@@ -417,27 +424,17 @@ class FreezingGapReport:
     monotone_decay: bool
 
 
-def _analytic_shift_driver(prob, probe, times, ens, v):
-    """Probe-shifted driver with analytic probe derivatives along the path."""
-    m = prob.manifold
-    f = prob.driver
+def _analytic_shift_driver(prob, probe, times, v):
+    """Probe-shifted driver with analytic probe derivatives along the path;
+    the probe terms of each step are computed once."""
     cache = {}
 
     def fn(i, xx, y, z):
         if i not in cache:
-            t_i = times[i]
-            phi = probe.value(t_i, xx)
-            base = probe.time_derivative(t_i, xx) + v[0] * probe.dir1(
-                m, prob.fields[0], t_i, xx
-            )
-            zs = np.zeros((xx.shape[0], prob.d))
-            for a in range(1, prob.d + 1):
-                base = base + 0.5 * v[a] ** 2 * probe.dir2(m, prob.fields[a], t_i, xx)
-                zs[:, a - 1] = v[a] * probe.dir1(m, prob.fields[a], t_i, xx)
-            cache[i] = (phi, base, zs)
+            cache[i] = _probe_terms(prob, probe, times[i], xx, v)
         phi, base, zs = cache[i]
         vv = np.broadcast_to(v, (xx.shape[0], v.shape[0]))
-        return base + f(times[i], xx, y + phi, z + zs, vv)
+        return base + prob.driver(times[i], xx, y + phi, z + zs, vv)
 
     return fn
 
@@ -450,14 +447,15 @@ def freezing_gap_report(
     delta_sequence: Sequence[float],
     seed: int,
     n_paths: int = 8192,
-    steps_per_window: int = 16,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
     decay_factor: float = 0.8,
 ) -> FreezingGapReport:
     """Gap between the probe-shifted BSDE along the moving state and its
     state-frozen counterpart, per window length, maximized over the control
-    grid.  The per-unit-time gap must shrink along the (decreasing) sequence.
+    grid.  Each window has 16 BSDE steps, and the frozen ODE takes 32 RK4
+    substeps.  The per-unit-time gap must shrink along the
+    (decreasing) sequence.
     """
     basis = basis or RegressionBasis()
     deltas = list(delta_sequence)
@@ -466,7 +464,7 @@ def freezing_gap_report(
     gaps = []
     x = np.asarray(x, dtype=float)
     for k, delta in enumerate(deltas):
-        grid = TimeGrid(t0=t, T=t + delta, n_steps=steps_per_window)
+        grid = TimeGrid(t0=t, T=t + delta, n_steps=16)
         worst = 0.0
         noise = BrownianGrid(
             grid=grid,
@@ -479,7 +477,7 @@ def freezing_gap_report(
             ens = simulate(
                 prob.manifold, prob.fields, x, ControlPolicy.constant(v), noise
             )
-            driver = _analytic_shift_driver(prob, probe, grid.times, ens, v)
+            driver = _analytic_shift_driver(prob, probe, grid.times, v)
             sol1 = backward_sweep(
                 ens.states,
                 ens.noise.increments,
@@ -489,9 +487,7 @@ def freezing_gap_report(
                 basis,
                 picard_iters=picard_iters,
             )
-            y2 = frozen_ode_constant_control(
-                prob, probe, x, t, delta, v, n_substeps=max(32, steps_per_window)
-            )
+            y2 = frozen_ode_constant_control(prob, probe, x, t, delta, v, n_substeps=32)
             worst = max(worst, abs(sol1.y_at_t0 - y2))
         gaps.append(worst)
     ratios = [g / d for g, d in zip(gaps, deltas)]

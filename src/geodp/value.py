@@ -13,22 +13,22 @@ points xi in {-sqrt 3, 0, sqrt 3}^d with weights that are products of
 dW = xi * sqrt(dt), so E[u] = sum_k w_k u_k and Z = sum_k w_k u_k xi_k / sqrt(dt).
 This is a semi-Lagrangian scheme (Camilli & Falcone, M2AN 1995; Debrabant &
 Jakobsen, Math. Comp. 2013).  Its weights are positive, and next-layer values
-at off-node states are obtained by positively weighted interpolation
-(periodic linear on the circle, bilinear lat-lon with shared pole values on
-the sphere, periodic bilinear on the torus), so each layer is a positively
-weighted average of the next one plus dt times the driver: the scheme keeps
-comparison and the maximum principle, and the table is deterministic.
+at off-node states are obtained by positively weighted (multilinear)
+interpolation, so each layer is a positively weighted average of the next one
+plus dt times the driver: the scheme keeps comparison and the maximum
+principle, and the table is deterministic.
 
-Two meshes cover the catalog: ``PeriodicMesh``, one periodic tensor mesh over
-the factor angles of a product of circles (``PeriodicMesh(n_theta)`` on the
-circle, ``PeriodicMesh(n1, n2)`` on the torus; ``CircleMesh`` and
-``TorusMesh`` are its names there), and ``SphereMesh``.  ``make_mesh`` picks
-one from the manifold's ``factor_dims``.
+One mesh covers the catalog: ``ManifoldMesh``, the tensor product of one mesh
+per unit-sphere factor of the manifold's ``factor_dims``.  A circle factor
+gives one periodic angle axis; a sphere factor gives a clamped latitude axis
+and a periodic longitude axis, with each pole stored once.  ``CircleMesh``,
+``SphereMesh`` and ``TorusMesh`` fix the manifold; ``make_mesh`` reads the
+sizes from a config mapping.
 
-Each mesh exposes its interpolation as ``gather(points)``: chart, cell
+A mesh exposes its interpolation as ``gather(points)``: chart, cell corner
 indices and weights are built once for a point set, and the returned function
-maps nodal values to interpolated values (on the periodic mesh, one take of
-the cell corners and one lerp per axis).  ``interpolate(values, points)`` is
+maps nodal values to interpolated values with one take of the cell corners
+and one lerp per axis.  ``interpolate(values, points)`` is
 ``gather(points)(values)``.
 Because the rule's points are fixed and the catalog fields are autonomous,
 ``value_function`` builds one gather per control before its time loop.
@@ -53,84 +53,131 @@ from .problem import ControlProblem
 # Meshes
 # ---------------------------------------------------------------------------
 
-# The catalog's products of circles, by their number of factors.
-_PRODUCTS_OF_CIRCLES = {1: Circle, 2: FlatTorus2}
+
+@dataclass(frozen=True)
+class _Axis:
+    """``n`` node angles from ``start`` over ``span``: around a circle, with
+    cells of span / n (periodic), or with both ends on nodes and cells of
+    span / (n - 1) (clamped)."""
+
+    start: float
+    span: float
+    n: int
+    periodic: bool
+
+    @property
+    def cells(self) -> int:
+        return self.n if self.periodic else self.n - 1
+
+    def angles(self) -> np.ndarray:
+        return self.start + self.span * np.arange(self.n) / self.cells
+
+    def next(self, i):
+        """The next node index: around the circle, or clamped at the last node."""
+        return (i + 1) % self.n if self.periodic else np.minimum(i + 1, self.n - 1)
+
+    def cell(self, angle):
+        """Lower node index and weight of the upper node of each angle's cell."""
+        off = angle - self.start
+        if self.periodic:
+            pos = off % self.span / self.span * self.n
+            lo = np.floor(pos)
+            return lo.astype(int) % self.n, pos - lo
+        pos = off / self.span * self.cells
+        lo = np.clip(np.floor(pos).astype(int), 0, self.n - 2)
+        return lo, pos - lo
+
+
+# A factor mesh is (axes, node coordinates (n_nodes, factor dim), node index
+# of per-axis indices).
+
+
+def _circle_mesh(n: int):
+    """One periodic axis of n angles from 0."""
+    axis = _Axis(0.0, 2.0 * np.pi, n, True)
+    th = axis.angles()
+    return (axis,), np.stack([np.cos(th), np.sin(th)], axis=-1), lambda i: i
+
+
+def _sphere_mesh(n_lat: int, n_lon: int):
+    """Clamped latitudes from the south pole to the north pole and periodic
+    longitudes from -pi; each pole is one node (first and last), the rings
+    between them are stored row by row."""
+    lat_axis = _Axis(-0.5 * np.pi, np.pi, n_lat, False)
+    lon_axis = _Axis(-np.pi, 2.0 * np.pi, n_lon, True)
+    lat, lon = lat_axis.angles()[1:-1, None], lon_axis.angles()
+    rings = np.stack(
+        np.broadcast_arrays(np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)),
+        axis=-1,
+    ).reshape(-1, 3)
+    coords = np.concatenate([[[0.0, 0.0, -1.0]], rings, [[0.0, 0.0, 1.0]]])
+    npole = coords.shape[0] - 1
+    # Ring row r, column c is node 1 + (r - 1) n_lon + c; every column of
+    # row 0 clips to the south pole and every column of the last row to the north pole.
+    return (lat_axis, lon_axis), coords, lambda r, c: np.clip(1 + (r - 1) * n_lon + c, 0, npole)
+
+
+# Factor mesh and its number of size arguments, by the factor's ambient dimension.
+_FACTOR_MESHES = {2: (_circle_mesh, 1), 3: (_sphere_mesh, 2)}
 
 
 class ManifoldMesh:
-    """Node set plus interpolation on one of the catalog manifolds."""
+    """Tensor product of one mesh per unit-sphere factor of ``manifold``.
 
-    manifold: ManifoldModel
-    nodes: np.ndarray  # (n_nodes, ambient_dim)
+    ``sizes`` gives the node count of each mesh axis, factor by factor: one
+    periodic angle axis per circle factor, a clamped latitude and a periodic
+    longitude axis per sphere factor.  Node k is the row-major position of
+    its factor node indices; interpolation is multilinear over the axes, so
+    its weights are positive.
+    """
+
+    def __init__(self, manifold: ManifoldModel, *sizes: int):
+        builds = [_FACTOR_MESHES[k] for k in manifold.factor_dims]
+        if len(sizes) != sum(n_args for _, n_args in builds) or min(sizes) < 3:
+            raise ValueError(f"{manifold.name}: need one size >= 3 per mesh axis; got {sizes}")
+        self.manifold = manifold
+        self.sizes = sizes
+        left = iter(sizes)
+        self.factors = [build(*itertools.islice(left, n_args)) for build, n_args in builds]
+        self.axes = tuple(a for axes, _, _ in self.factors for a in axes)
+        counts = [coords.shape[0] for _, coords, _ in self.factors]
+        idx = np.indices(counts).reshape(len(counts), -1)
+        self.nodes = np.concatenate([c[i] for (_, c, _), i in zip(self.factors, idx)], axis=-1)
 
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
+    def _node_index(self, axis_indices):
+        """Flat node index of per-axis index arrays (broadcast together)."""
+        it = iter(axis_indices)
+        flat = 0
+        for axes, coords, index in self.factors:
+            flat = flat * coords.shape[0] + index(*itertools.islice(it, len(axes)))
+        return flat
+
     def gather(self, points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Interpolation at fixed on-manifold points, as a function of nodal values.
 
-        The chart, cell indices and weights are computed here once; the
-        returned function only takes nodal values and combines them, so a
-        caller that interpolates many value arrays at the same points (the
-        HJB stencil) pays for the geometry once.
+        The chart, the 2^axes corner node indices of each point's cell (one
+        flat-index array with the corner axes first) and the (1 - w, w)
+        weights per axis are computed here once; the returned function only
+        takes nodal values and combines them, so a caller that interpolates
+        many value arrays at the same points (the HJB stencil) pays for the
+        geometry once.  ``apply`` is one take and then one lerp per axis, from
+        the last axis to the first: on two axes (1 - w1)((1 - w2) u00 +
+        w2 u01) + w1((1 - w2) u10 + w2 u11).
         """
-        raise NotImplementedError
-
-    def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Interpolate nodal values at arbitrary on-manifold points."""
-        return self.gather(points)(values)
-
-    def neighbor_pairs(self) -> List[Tuple[int, int]]:
-        """Pairs of adjacent node indices (each pair once)."""
-        raise NotImplementedError
-
-    def spacing(self) -> float:
-        """Representative node spacing (geodesic)."""
-        raise NotImplementedError
-
-    def refine(self) -> "ManifoldMesh":
-        """Mesh with roughly half the spacing."""
-        raise NotImplementedError
-
-
-class PeriodicMesh(ManifoldMesh):
-    """Tensor mesh over the factor angles of a product of circles.
-
-    ``PeriodicMesh(n_theta)`` meshes the circle and ``PeriodicMesh(n1, n2)``
-    the flat torus: ``sizes[a]`` equally spaced angles on factor a, node k at
-    the row-major position of its angle indices, and periodic multilinear
-    interpolation.
-    """
-
-    def __init__(self, *sizes: int):
-        if len(sizes) not in _PRODUCTS_OF_CIRCLES or min(sizes) < 3:
-            raise ValueError(f"need one or two mesh sizes, each >= 3; got {sizes}")
-        self.manifold = _PRODUCTS_OF_CIRCLES[len(sizes)]()
-        self.sizes = sizes
-        angles = [2.0 * np.pi * np.arange(n) / n for n in sizes]
-        grids = np.meshgrid(*angles, indexing="ij")
-        self.nodes = np.stack(
-            [f(g) for g in grids for f in (np.cos, np.sin)], axis=-1
-        ).reshape(-1, 2 * len(sizes))
-
-    def gather(self, points):
-        """The 2^d corner node indices of each point's cell, as one flat-index
-        array with the corner axes first, and the (1 - w, w) weights per axis.
-        ``apply`` is one take and then one lerp per axis, from the last axis
-        to the first: on the torus (1 - w1)((1 - w2) u00 + w2 u01) +
-        w1((1 - w2) u10 + w2 u11)."""
         ch = self.manifold.chart(points)
-        corners = None
-        lerps = []
-        for a, n in enumerate(self.sizes):
-            pos = (ch[..., a] % (2.0 * np.pi)) / (2.0 * np.pi) * n
-            i0 = np.floor(pos).astype(int) % n
-            w = pos - np.floor(pos)
-            ends = np.stack([i0, (i0 + 1) % n])
-            corners = ends if corners is None else np.expand_dims(corners, a) * n + ends
+        n_axes = len(self.axes)
+        ends, lerps = [], []
+        for a, axis in enumerate(self.axes):
+            lo, w = axis.cell(ch[..., a])
+            corner_axis = (1,) * a + (2,) + (1,) * (n_axes - 1 - a)
+            ends.append(np.stack([lo, axis.next(lo)]).reshape(corner_axis + lo.shape))
             lead = (slice(None),) * a
             lerps.append((1.0 - w, w, lead + (0,), lead + (1,)))
+        corners = self._node_index(ends)
         lerps.reverse()
 
         def apply(values):
@@ -141,117 +188,64 @@ class PeriodicMesh(ManifoldMesh):
 
         return apply
 
-    def neighbor_pairs(self):
-        k = np.arange(self.n_nodes).reshape(self.sizes)
-        succ = np.stack([np.roll(k, -1, axis=a).ravel() for a in range(k.ndim)], axis=-1)
-        return [(i, j) for i, row in enumerate(succ.tolist()) for j in row]
+    def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Interpolate nodal values at arbitrary on-manifold points."""
+        return self.gather(points)(values)
 
-    def spacing(self):
-        return 2.0 * np.pi / max(self.sizes)
+    def neighbor_pairs(self) -> List[Tuple[int, int]]:
+        """Pairs of adjacent node indices (each pair once): every node with its
+        next node along each axis, node by node.  Axis steps that stay on one
+        node (along a pole, or past the last latitude) are left out."""
+        grid = list(np.indices(self.sizes))
+        start = self._node_index(grid).ravel()
+        succ = [
+            self._node_index(grid[:a] + [axis.next(grid[a])] + grid[a + 1 :]).ravel()
+            for a, axis in enumerate(self.axes)
+        ]
+        i = np.repeat(start, len(succ))
+        j = np.stack(succ, axis=-1).ravel()
+        keep = i != j
+        return list(zip(i[keep].tolist(), j[keep].tolist()))
 
-    def refine(self):
-        return PeriodicMesh(*(2 * n for n in self.sizes))
+    def spacing(self) -> float:
+        """Node spacing (geodesic) of the finest factor, each factor's along
+        its first axis (the circle angle, the sphere latitude)."""
+        return min(axes[0].span / axes[0].cells for axes, _, _ in self.factors)
+
+    def refine(self) -> "ManifoldMesh":
+        """Mesh with half the spacing: every node kept and every cell split in two."""
+        return ManifoldMesh(self.manifold, *(a.n + a.cells for a in self.axes))
+
+
+# The catalog meshes, each fixing its manifold.
+
+
+class CircleMesh(ManifoldMesh):
+    def __init__(self, n_theta: int):
+        super().__init__(Circle(), n_theta)
 
 
 class SphereMesh(ManifoldMesh):
-    """Latitude-longitude mesh with each pole stored once."""
-
-    def __init__(self, n_lat: int = 32, n_lon: int = 64):
-        if n_lat < 3 or n_lon < 3:
-            raise ValueError("need n_lat >= 3 and n_lon >= 3")
-        self.manifold = Sphere2()
-        self.n_lat = n_lat
-        self.n_lon = n_lon
-        self.lats = -0.5 * np.pi + np.pi * np.arange(n_lat) / (n_lat - 1)
-        self.lons = -np.pi + 2.0 * np.pi * np.arange(n_lon) / n_lon
-        nodes = [np.array([0.0, 0.0, -1.0])]  # south pole, index 0
-        for lat in self.lats[1:-1]:
-            for lon in self.lons:
-                nodes.append(
-                    np.array(
-                        [np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)]
-                    )
-                )
-        nodes.append(np.array([0.0, 0.0, 1.0]))  # north pole, last index
-        self.nodes = np.stack(nodes, axis=0)
-
-    def _row_index(self, row, col):
-        """Node index of (lat row, lon column); poles ignore the column."""
-        npole = self.n_nodes - 1
-        return np.where(
-            row == 0,
-            0,
-            np.where(
-                row == self.n_lat - 1,
-                npole,
-                np.clip(1 + (row - 1) * self.n_lon + col, 0, npole),
-            ),
-        )
-
-    def gather(self, points):
-        ch = self.manifold.chart(points)
-        lat, lon = ch[..., 0], ch[..., 1]
-        posl = (lat + 0.5 * np.pi) / np.pi * (self.n_lat - 1)
-        r0 = np.clip(np.floor(posl).astype(int), 0, self.n_lat - 2)
-        wl = posl - r0
-        posm = ((lon + np.pi) % (2.0 * np.pi)) / (2.0 * np.pi) * self.n_lon
-        c0 = np.floor(posm).astype(int) % self.n_lon
-        wm = posm - np.floor(posm)
-        c1 = (c0 + 1) % self.n_lon
-        k00 = self._row_index(r0, c0)
-        k01 = self._row_index(r0, c1)
-        k10 = self._row_index(r0 + 1, c0)
-        k11 = self._row_index(r0 + 1, c1)
-
-        def apply(values):
-            values = np.asarray(values, dtype=float)
-            return (1.0 - wl) * ((1.0 - wm) * values[k00] + wm * values[k01]) + wl * (
-                (1.0 - wm) * values[k10] + wm * values[k11]
-            )
-
-        return apply
-
-    def neighbor_pairs(self):
-        pairs = []
-        npole = self.n_nodes - 1
-
-        def idx(r, c):
-            return 1 + (r - 1) * self.n_lon + (c % self.n_lon)
-
-        for c in range(self.n_lon):
-            pairs.append((0, idx(1, c)))
-            pairs.append((npole, idx(self.n_lat - 2, c)))
-        for r in range(1, self.n_lat - 1):
-            for c in range(self.n_lon):
-                pairs.append((idx(r, c), idx(r, c + 1)))
-                if r + 1 <= self.n_lat - 2:
-                    pairs.append((idx(r, c), idx(r + 1, c)))
-        return pairs
-
-    def spacing(self):
-        return np.pi / (self.n_lat - 1)
-
-    def refine(self):
-        return SphereMesh(2 * self.n_lat - 1, 2 * self.n_lon)
+    def __init__(self, n_lat: int, n_lon: int):
+        super().__init__(Sphere2(), n_lat, n_lon)
 
 
-# The names the circle and torus meshes had as separate classes.
-CircleMesh = TorusMesh = PeriodicMesh
+class TorusMesh(ManifoldMesh):
+    def __init__(self, n1: int, n2: int):
+        super().__init__(FlatTorus2(), n1, n2)
 
-# Mesh class and size keys (with their defaults), by the manifold's factor dimensions.
-_MESH_RULES = {
-    (2,): (PeriodicMesh, {"n_theta": 128}),
-    (3,): (SphereMesh, {"n_lat": 32, "n_lon": 64}),
-    (2, 2): (PeriodicMesh, {"n1": 64, "n2": 64}),
-}
+
+# Mesh size keys, with their defaults, by the manifold's factor dimensions.
+_MESH_SIZES = {(2,): {"n_theta": 128}, (3,): {"n_lat": 32, "n_lon": 64},
+               (2, 2): {"n1": 64, "n2": 64}}
 
 
 def make_mesh(m: ManifoldModel, sizes: Optional[dict] = None) -> ManifoldMesh:
     sizes = sizes or {}
-    if m.factor_dims not in _MESH_RULES:
-        raise KeyError(f"no mesh rule for manifold '{m.name}'")
-    cls, defaults = _MESH_RULES[m.factor_dims]
-    return cls(*(int(sizes.get(key, n)) for key, n in defaults.items()))
+    if m.factor_dims not in _MESH_SIZES:
+        raise KeyError(f"no mesh sizes for manifold '{m.name}'")
+    defaults = _MESH_SIZES[m.factor_dims]
+    return ManifoldMesh(m, *(int(sizes.get(key, n)) for key, n in defaults.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +427,7 @@ class ContinuityModuli:
     time_modulus: Dict[float, float]  # layer spacing -> max |du|
 
 
-def continuity_moduli(vf: ValueField, n_space_bins: int = 4) -> ContinuityModuli:
+def continuity_moduli(vf: ValueField) -> ContinuityModuli:
     """Empirical moduli of continuity of the value table.
 
     Space: neighbor-pair |du| maxima bucketed by pair distance.  Time: max |du|

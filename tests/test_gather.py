@@ -23,7 +23,6 @@ from geodp.problem import ControlProblem
 from geodp.value import (
     CircleMesh,
     ManifoldMesh,
-    PeriodicMesh,
     SphereMesh,
     TorusMesh,
     gauss_hermite_rule,
@@ -48,29 +47,31 @@ def _ref_circle(mesh, values, points):
 
 
 def _ref_sphere_row_value(mesh, values, row, col):
+    n_lat, n_lon = mesh.sizes
     npole = mesh.n_nodes - 1
     return np.where(
         row == 0,
         values[0],
         np.where(
-            row == mesh.n_lat - 1,
+            row == n_lat - 1,
             values[npole],
-            values[np.clip(1 + (row - 1) * mesh.n_lon + col, 0, npole)],
+            values[np.clip(1 + (row - 1) * n_lon + col, 0, npole)],
         ),
     )
 
 
 def _ref_sphere(mesh, values, points):
+    n_lat, n_lon = mesh.sizes
     values = np.asarray(values, dtype=float)
     ch = mesh.manifold.chart(points)
     lat, lon = ch[..., 0], ch[..., 1]
-    posl = (lat + 0.5 * np.pi) / np.pi * (mesh.n_lat - 1)
-    r0 = np.clip(np.floor(posl).astype(int), 0, mesh.n_lat - 2)
+    posl = (lat + 0.5 * np.pi) / np.pi * (n_lat - 1)
+    r0 = np.clip(np.floor(posl).astype(int), 0, n_lat - 2)
     wl = posl - r0
-    posm = ((lon + np.pi) % (2.0 * np.pi)) / (2.0 * np.pi) * mesh.n_lon
-    c0 = np.floor(posm).astype(int) % mesh.n_lon
+    posm = ((lon + np.pi) % (2.0 * np.pi)) / (2.0 * np.pi) * n_lon
+    c0 = np.floor(posm).astype(int) % n_lon
     wm = posm - np.floor(posm)
-    c1 = (c0 + 1) % mesh.n_lon
+    c1 = (c0 + 1) % n_lon
     v00 = _ref_sphere_row_value(mesh, values, r0, c0)
     v01 = _ref_sphere_row_value(mesh, values, r0, c1)
     v10 = _ref_sphere_row_value(mesh, values, r0 + 1, c0)
@@ -125,6 +126,37 @@ def _ref_torus_mesh(n1, n2):
     return nodes, pairs, 2.0 * np.pi / max(n1, n2), (2 * n1, 2 * n2)
 
 
+# The nodes, neighbour pairs, spacing and refinement of the former separate
+# sphere mesh class: a scalar node loop and a pair loop over the rings.
+
+
+def _ref_sphere_mesh(n_lat, n_lon):
+    lats = -0.5 * np.pi + np.pi * np.arange(n_lat) / (n_lat - 1)
+    lons = -np.pi + 2.0 * np.pi * np.arange(n_lon) / n_lon
+    nodes = [np.array([0.0, 0.0, -1.0])]  # south pole, index 0
+    for lat in lats[1:-1]:
+        for lon in lons:
+            nodes.append(
+                np.array([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+            )
+    nodes.append(np.array([0.0, 0.0, 1.0]))  # north pole, last index
+    npole = len(nodes) - 1
+
+    def idx(r, c):
+        return 1 + (r - 1) * n_lon + (c % n_lon)
+
+    pairs = []
+    for c in range(n_lon):
+        pairs.append((0, idx(1, c)))
+        pairs.append((npole, idx(n_lat - 2, c)))
+    for r in range(1, n_lat - 1):
+        for c in range(n_lon):
+            pairs.append((idx(r, c), idx(r, c + 1)))
+            if r + 1 <= n_lat - 2:
+                pairs.append((idx(r, c), idx(r + 1, c)))
+    return np.stack(nodes, axis=0), pairs, np.pi / (n_lat - 1), (2 * n_lat - 1, 2 * n_lon)
+
+
 # ---------------------------------------------------------------------------
 # Point sets: nodes, seams, poles, theta = +-pi and random points
 # ---------------------------------------------------------------------------
@@ -139,8 +171,10 @@ def _circle_points(mesh, rng):
 
 
 def _sphere_points(mesh, rng):
-    lat = np.concatenate([rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 200), mesh.lats])
-    lon = np.concatenate([rng.uniform(-np.pi, np.pi, 200), np.full(mesh.n_lat, np.pi)])
+    n_lat, _ = mesh.sizes
+    lats = -0.5 * np.pi + np.pi * np.arange(n_lat) / (n_lat - 1)
+    lat = np.concatenate([rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 200), lats])
+    lon = np.concatenate([rng.uniform(-np.pi, np.pi, 200), np.full(n_lat, np.pi)])
     pts = np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)], -1)
     seam = [[-np.cos(b), s * 0.0, np.sin(b)] for b in (-1.2, 0.0, 0.3) for s in (1.0, -1.0)]
     poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [1e-17, -1e-17, -1.0]]
@@ -185,7 +219,7 @@ def test_gather_is_bit_identical_to_reference_formula(name):
 
 @pytest.mark.parametrize("sizes", [(3,), (24,), (400,), (6, 9), (9, 6), (28, 28)])
 def test_periodic_mesh_matches_the_former_circle_and_torus_meshes(sizes):
-    mesh = PeriodicMesh(*sizes)
+    mesh = (CircleMesh if len(sizes) == 1 else TorusMesh)(*sizes)
     nodes, pairs, spacing, refined = (_ref_circle_mesh if len(sizes) == 1 else _ref_torus_mesh)(*sizes)
     assert np.array_equal(mesh.nodes, nodes)
     assert mesh.neighbor_pairs() == pairs
@@ -195,10 +229,27 @@ def test_periodic_mesh_matches_the_former_circle_and_torus_meshes(sizes):
     assert mesh.manifold.name == ("circle" if len(sizes) == 1 else "torus2")
 
 
+@pytest.mark.parametrize("sizes", [(3, 3), (7, 12), (16, 32), (17, 32)])
+def test_sphere_mesh_matches_the_former_sphere_mesh(sizes):
+    mesh = SphereMesh(*sizes)
+    nodes, pairs, spacing, refined = _ref_sphere_mesh(*sizes)
+    assert np.array_equal(mesh.nodes, nodes)
+    # A pair is unordered: the reference lists the north pole first in its
+    # pairs, the mesh lists the ring node first (its next node along the latitude).
+    got = mesh.neighbor_pairs()
+    assert len(got) == len(pairs)
+    assert {frozenset(p) for p in got} == {frozenset(p) for p in pairs}
+    assert all(type(k) is int for pair in got for k in pair)
+    assert mesh.spacing() == spacing
+    assert mesh.refine().sizes == refined
+    assert mesh.manifold.name == "sphere2"
+
+
 def test_interpolate_is_defined_once_on_the_base_mesh():
     for cls in (CircleMesh, SphereMesh, TorusMesh):
-        assert "gather" in cls.__dict__ and "interpolate" not in cls.__dict__
-    assert "interpolate" in ManifoldMesh.__dict__
+        assert issubclass(cls, ManifoldMesh)
+        assert "gather" not in cls.__dict__ and "interpolate" not in cls.__dict__
+    assert "gather" in ManifoldMesh.__dict__ and "interpolate" in ManifoldMesh.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,24 @@ def test_cut_locus_guard_circle():
         m.transport(x, y, np.array([0.0, 1.0]))
 
 
+def test_cut_locus_guard_torus_tests_each_factor_angle():
+    """On the torus the geodesic is unique while every factor angle is below
+    pi, even when the product distance exceeds pi."""
+    m = FlatTorus2()
+    x = np.array([1.0, 0.0, 1.0, 0.0])
+    y = np.array([np.cos(3.0), np.sin(3.0), np.cos(1.5), np.sin(1.5)])
+    assert m.distance(x, y) > np.pi
+    v = m.log(x, y)
+    np.testing.assert_allclose(v, [0.0, 3.0, 0.0, 1.5], atol=1e-12)
+    np.testing.assert_allclose(m.exp(x, v), y, atol=1e-12)
+    m.transport(x, y, np.array([0.0, 1.0, 0.0, 0.0]))
+    antipodal_factor = np.array([-1.0, 0.0, np.cos(0.1), np.sin(0.1)])
+    with pytest.raises(CutLocus):
+        m.log(x, antipodal_factor)
+    with pytest.raises(CutLocus):
+        m.transport(x, antipodal_factor, np.array([0.0, 1.0, 0.0, 0.0]))
+
+
 def test_singular_projection():
     with pytest.raises(SingularProjection):
         Circle().project(np.zeros(2))

@@ -18,7 +18,7 @@ from geodp.hjb import (
     solve_hjb,
 )
 from geodp.problem import ControlProblem
-from geodp.value import CircleMesh, PeriodicMesh
+from geodp.value import CircleMesh, TorusMesh
 
 from conftest import circle_problem, unit_diffusion_circle
 
@@ -116,7 +116,7 @@ def test_solve_hjb_torus_heat_closed_form():
     )
     errs = []
     for n, bound in ((16, 2.4e-3), (32, 5.9e-4)):
-        mesh = PeriodicMesh(n, n)
+        mesh = TorusMesh(n, n)
         steps = hjb_steps_for_cfl(prob, 0.0, 1.0, mesh)
         hf = solve_hjb(prob, TimeGrid(0.0, 1.0, steps), mesh, stride=steps)
         errs.append(np.max(np.abs(hf.u[0] - np.exp(-0.5) * mesh.nodes[:, 0])))
