@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -72,15 +73,23 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _is_finite_number(v) -> bool:
+    """A real number, not a bool, that is finite as a float (an int too
+    large for a float is not)."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
 
 
 # Accepted values, by the type of the default value: an int is accepted where
-# the default is a float, and a bool never as a number.
+# the default is a float, a bool never as a number, and NaN or an infinity
+# never where the default is a float.
 _LEAF_TYPES = {
     int: (_is_int, "an integer"),
-    float: (_is_number, "a number"),
+    float: (_is_finite_number, "a finite number"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -162,6 +171,11 @@ class ExperimentConfig:
             get_terminal(r["terminal"]["id"], r["terminal"].get("params"))
         except KeyError as e:
             raise ConfigError("terminal.id", str(e)) from e
+        index = r["terminal"]["params"]["index"]
+        if r["terminal"]["id"].strip() == "coord" and not 0 <= index < m.ambient_dim:
+            raise ConfigError(
+                "terminal.params.index", f"must be in [0, {m.ambient_dim}) on {m.name}, got {index}"
+            )
         cs = r["control_set"]
         d = len(r["fields"]) - 1
         if len(cs["lower"]) != d + 1 or len(cs["upper"]) != d + 1:

@@ -79,6 +79,18 @@ def _require_circle_heat(cfg: ExperimentConfig, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _heat_reference(cfg: ExperimentConfig, grid: TimeGrid, v, x):
+    """Closed-form value at t0 of the circle heat problem under the constant
+    control v, at points x (..., n): scale * x_index * e^{-sigma^2 (T - t0) / 2}
+    with sigma^2 = sum_a v_a^2 for the coord terminal, and c for the constant."""
+    params = cfg["terminal"]["params"]
+    if cfg["terminal"]["id"] == "constant":
+        return float(params.get("c", 1.0))
+    sigma2 = float(np.sum(np.asarray(v[1:]) ** 2))
+    decay = np.exp(-sigma2 * (grid.T - grid.t0) / 2.0)
+    return float(params.get("scale", 1.0)) * x[..., int(params["index"])] * decay
+
+
 def _exp_oracle_circle(cfg, out_dir, dump_paths):
     _require_circle_heat(cfg, "oracle-circle")
     prob = cfg.build_problem()
@@ -93,12 +105,7 @@ def _exp_oracle_circle(cfg, out_dir, dump_paths):
     sol = solve_backward(ens, prob.driver, prob.terminal, _basis(cfg), int(cfg["mc"]["picard_iters"]))
     phiT = prob.terminal(ens.states[-1])
     se = float(np.std(phiT, ddof=1) / np.sqrt(len(phiT)))
-    sigma2 = float(np.sum(np.asarray(v[1:]) ** 2))
-    scale = float(cfg["terminal"]["params"].get("scale", 1.0)) if cfg["terminal"]["id"] == "coord" else 0.0
-    if cfg["terminal"]["id"] == "constant":
-        reference = float(cfg["terminal"]["params"].get("c", 1.0))
-    else:
-        reference = scale * float(x0[0]) * float(np.exp(-sigma2 * (grid.T - grid.t0) / 2.0))
+    reference = float(_heat_reference(cfg, grid, v, x0))
     abs_error = abs(sol.y_at_t0 - reference)
     violation = ens.constraint_violation()
     metrics = {
@@ -307,7 +314,6 @@ def _exp_convergence_table(cfg, out_dir, dump_paths):
     if prob.controls.grid().shape[0] != 1:
         raise ConfigError("control_set", "convergence-table requires a singleton control grid")
     v = prob.controls.grid()[0]
-    sigma2 = float(np.sum(v[1:] ** 2))
     rows = []
     errors = []
     for level, sizes in enumerate(cfg["ladder"]):
@@ -315,13 +321,7 @@ def _exp_convergence_table(cfg, out_dir, dump_paths):
         n_hjb = hjb_steps_for_cfl(prob, float(tm["t0"]), float(tm["T"]), mesh, cfl_limit=tol["cfl_limit"])
         grid = TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=n_hjb)
         hf = solve_hjb(prob, grid, mesh, cfl_limit=tol["cfl_limit"], stride=n_hjb)
-        if cfg["terminal"]["id"] == "constant":
-            ref = np.full(mesh.n_nodes, float(cfg["terminal"]["params"].get("c", 1.0)))
-        else:
-            scale = float(cfg["terminal"]["params"].get("scale", 1.0))
-            decay = np.exp(-sigma2 * (grid.T - grid.t0) / 2.0)
-            ref = scale * mesh.nodes[:, 0] * decay
-        errors.append(float(np.max(np.abs(hf.u[0] - ref))))
+        errors.append(float(np.max(np.abs(hf.u[0] - _heat_reference(cfg, grid, v, mesh.nodes)))))
     passed = True
     for level, err in enumerate(errors):
         if level == 0 or err <= 1e-10:

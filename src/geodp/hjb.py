@@ -135,10 +135,20 @@ def hamiltonian_F0(
 ) -> Tuple[float, np.ndarray]:
     """Minimum of the probe Hamiltonian over the finite control grid.
 
-    Ties resolve to the lexicographically smallest control (grid order).
+    One ``hamiltonian_F`` call evaluates all k grid controls at x, y and z
+    repeated k times.  Ties resolve to the lexicographically smallest control
+    (grid order).
     """
     controls = prob.controls.grid(points_per_axis)
-    values = np.array([float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls])
+    k = controls.shape[0]
+    x = np.asarray(x, dtype=float)
+    values = hamiltonian_F(
+        prob, probe, t,
+        np.broadcast_to(x, (k, x.shape[-1])),
+        np.broadcast_to(y, (k,)),
+        np.broadcast_to(z, (k, prob.d)),
+        controls,
+    )
     best, row = grid_argmin(values)
     return float(best), controls[row]
 

@@ -5,6 +5,11 @@ fields transport-parallel), sampled Lipschitz/bound conditions on the driver
 and terminal cost, and the sampled structural-modulus diagnostic used as a
 uniqueness surrogate.  Everything is a reproducible, seed-pinned spot check,
 not a proof.
+
+Each check draws its whole sample at once and evaluates it with one batched
+call per primitive, field and control; the worst sample is the first maximum
+in sample order, as a loop over the samples would find it.  Sample times are
+passed to fields, drivers and probes as an array, one time per sample.
 """
 
 from __future__ import annotations
@@ -24,9 +29,30 @@ from .problem import ControlProblem
 _ABS_EPS = 1e-10
 
 
-def _scalar(a) -> float:
-    """First element of a length-1 driver evaluation as a Python float."""
-    return float(np.asarray(a).reshape(-1)[0])
+def _norm(a):
+    """Norms of the rows of a (..., k): the square root of a BLAS dot product
+    per row, which is ``np.linalg.norm`` of each row as a 1-D vector bit for
+    bit (a norm along ``axis=-1`` sums the squares in another order)."""
+    return np.sqrt(np.vecdot(a, a))
+
+
+def _first_max(values, initial, keep=True):
+    """What the loop ``if v > worst: worst, k = v, i`` finds over ``values``
+    in C order, from ``worst = initial`` and skipping entries where ``keep``
+    is False: the first maximum and its flat index, or (initial, None) when
+    no kept value beats ``initial``.  A NaN never beats it."""
+    beats = (values > initial) & keep
+    if not beats.any():
+        return initial, None
+    k = int(np.argmax(np.where(beats, values, initial)))
+    return float(values.flat[k]), k
+
+
+def _witness(x, y, t, k, **extra) -> Dict:
+    """The sample pair k as a report witness; empty when k is None."""
+    if k is None:
+        return {}
+    return {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k]), **extra}
 
 
 @dataclass(frozen=True)
@@ -68,20 +94,12 @@ def check_H2(
     """Transported field values must agree with the field at the target point."""
     if not V.tangent_to(m):
         raise ValueError(f"field '{V.id}' is not tangent to {m.name}")
-    rng_ = np.random.default_rng(seed)
-    x, y, t = _sample_pairs(m, n_samples, rng_)
-    worst = -1.0
-    witness = {}
-    for k in range(n_samples):
-        moved = m.transport(x[k], y[k], V(t[k], x[k]))
-        viol = float(np.linalg.norm(moved - V(t[k], y[k])))
-        if viol > worst:
-            worst = viol
-            witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
+    x, y, t = _sample_pairs(m, n_samples, np.random.default_rng(seed))
+    worst, k = _first_max(_norm(m.transport(x, y, V(t, x)) - V(t, y)), -1.0)
     return HypothesisReport(
         name="H2",
         max_violation=worst,
-        witness=witness,
+        witness=_witness(x, y, t, k),
         passed=worst <= threshold,
         samples=n_samples,
         seed=seed,
@@ -96,27 +114,17 @@ def check_H1(
     seed: int = 0,
 ) -> HypothesisReport:
     """Transport defect of the drift field must be Lipschitz in the distance."""
-    rng_ = np.random.default_rng(seed)
-    x, y, t = _sample_pairs(m, n_samples, rng_)
-    worst = -1.0
-    witness = {}
-    used = 0
-    for k in range(n_samples):
-        dist = float(m.distance(x[k], y[k]))
-        if dist < 1e-10:
-            continue  # degenerate pair, no quotient
-        used += 1
-        moved = m.transport(x[k], y[k], V0(t[k], x[k]))
-        ratio = float(np.linalg.norm(moved - V0(t[k], y[k]))) / dist
-        if ratio > worst:
-            worst = ratio
-            witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
+    x, y, t = _sample_pairs(m, n_samples, np.random.default_rng(seed))
+    dist = m.distance(x, y)
+    keep = dist >= 1e-10  # degenerate pairs have no quotient
+    defect = _norm(m.transport(x, y, V0(t, x)) - V0(t, y))
+    worst, k = _first_max(defect / np.where(keep, dist, 1.0), -1.0, keep)
     return HypothesisReport(
         name="H1",
         max_violation=worst,
-        witness=witness,
+        witness=_witness(x, y, t, k),
         passed=worst <= mu * (1.0 + 1e-6) + _ABS_EPS,
-        samples=used,
+        samples=int(keep.sum()),
         seed=seed,
     )
 
@@ -130,36 +138,27 @@ def check_A1(
     """Sampled joint Lipschitz condition on the driver and terminal cost."""
     m = prob.manifold
     f = prob.driver
+    d = prob.d
     rng_ = np.random.default_rng(seed)
     x, y, t = _sample_pairs(m, n_samples, rng_)
-    K = f.lipschitz_K + prob.terminal.lipschitz_K
+    # Per sample, uniform draws of y1, y2 and z1, z2 (d each) in [-2, 2] and
+    # of v1, v2 in the control box, in that order: one block of the stream.
     lo, up = prob.controls.lower, prob.controls.upper
-    worst = -1.0
-    witness = {}
-    for k in range(n_samples):
-        y1, y2 = rng_.uniform(-2, 2, size=2)
-        z1 = rng_.uniform(-2, 2, size=(1, prob.d))
-        z2 = rng_.uniform(-2, 2, size=(1, prob.d))
-        v1 = rng_.uniform(lo, up)[None, :]
-        v2 = rng_.uniform(lo, up)[None, :]
-        lhs = abs(
-            _scalar(f(t[k], x[k][None], np.array([y1]), z1, v1))
-            - _scalar(f(t[k], y[k][None], np.array([y2]), z2, v2))
-        ) + abs(_scalar(prob.terminal(x[k])) - _scalar(prob.terminal(y[k])))
-        bound = K * (
-            abs(y1 - y2)
-            + float(np.linalg.norm(z1 - z2))
-            + float(m.distance(x[k], y[k]))
-            + float(np.linalg.norm(v1 - v2))
-        )
-        excess = lhs - bound
-        if excess > worst:
-            worst = excess
-            witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
+    low = np.concatenate([np.full(2 + 2 * d, -2.0), lo, lo])
+    high = np.concatenate([np.full(2 + 2 * d, 2.0), up, up])
+    u = low + (high - low) * rng_.random((n_samples, 4 * d + 4))
+    y1, y2 = u[:, 0], u[:, 1]
+    z1, z2, v1, v2 = np.split(u[:, 2:], np.cumsum([d, d, d + 1]), axis=1)
+    K = f.lipschitz_K + prob.terminal.lipschitz_K
+    lhs = np.abs(f(t, x, y1, z1, v1) - f(t, y, y2, z2, v2)) + np.abs(
+        prob.terminal(x) - prob.terminal(y)
+    )
+    bound = K * (np.abs(y1 - y2) + _norm(z1 - z2) + m.distance(x, y) + _norm(v1 - v2))
+    worst, k = _first_max(lhs - bound, -1.0)
     return HypothesisReport(
         name="A1",
         max_violation=max(worst, 0.0),
-        witness=witness,
+        witness=_witness(x, y, t, k),
         passed=worst <= slack,
         samples=n_samples,
         seed=seed,
@@ -178,12 +177,7 @@ def check_A2(
     x = m.random_points(n_samples, rng_)
     t = rng_.uniform(0.0, 1.0, size=n_samples)
     v = rng_.uniform(prob.controls.lower, prob.controls.upper, size=(n_samples, prob.controls.dim))
-    vals = np.array(
-        [
-            abs(_scalar(f(t[k], x[k][None], np.zeros(1), np.zeros((1, prob.d)), v[k][None])))
-            for k in range(n_samples)
-        ]
-    )
+    vals = np.abs(f(t, x, np.zeros(n_samples), np.zeros((n_samples, prob.d)), v))
     worst = float(np.max(vals) - f.bound_K0)
     k = int(np.argmax(vals))
     return HypothesisReport(
@@ -197,19 +191,19 @@ def check_A2(
 
 
 def _hamiltonian_symbol(prob, t, x, r, zeta, quad, v):
-    """Pointwise PDE symbol: minus driver minus transport minus half quadratic.
+    """PDE symbol at the points x (N, n) under one control v: minus driver
+    minus transport minus half quadratic.
 
-    ``quad[a]`` stands in for the second-order pairing of the (unknown) Hessian
-    with diffusion field a; here it is a directional second difference of a
-    shared smooth probe, so the two sides of the modulus test stay coupled.
+    ``quad[a - 1]`` (N,) stands in for the second-order pairing of the
+    (unknown) Hessian with diffusion field a; here it is a directional second
+    difference of a shared smooth probe, so the two sides of the modulus test
+    stay coupled.
     """
-    z = np.array(
-        [float(np.dot(zeta, v[a] * prob.fields[a](t, x))) for a in range(1, prob.d + 1)]
-    )
-    fval = _scalar(
-        prob.driver(t, x[None], np.array([r]), z[None, :], np.asarray(v, dtype=float)[None, :])
-    )
-    out = -fval - float(np.dot(zeta, v[0] * prob.fields[0](t, x)))
+    z = np.empty((len(r), prob.d))
+    for a in range(1, prob.d + 1):
+        z[:, a - 1] = np.vecdot(zeta, v[a] * prob.fields[a](t, x))
+    fval = prob.driver(t, x, r, z, np.broadcast_to(v, (len(r), len(v))))
+    out = -fval - np.vecdot(zeta, v[0] * prob.fields[0](t, x))
     for a in range(1, prob.d + 1):
         out -= 0.5 * v[a] ** 2 * quad[a - 1]
     return out
@@ -228,38 +222,36 @@ def sample_structural_modulus(
     For point pairs (x, y) and doubling parameters alpha, evaluates the spread
     of the PDE symbol between the two points with opposed first-order
     arguments and probe-derived second-order surrogates, and reports the worst
-    ratio against alpha*d^2 + d.
+    ratio against alpha*d^2 + d.  The witness is the first worst (pair,
+    alpha) in sample order, alpha varying fastest.
     """
     m = prob.manifold
     rng_ = np.random.default_rng(seed)
     x, y, t = _sample_pairs(m, n_samples, rng_)
-    controls = prob.controls.grid()
-    worst = -np.inf
+    dist = m.distance(x, y)
+    keep = dist >= 1e-10  # degenerate pairs have no ratio and draw no r
+    x, y, t, dist = x[keep], y[keep], t[keep], dist[keep]
+    r = rng_.uniform(-1.0, 1.0, size=len(dist))
+    log_xy, log_yx = m.log(x, y), m.log(y, x)
+    P = [probe.dir2(m, V, t, x) for V in prob.fields[1:]]
+    Q = [probe.dir2(m, V, t, y) for V in prob.fields[1:]]
+    # libm pow, as a float's ** takes it; dist * dist rounds differently on
+    # about one sample in a thousand.
+    dist2 = np.float_power(dist, 2)
+    ratios = []
+    for alpha in alpha_list:
+        spread = np.full(len(dist), -np.inf)
+        for v in prob.controls.grid():
+            hy = _hamiltonian_symbol(prob, t, y, r, alpha * log_yx, Q, v)
+            hx = _hamiltonian_symbol(prob, t, x, r, -alpha * log_xy, P, v)
+            gap = hy - hx
+            spread = np.where(gap > spread, gap, spread)  # max(spread, gap): ties keep spread
+        ratios.append(spread / (alpha * dist2 + dist))
+    worst, k = _first_max(np.array(ratios).T, -np.inf)  # (pair, alpha), alpha fastest
     witness = {}
-    for k in range(n_samples):
-        dist = float(m.distance(x[k], y[k]))
-        if dist < 1e-10:
-            continue
-        r = float(rng_.uniform(-1.0, 1.0))
-        log_xy = m.log(x[k], y[k])
-        log_yx = m.log(y[k], x[k])
-        P = [float(probe.dir2(m, prob.fields[a], t[k], x[k][None])[0]) for a in range(1, prob.d + 1)]
-        Q = [float(probe.dir2(m, prob.fields[a], t[k], y[k][None])[0]) for a in range(1, prob.d + 1)]
-        for alpha in alpha_list:
-            spread = -np.inf
-            for v in controls:
-                hy = _hamiltonian_symbol(prob, t[k], y[k], r, alpha * log_yx, Q, v)
-                hx = _hamiltonian_symbol(prob, t[k], x[k], r, -alpha * log_xy, P, v)
-                spread = max(spread, hy - hx)
-            ratio = spread / (alpha * dist**2 + dist)
-            if ratio > worst:
-                worst = ratio
-                witness = {
-                    "x": x[k].tolist(),
-                    "y": y[k].tolist(),
-                    "t": float(t[k]),
-                    "alpha": float(alpha),
-                }
+    if k is not None:
+        i, j = divmod(k, len(ratios))
+        witness = _witness(x, y, t, i, alpha=float(alpha_list[j]))
     return HypothesisReport(
         name="Mod311",
         max_violation=float(worst),

@@ -302,6 +302,73 @@ def test_cli_malformed_field_ids_exit_2(tmp_path, capsys):
         assert "config error" in err and "fields" in err and fid in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("experiment: hypotheses\nmu: .nan\n", "mu"),
+        ("experiment: hypotheses\ntolerances: {h2_threshold: .nan}\n", "tolerances.h2_threshold"),
+        ("time: {T: .inf}\n", "time.T"),
+        ("time: {t0: -.inf}\n", "time.t0"),
+        ("control_set: {lower: [0.0, .nan]}\n", "control_set.lower[1]"),
+        ("x0: [.inf, 0.0]\n", "x0[0]"),
+        ("terminal: {id: coord, params: {scale: .nan}}\n", "terminal.params.scale"),
+        ("mu: 1" + "0" * 400 + "\n", "mu"),
+    ],
+)
+def test_cli_non_finite_numbers_exit_2_naming_the_key(tmp_path, capsys, text, key):
+    """NaN and infinities are config errors on the key that holds them, not a
+    FAIL with exit 1 (a NaN tolerance or mu) or a run error with exit 3."""
+    f = tmp_path / "c.yaml"
+    f.write_text(text)
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config field '{key}': must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"terminal": {"id": "coord", "params": {"index": 5}}},
+        {"experiment": "dpp-check", "terminal": {"id": "coord", "params": {"index": 2}}},
+        {"terminal": {"id": "coord", "params": {"index": -1}}},
+        {"manifold": "sphere2", "fields": ["zero", "rot_z"], "terminal": {"params": {"index": 3}}},
+    ],
+)
+def test_out_of_range_terminal_index_is_a_config_error(override):
+    with pytest.raises(ConfigError) as exc:
+        _cfg(**override)
+    assert exc.value.field == "terminal.params.index"
+
+
+def test_terminal_index_in_range_validates():
+    _cfg(manifold="torus2", fields=["zero", "rot1"], terminal={"params": {"index": 3}})
+    _cfg(terminal={"id": "constant", "params": {"c": 2.0, "index": 7}})  # index unread
+
+
+def test_oracle_reference_reads_the_terminal_index(tmp_path):
+    """Phi = scale * x_1 at x0 = (0.6, 0.8): the reference is scale * 0.8 * e^{-1/2}."""
+    cfg = _cfg(
+        experiment="oracle-circle", mc={"n_paths": 2048}, x0=[0.6, 0.8],
+        terminal={"id": "coord", "params": {"index": 1, "scale": 2.0}},
+    )
+    rep = run(cfg, out_dir=str(tmp_path))
+    assert rep.metrics["reference"] == pytest.approx(2.0 * 0.8 * np.exp(-0.5), rel=1e-12)
+    assert rep.passed
+
+
+def test_convergence_table_reference_reads_the_terminal_index(tmp_path):
+    """Phi = x_1 = sin(theta): the errors are those of Phi = x_0 (the same
+    problem turned by a quarter), not the 0.86 of comparing against cos."""
+    errors = {}
+    for index in (0, 1):
+        cfg = _cfg(experiment="convergence-table", terminal={"id": "coord", "params": {"index": index}})
+        rep = run(cfg, out_dir=str(tmp_path / str(index)))
+        assert rep.passed
+        errors[index] = [rep.metrics[f"error_level_{i}"] for i in range(3)]
+    np.testing.assert_allclose(errors[1], errors[0], rtol=0.05)
+    assert max(errors[1]) < 1e-3
+
+
 def _cli_env():
     """The environment of a `geodp` subprocess that imports this checkout's package."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

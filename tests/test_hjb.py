@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid
+from geodp.dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid, grid_argmin
 from geodp.errors import CflViolated
 from geodp.geometry import get_field, get_manifold
 from geodp.hjb import (
@@ -82,6 +82,53 @@ def test_hamiltonian_F0_brute_force_oracle():
     )
     assert val == pytest.approx(brute)
     assert argmin in prob.controls.grid()
+
+
+def _F0_per_control(prob, probe, t, x, y, z, points_per_axis=None):
+    """The former hamiltonian_F0: one hamiltonian_F call per grid control."""
+    controls = prob.controls.grid(points_per_axis)
+    values = np.array([float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls])
+    best, row = grid_argmin(values)
+    return float(best), controls[row]
+
+
+def _torus_problem():
+    m = get_manifold("torus2")
+    return ControlProblem(
+        manifold=m,
+        fields=[get_field(m, f) for f in ("const_angle:0.3", "rot1", "rot2")],
+        driver=get_driver("smooth"),
+        terminal=get_terminal("coord", {"index": 2}),
+        controls=ControlSet(np.array([0.0, 0.5, 0.5]), np.array([0.3, 1.0, 1.0]), 2),
+    )
+
+
+@pytest.mark.parametrize("case", ["circle-closed-form", "circle-fd", "torus-fd", "ties"])
+def test_hamiltonian_F0_one_call_equals_the_per_control_list(case):
+    """One broadcast hamiltonian_F call gives the minimum and the minimizing
+    control of the former per-control loop bit for bit, ties included (the
+    zero probe and zero driver tie every control: the first one wins)."""
+    probe = TestFunctionProbe(value=lambda t, x: np.asarray(x, dtype=float)[..., 0])
+    if case == "circle-closed-form":
+        prob, probe = circle_problem(driver_id="linear_y", grid_points=5), _coord_probe()
+    elif case == "circle-fd":
+        prob = circle_problem(driver_id="smooth", grid_points=4)
+    elif case == "torus-fd":
+        prob = _torus_problem()
+    else:
+        prob, probe = circle_problem(driver_id="zero", grid_points=3), ZERO_PROBE
+    m = prob.manifold
+    rng = np.random.default_rng(1)
+    for x in m.random_points(6, rng):
+        y, t = float(rng.uniform(-1, 1)), float(rng.uniform(0, 1))
+        z = rng.uniform(-1, 1, size=prob.d)
+        for ppa in (None, 3):
+            got = hamiltonian_F0(prob, probe, t, x, y, z, ppa)
+            want = _F0_per_control(prob, probe, t, x, y, z, ppa)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            if case == "ties":
+                np.testing.assert_array_equal(got[1], prob.controls.grid(ppa)[0])
 
 
 def test_solve_hjb_heat_closed_form():
