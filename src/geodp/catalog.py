@@ -2,9 +2,40 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .bsde import Driver, TerminalCost
+
+
+class ParameterError(ValueError):
+    """A catalog parameter that is not a finite number; ``name`` is its key."""
+
+    def __init__(self, name: str, value):
+        self.name = name
+        super().__init__(f"must be a finite number, got {value!r}")
+
+
+def _is_finite_number(v) -> bool:
+    """A real number, not a bool, that is finite as a float (an int too
+    large for a float is not)."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
+def _param(params: dict, name: str, default: float) -> float:
+    """params[name] as a float, ``default`` where it is absent; ParameterError
+    where it is not a finite number."""
+    value = params.get(name, default)
+    if not _is_finite_number(value):
+        raise ParameterError(name, value)
+    return float(value)
 
 
 def get_driver(did: str, params: dict | None = None) -> Driver:
@@ -21,24 +52,24 @@ def get_driver(did: str, params: dict | None = None) -> Driver:
     if did == "zero":
         return Driver(f=lambda t, x, y, z, v: np.zeros_like(y), lipschitz_K=0.0, bound_K0=0.0)
     if did == "constant":
-        c = float(params.get("c", 1.0))
+        c = _param(params, "c", 1.0)
         return Driver(
             f=lambda t, x, y, z, v: np.full_like(np.asarray(y, dtype=float), c),
             lipschitz_K=0.0,
             bound_K0=abs(c),
         )
     if did == "linear_y":
-        beta = float(params.get("beta", 1.0))
-        c = float(params.get("c", 0.0))
+        beta = _param(params, "beta", 1.0)
+        c = _param(params, "c", 0.0)
         return Driver(
             f=lambda t, x, y, z, v: -beta * np.asarray(y, dtype=float) + c,
             lipschitz_K=abs(beta),
             bound_K0=abs(c),
         )
     if did == "smooth":
-        c = float(params.get("c", 0.5))
-        b = float(params.get("b", 0.25))
-        beta = float(params.get("beta", 0.5))
+        c = _param(params, "c", 0.5)
+        b = _param(params, "b", 0.25)
+        beta = _param(params, "beta", 0.5)
 
         def f(t, x, y, z, v):
             x = np.asarray(x, dtype=float)
@@ -61,13 +92,13 @@ def get_terminal(tid: str, params: dict | None = None) -> TerminalCost:
     params = params or {}
     tid = tid.strip()
     if tid == "constant":
-        c = float(params.get("c", 1.0))
+        c = _param(params, "c", 1.0)
         return TerminalCost(
             phi=lambda x: np.full(np.asarray(x).shape[:-1], c), lipschitz_K=0.0
         )
     if tid == "coord":
         idx = int(params.get("index", 0))
-        scale = float(params.get("scale", 1.0))
+        scale = _param(params, "scale", 1.0)
         return TerminalCost(
             phi=lambda x: scale * np.asarray(x, dtype=float)[..., idx],
             lipschitz_K=abs(scale),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
@@ -11,12 +10,12 @@ from typing import Any, Dict, Optional
 import numpy as np
 import yaml
 
-from .catalog import get_driver, get_terminal
+from .catalog import ParameterError, _is_finite_number, get_driver, get_terminal
 from .dynamics import ControlSet, TimeGrid
 from .errors import ConfigError, SingularProjection
 from .geometry import get_field, get_manifold
 from .problem import ControlProblem
-from .value import ManifoldMesh, make_mesh
+from .value import _MESH_SIZES, ManifoldMesh, make_mesh
 
 EXPERIMENTS = (
     "oracle-circle",
@@ -71,17 +70,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_finite_number(v) -> bool:
-    """A real number, not a bool, that is finite as a float (an int too
-    large for a float is not)."""
-    if not isinstance(v, numbers.Real) or isinstance(v, bool):
-        return False
-    try:
-        return math.isfinite(float(v))
-    except OverflowError:
-        return False
 
 
 # Accepted values, by the type of the default value: an int is accepted where
@@ -167,10 +155,14 @@ class ExperimentConfig:
             driver = get_driver(r["driver"]["id"], r["driver"].get("params"))
         except KeyError as e:
             raise ConfigError("driver.id", str(e)) from e
+        except ParameterError as e:
+            raise ConfigError(f"driver.params.{e.name}", str(e)) from e
         try:
             get_terminal(r["terminal"]["id"], r["terminal"].get("params"))
         except KeyError as e:
             raise ConfigError("terminal.id", str(e)) from e
+        except ParameterError as e:
+            raise ConfigError(f"terminal.params.{e.name}", str(e)) from e
         index = r["terminal"]["params"]["index"]
         if r["terminal"]["id"].strip() == "coord" and not 0 <= index < m.ambient_dim:
             raise ConfigError(
@@ -216,7 +208,14 @@ class ExperimentConfig:
         if r["experiment"] == "convergence-table":
             if len(r["ladder"]) < 3:
                 raise ConfigError("ladder", "need at least 3 levels")
+            keys = _MESH_SIZES[m.factor_dims]
             for k, sizes in enumerate(r["ladder"]):
+                unknown = sorted(set(sizes) - set(keys))
+                if unknown:
+                    raise ConfigError(
+                        f"ladder[{k}]", f"unknown mesh size keys {unknown} on {m.name}; "
+                        f"its keys are {list(keys)}"
+                    )
                 try:
                     self.build_mesh(sizes)
                 except (TypeError, ValueError) as e:

@@ -449,12 +449,23 @@ def continuity_moduli(vf: ValueField) -> ContinuityModuli:
     return ContinuityModuli(space_modulus=space, time_modulus=time_mod)
 
 
+class _FormattedRows(dict):
+    """The CSV text of a float64 row, keyed by the row's bytes and formatted
+    on its first lookup: equal bytes are equal reprs, so each distinct row is
+    formatted once."""
+
+    def __missing__(self, row: bytes) -> str:
+        text = self[row] = ",".join(map(repr, np.frombuffer(row).tolist()))
+        return text
+
+
 def export_value_field(vf: ValueField, path: str) -> None:
     """CSV dump: time index, node index, node coordinates, u, argmin control.
 
     The bytes are those of ``csv.writer`` with ``repr`` floats (CRLF line
     ends, empty control fields on the last layer); each node's coordinate
-    string is formatted once and each time layer is written as one string.
+    string and each distinct control row are formatted once, and each time
+    layer is written as one string.
     """
     n = vf.mesh.nodes.shape[1]
     n_ctrl_layers, _, dctrl = vf.argmin_control.shape
@@ -466,11 +477,17 @@ def export_value_field(vf: ValueField, path: str) -> None:
     )
     coords = [",".join(map(repr, x)) for x in vf.mesh.nodes.tolist()]
     no_ctrl = [",".join([""] * dctrl)] * len(coords)
+    # One bytes object per (layer, node): the row of its argmin control.
+    ctrl_rows = (
+        np.ascontiguousarray(vf.argmin_control, dtype=np.float64)
+        .view(np.dtype((np.void, 8 * dctrl)))[..., 0]
+    )
+    ctrl_text = _FormattedRows()
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for i in range(vf.u.shape[0]):
             ctrl = (
-                [",".join(map(repr, c)) for c in vf.argmin_control[i].tolist()]
+                list(map(ctrl_text.__getitem__, ctrl_rows[i].tolist()))
                 if i < n_ctrl_layers
                 else no_ctrl
             )

@@ -211,6 +211,17 @@ def test_catalog_fields_pass_the_exact_tangency_check(m):
         assert np.max(m.tangency_defect(x, V(0.0, x))) < 1e-12, fid
 
 
+@pytest.mark.parametrize("m", MANIFOLDS, ids=lambda m: m.name)
+def test_catalog_field_squares_are_diagonal(m):
+    """A A is diagonal for every catalog id, so the heat mean under any mix of
+    catalog fields decays coordinate by coordinate: the precondition of the
+    closed form that oracle-circle and convergence-table compare against."""
+    for fid in CATALOG[m.name]:
+        A = get_field(m, fid).A
+        sq = A @ A
+        assert np.array_equal(sq, np.diag(np.diag(sq))), fid
+
+
 def test_tangency_check_rejects_non_skew_and_coupling_matrices():
     for name, V in NON_TANGENT:
         assert not V.tangent_to(get_manifold(name)), V.id

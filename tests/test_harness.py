@@ -79,6 +79,15 @@ def test_defaults_validate_and_print():
              "ladder": [{"n_theta": 32}, {"n_theta": 64}, {"n_lat": 9.5}]},
             "ladder[2].n_lat",
         ),
+        (
+            {"experiment": "convergence-table", "manifold": "torus2", "fields": ["zero", "rot1"]},
+            "ladder[0]",
+        ),
+        (
+            {"experiment": "convergence-table",
+             "ladder": [{"n_theta": 32}, {"n_theta": 64, "n1": 64}, {"n_theta": 128}]},
+            "ladder[1]",
+        ),
         ({"estimates": {"n_instances": 0}}, "estimates.n_instances"),
         ({"experiment": "dpp-check", "dpp": {"delta_steps": [0, 4]}}, "dpp.delta_steps"),
         ({"experiment": "dpp-check", "dpp": {"delta_steps": [1, 65]}}, "dpp.delta_steps"),
@@ -313,6 +322,14 @@ def test_cli_malformed_field_ids_exit_2(tmp_path, capsys):
         ("x0: [.inf, 0.0]\n", "x0[0]"),
         ("terminal: {id: coord, params: {scale: .nan}}\n", "terminal.params.scale"),
         ("mu: 1" + "0" * 400 + "\n", "mu"),
+        # Catalog parameters have no default to type-check them against: the
+        # catalog rejects them (before, a NaN driver gave a hypotheses PASS).
+        ("experiment: hypotheses\ndriver: {id: smooth, params: {c: .nan}}\n", "driver.params.c"),
+        ("driver: {id: smooth, params: {b: -.inf}}\n", "driver.params.b"),
+        ("driver: {id: linear_y, params: {beta: .inf}}\n", "driver.params.beta"),
+        ("driver: {id: constant, params: {c: abc}}\n", "driver.params.c"),
+        ("experiment: convergence-table\nterminal: {id: constant, params: {c: .nan}}\n",
+         "terminal.params.c"),
     ],
 )
 def test_cli_non_finite_numbers_exit_2_naming_the_key(tmp_path, capsys, text, key):
@@ -323,6 +340,100 @@ def test_cli_non_finite_numbers_exit_2_naming_the_key(tmp_path, capsys, text, ke
     assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"config field '{key}': must be a finite number" in err
+
+
+def test_oracle_passes_with_a_constant_terminal(tmp_path):
+    """Every path has the terminal value c, so mc_se is 0 and the error is
+    roundoff: the pass rule's absolute floor accepts it."""
+    cfg = _cfg(experiment="oracle-circle", mc={"n_paths": 512},
+               terminal={"id": "constant", "params": {"c": 2.0}})
+    rep = run(cfg, out_dir=str(tmp_path))
+    assert rep.metrics["mc_se"] == 0.0 and rep.metrics["reference"] == 2.0
+    assert 0.0 < rep.metrics["abs_error"] <= 1e-10
+    assert rep.passed
+
+
+def test_circle_heat_reference_is_the_former_formula_bit_for_bit():
+    """For rot, w = -(A A)_ii is 1.0 exactly, so the reference is
+    x_i e^{-sum_a v_a^2 (T - t0) / 2} to the last bit."""
+    v = [0.0, 0.7, 1.3]
+    cfg = _cfg(fields=["zero", "rot", "rot"], control_set={"lower": v, "upper": v},
+               time={"t0": 0.25, "T": 1.5})
+    prob, v = harness._heat_problem(cfg, "oracle-circle")
+    x = cfg.build_mesh().nodes
+    sigma2 = float(np.sum(np.asarray(v[1:]) ** 2))
+    former = x[..., 0] * np.exp(-sigma2 * (1.5 - 0.25) / 2.0)
+    assert np.array_equal(harness._heat_reference(cfg, prob, cfg.build_grid(), v, x), former)
+
+
+_SPHERE_HEAT = ["manifold: sphere2", "fields: [zero, rot_x, rot_y, rot_z]",
+                "control_set: {lower: [0, 1, 1, 1], upper: [0, 1, 1, 1]}"]
+_TORUS_HEAT = ["manifold: torus2", "control_set: {lower: [0, 1, 1], upper: [0, 1, 1]}"]
+
+
+@pytest.mark.parametrize(
+    "lines, reference",
+    [
+        # x0 is the south pole: E x_2(1) = -e^{-1}, the so(3) basis summing to the Laplacian.
+        (_SPHERE_HEAT + ["terminal: {id: coord, params: {index: 2}}"], -np.exp(-1.0)),
+        # x0 = (1, 0, 1, 0): the second factor turns at half speed, rate 1/4.
+        (_TORUS_HEAT + ["fields: [zero, rot1, 'scale:0.5:rot2']",
+                        "terminal: {id: coord, params: {index: 2}}"], np.exp(-0.125)),
+        (_TORUS_HEAT + ["fields: [zero, rot1, rot2]"], np.exp(-0.5)),
+    ],
+)
+def test_cli_oracle_runs_beyond_the_circle_against_the_closed_form(tmp_path, capsys, lines, reference):
+    f = tmp_path / "c.yaml"
+    f.write_text("\n".join(["experiment: oracle-circle"] + lines) + "\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", str(f), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("oracle-circle: PASS")
+    m = json.loads((out / "metrics.json").read_text())["metrics"]
+    assert m["reference"] == pytest.approx(reference, rel=1e-14)
+    assert m["abs_error"] <= 3.0 * m["mc_se"]
+
+
+def _convergence_rows(out):
+    return [(float(r["error"]), float(r["ratio"])) for r in _csv_rows(out / "convergence.csv")]
+
+
+def test_cli_convergence_table_on_the_torus(tmp_path, capsys):
+    """Unit rotations of both factors on a 16^2 / 32^2 / 64^2 ladder: second
+    order against x_0 e^{-1/2}."""
+    f = tmp_path / "c.yaml"
+    f.write_text("\n".join(
+        ["experiment: convergence-table", "fields: [zero, rot1, rot2]",
+         "ladder: [{n1: 16, n2: 16}, {n1: 32, n2: 32}, {n1: 64, n2: 64}]"] + _TORUS_HEAT
+    ) + "\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", str(f), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("convergence-table: PASS")
+    rows = _convergence_rows(out)
+    assert rows[0][0] < 2e-3 and all(ratio >= 2.0 for _, ratio in rows[1:])
+
+
+def test_convergence_table_reads_the_field_scale(tmp_path):
+    """scale:2:rot diffuses four times as fast: the reference is x_0 e^{-2},
+    and the errors against it fall at second order."""
+    cfg = _cfg(experiment="convergence-table", fields=["zero", "scale:2:rot"])
+    rep = run(cfg, out_dir=str(tmp_path))
+    assert rep.passed
+    rows = _convergence_rows(tmp_path)
+    assert rows[0][0] < 1e-3 and all(ratio >= 2.0 for _, ratio in rows[1:])
+
+
+@pytest.mark.parametrize("experiment", ["oracle-circle", "convergence-table"])
+def test_heat_experiments_reject_a_drift(tmp_path, experiment):
+    """The closed form holds without drift; v_0 A_0 != 0 is a config error on
+    fields, not a FAIL against the wrong reference."""
+    cfg = _cfg(experiment=experiment, fields=["rot", "rot"],
+               control_set={"lower": [1.0, 1.0], "upper": [1.0, 1.0]})
+    with pytest.raises(ConfigError) as exc:
+        run(cfg, out_dir=str(tmp_path))
+    assert exc.value.field == "fields"
+    # A drift field at v_0 = 0 moves nothing.
+    cfg = _cfg(experiment=experiment, fields=["rot", "rot"], mc={"n_paths": 2048})
+    assert run(cfg, out_dir=str(tmp_path)).passed
 
 
 @pytest.mark.parametrize(

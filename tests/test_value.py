@@ -263,3 +263,19 @@ def test_export_value_field_matches_csv_writer_bytes(tmp_path):
     _csv_writer_export(vf, str(ref))
     assert fast.read_bytes() == ref.read_bytes()
     assert fast.read_bytes().endswith(b",1e+16,,\r\n")
+
+
+def test_export_formats_repeated_control_rows_like_csv_writer(tmp_path):
+    """Control rows repeat across nodes and layers; -0.0 and 0.0 are distinct
+    rows with distinct text."""
+    nodes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.1 + 0.2], [0.0, 1.0]])
+    argmin = np.stack([rows, rows[::-1], rows[[1, 1, 1, 2]]])
+    u = np.arange(16.0).reshape(4, 4) / 7.0
+    vf = ValueField(grid=TimeGrid(0.0, 0.3, 3), mesh=types.SimpleNamespace(nodes=nodes),
+                    u=u, argmin_control=argmin)
+    fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+    export_value_field(vf, str(fast))
+    _csv_writer_export(vf, str(ref))
+    assert fast.read_bytes() == ref.read_bytes()
+    assert b",-0.0,1.0\r\n" in fast.read_bytes()
