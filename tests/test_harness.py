@@ -79,15 +79,6 @@ def test_defaults_validate_and_print():
              "ladder": [{"n_theta": 32}, {"n_theta": 64}, {"n_lat": 9.5}]},
             "ladder[2].n_lat",
         ),
-        (
-            {"experiment": "convergence-table", "manifold": "torus2", "fields": ["zero", "rot1"]},
-            "ladder[0]",
-        ),
-        (
-            {"experiment": "convergence-table",
-             "ladder": [{"n_theta": 32}, {"n_theta": 64, "n1": 64}, {"n_theta": 128}]},
-            "ladder[1]",
-        ),
         ({"estimates": {"n_instances": 0}}, "estimates.n_instances"),
         ({"experiment": "dpp-check", "dpp": {"delta_steps": [0, 4]}}, "dpp.delta_steps"),
         ({"experiment": "dpp-check", "dpp": {"delta_steps": [1, 65]}}, "dpp.delta_steps"),
@@ -98,6 +89,15 @@ def test_defaults_validate_and_print():
         ({"experiment": "dpp-check", "mc": {"picard_iters": -2}}, "mc.picard_iters"),
         ({"mc": {"basis_degree": 0}}, "mc.basis_degree"),
         ({"experiment": "estimates", "mc": {"basis_degree": -1}}, "mc.basis_degree"),
+        (
+            {"experiment": "convergence-table", "manifold": "torus2", "fields": ["zero", "rot1"]},
+            "ladder[0]",
+        ),
+        (
+            {"experiment": "convergence-table",
+             "ladder": [{"n_theta": 32}, {"n_theta": 64, "n1": 64}, {"n_theta": 128}]},
+            "ladder[1]",
+        ),
     ],
 )
 def test_config_validation_errors(override, field):
