@@ -67,16 +67,22 @@ class RegressionBasis:
         return comb(ambient_dim + self.degree, self.degree)
 
     def features(self, X: np.ndarray) -> np.ndarray:
+        """The (N, p) feature matrix, C-ordered: the constant, then the
+        monomials by degree in ``combinations_with_replacement`` order, each
+        the left-to-right product 1.0 * x_j1 * x_j2 * ... of its coordinates.
+        A monomial's column is the column of its prefix (one coordinate
+        shorter, listed earlier; the constant for degree 1) times its last
+        coordinate, which is that product bit for bit."""
         X = np.asarray(X, dtype=float)
         N, n = X.shape
-        cols = [np.ones(N)]
+        F = np.empty((N, self.feature_count(n)))
+        F[:, 0] = 1.0
+        column = {(): 0}
         for deg in range(1, self.degree + 1):
             for combo in combinations_with_replacement(range(n), deg):
-                col = np.ones(N)
-                for j in combo:
-                    col = col * X[:, j]
-                cols.append(col)
-        return np.stack(cols, axis=1)
+                c = column[combo] = len(column)
+                np.multiply(F[:, column[combo[:-1]]], X[:, combo[-1]], out=F[:, c])
+        return F
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,17 @@ def _regress(F: np.ndarray, R: np.ndarray) -> np.ndarray:
 def conditional_expectation(
     X: np.ndarray, R: np.ndarray, basis: RegressionBasis
 ) -> np.ndarray:
-    """E[R | X] per path; plain average when all paths share the state."""
+    """E[R | X] per path; plain average when all paths share the state.
+
+    The layer is degenerate when max |X - X[0]| < 1e-12.  A last row that
+    differs from row 0 by at least that much settles it without the full
+    scan; a NaN anywhere fails the comparison, so it always regresses.
+    """
     R = np.atleast_2d(np.asarray(R, dtype=float).T).T  # (N, m)
-    spread = np.max(np.abs(X - X[0:1])) if X.shape[0] > 1 else 0.0
-    if spread < 1e-12:
+    degenerate = X.shape[0] <= 1
+    if not degenerate and not np.any(np.abs(X[-1] - X[0]) >= 1e-12):
+        degenerate = np.max(np.abs(X - X[0:1])) < 1e-12
+    if degenerate:
         mean = np.mean(R, axis=0)
         return np.broadcast_to(mean, R.shape).copy()
     return _regress(basis.features(X), R)
@@ -151,6 +164,10 @@ def backward_sweep(
     z (B, N, d) and returns (B, N), each step makes one regression for all
     members, and the solution carries a leading batch axis; its
     picard_residual is the maximum over the members.
+
+    z is fixed within a step: the picard_iters calls of driver_fn on step i
+    all get the same z, and only y changes between them, so a driver may
+    compute its z terms once per step.
     """
     terminal_values = np.asarray(terminal_values, dtype=float)
     batched = terminal_values.ndim == 2
@@ -165,24 +182,35 @@ def backward_sweep(
     Z = np.zeros((B, n_steps, n_paths, d))
     Y[:, n_steps] = yT
     residual = 0.0
+    # Targets [Y_b, Y_b dW] of every member side by side, one C-ordered
+    # (N, B, 1+d) buffer refilled each step, and the Picard residual's buffer.
+    targets = np.empty((n_paths, B, 1 + d))
+    R = targets.reshape(n_paths, B * (1 + d))
+    diff = np.empty((B, n_paths))
 
     for i in range(n_steps - 1, -1, -1):
         X = states[i]
         dW = increments[i]
-        # Targets [Y_b, Y_b dW] of every member side by side: (N, B*(1+d)).
-        y_next = Y[:, i + 1, :, None]
-        R = np.concatenate([y_next, y_next * dW], axis=2).transpose(1, 0, 2)
-        pred = conditional_expectation(X, R.reshape(n_paths, -1), basis)
-        pred = pred.reshape(n_paths, B, 1 + d).transpose(1, 0, 2)
+        for b in range(B):
+            # One path-long row at a time: a broadcast over the short B and
+            # d axes would run numpy's inner loop on length-1 or -2 axes.
+            y_next = Y[b, i + 1]
+            targets[:, b, 0] = y_next
+            for a in range(d):
+                np.multiply(y_next, dW[:, a], out=targets[:, b, 1 + a])
+        pred = conditional_expectation(X, R, basis).reshape(n_paths, B, 1 + d).transpose(1, 0, 2)
         y_bar = pred[:, :, 0]
-        Z[:, i] = pred[:, :, 1:] / dt
+        z = Z[:, i]
+        np.divide(pred[:, :, 1:], dt, out=z)
         y = y_bar
         for _ in range(picard_iters):
             if batched:
-                y_new = y_bar + dt * driver_fn(i, X, y, Z[:, i])
+                y_new = y_bar + dt * driver_fn(i, X, y, z)
             else:
-                y_new = y_bar + dt * driver_fn(i, X, y[0], Z[0, i])
-            residual = max(residual, float(np.max(np.abs(y_new - y))))
+                y_new = y_bar + dt * driver_fn(i, X, y[0], z[0])
+            np.subtract(y_new, y, out=diff)
+            np.abs(diff, out=diff)
+            residual = max(residual, float(diff.max()))
             y = y_new
         Y[:, i] = y
 

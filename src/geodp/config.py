@@ -199,6 +199,8 @@ class ExperimentConfig:
             section, name = key.split(".")
             if r[section][name] < 1:
                 raise ConfigError(key, "must be >= 1")
+        if r["experiment"] == "oracle-circle" and r["mc"]["n_paths"] < 2:
+            raise ConfigError("mc.n_paths", "oracle-circle needs >= 2 paths for its standard error")
         if r["experiment"] == "dpp-check":
             deltas = r["dpp"]["delta_steps"]
             if not deltas or not all(1 <= ds <= tm["n_steps"] for ds in deltas):

@@ -268,8 +268,12 @@ def _exp_estimates(cfg, out_dir, dump_paths):
         p1, p2 = r.uniform(-1.0, 1.0, size=2)
         phi = np.stack([p1 * ens.states[:-1, :, 0], p2 * ens.states[:-1, :, 1]])
 
+        tanh_step = [None, None]  # (step, b * tanh(z0)): z is fixed within a step
+
         def driver(i, xx, y, z):
-            return a * np.sin(y) + b * np.tanh(z[..., 0]) + phi[:, i]
+            if tanh_step[0] != i:
+                tanh_step[:] = i, b * np.tanh(z[..., 0])
+            return a * np.sin(y) + tanh_step[1] + phi[:, i]
 
         # Both members of the pair share the ensemble, so they sweep in lockstep.
         sol = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, np.stack([xi1, xi2]), basis)

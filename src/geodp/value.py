@@ -387,7 +387,8 @@ def dpp_residual_check(
 
     The window minimization searches constant-per-window controls on the
     finite control grid, with fresh noise, and compares against the stored
-    value layer.
+    value layer.  The minimum over the grid is ``grid_argmin``'s, as in
+    ``value_function``, so a NaN window value gives a NaN residual.
     """
     if not 1 <= delta_steps <= vf.grid.n_steps:
         raise ValueError("delta_steps out of range")
@@ -398,7 +399,6 @@ def dpp_residual_check(
         i_end = min(i + delta_steps, vf.grid.n_steps)
         window = vf.grid.window(i, i_end)
         x0 = vf.mesh.nodes[j]
-        best = np.inf
         noise = BrownianGrid(
             grid=window,
             d=prob.d,
@@ -406,11 +406,12 @@ def dpp_residual_check(
             seed=rng.derive_seed(fresh_seed, i, j),
             antithetic=True,
         )
-        for v in controls:
+        values = np.empty(len(controls))
+        for c, v in enumerate(controls):
             ens = simulate(prob.manifold, prob.fields, x0, ControlPolicy.constant(v), noise)
             eta = vf.mesh.interpolate(vf.u[i_end], ens.states[-1])
-            val = semigroup(ens, prob.driver, basis, eta, picard_iters)
-            best = min(best, val)
+            values[c] = semigroup(ens, prob.driver, basis, eta, picard_iters)
+        best, _ = grid_argmin(values)
         residuals.append(abs(vf.u[i, j] - best))
     residuals = np.asarray(residuals)
     return DppReport(

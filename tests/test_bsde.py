@@ -1,10 +1,15 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
 from geodp.bsde import (
+    BsdeSolution,
     Driver,
     RegressionBasis,
     TerminalCost,
+    _regress,
+    backward_sweep,
     comparison_check,
     conditional_expectation,
     semigroup,
@@ -272,3 +277,156 @@ def test_lockstep_sweep_equals_separate_sweeps(name):
     ens, terminals, drivers, stacked = _lockstep_members(name)
     assert np.all(ens.states[0] == ens.states[0, 0])
     _assert_lockstep_equals_separate(ens, terminals, drivers, stacked)
+
+
+# Former implementations, kept as references for the rewritten sweep: one
+# np.ones per feature column and an np.stack, the full degenerate-layer scan,
+# and targets built by concatenate/transpose/reshape each step.
+
+
+def _features_ref(basis, X):
+    X = np.asarray(X, dtype=float)
+    N, n = X.shape
+    cols = [np.ones(N)]
+    for deg in range(1, basis.degree + 1):
+        for combo in combinations_with_replacement(range(n), deg):
+            col = np.ones(N)
+            for j in combo:
+                col = col * X[:, j]
+            cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+def _conditional_expectation_ref(X, R, basis):
+    R = np.atleast_2d(np.asarray(R, dtype=float).T).T
+    spread = np.max(np.abs(X - X[0:1])) if X.shape[0] > 1 else 0.0
+    if spread < 1e-12:
+        mean = np.mean(R, axis=0)
+        return np.broadcast_to(mean, R.shape).copy()
+    return _regress(_features_ref(basis, X), R)
+
+
+def _backward_sweep_ref(states, increments, grid, driver_fn, terminal_values, basis, picard_iters=3):
+    terminal_values = np.asarray(terminal_values, dtype=float)
+    batched = terminal_values.ndim == 2
+    yT = terminal_values if batched else terminal_values[None]
+    B = yT.shape[0]
+    n_steps = grid.n_steps
+    n_paths = states.shape[1]
+    d = increments.shape[2] if n_steps > 0 else 0
+    dt = grid.dt
+    Y = np.empty((B, n_steps + 1, n_paths))
+    Z = np.zeros((B, n_steps, n_paths, d))
+    Y[:, n_steps] = yT
+    residual = 0.0
+    for i in range(n_steps - 1, -1, -1):
+        X = states[i]
+        dW = increments[i]
+        y_next = Y[:, i + 1, :, None]
+        R = np.concatenate([y_next, y_next * dW], axis=2).transpose(1, 0, 2)
+        pred = _conditional_expectation_ref(X, R.reshape(n_paths, -1), basis)
+        pred = pred.reshape(n_paths, B, 1 + d).transpose(1, 0, 2)
+        y_bar = pred[:, :, 0]
+        Z[:, i] = pred[:, :, 1:] / dt
+        y = y_bar
+        for _ in range(picard_iters):
+            if batched:
+                y_new = y_bar + dt * driver_fn(i, X, y, Z[:, i])
+            else:
+                y_new = y_bar + dt * driver_fn(i, X, y[0], Z[0, i])
+            residual = max(residual, float(np.max(np.abs(y_new - y))))
+            y = y_new
+        Y[:, i] = y
+    y_at_t0 = np.mean(Y[:, 0], axis=-1)
+    if not batched:
+        Y, Z, y_at_t0 = Y[0], Z[0], float(y_at_t0[0])
+    return BsdeSolution(grid=grid, Y=Y, Z=Z, y_at_t0=y_at_t0, picard_residual=residual)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_features_equal_former_columns(n, degree):
+    """Columns written in place are the former left-to-right products, bit
+    for bit, and the matrix is C-ordered as np.stack made it."""
+    X = np.random.default_rng(n + 10 * degree).uniform(-3.0, 3.0, size=(257, n))
+    X[::7, 0] = -0.0
+    X[3, -1] = 1e-200
+    basis = RegressionBasis(degree=degree)
+    F = basis.features(X)
+    assert F.flags.c_contiguous
+    np.testing.assert_array_equal(F, _features_ref(basis, X))
+    assert np.array_equal(np.signbit(F), np.signbit(_features_ref(basis, X)))
+
+
+def _layers():
+    X = np.tile([0.6, 0.8], (64, 1))
+    last = X.copy()
+    last[-1, 1] += 1e-9
+    middle = X.copy()
+    middle[31, 0] -= 1e-9
+    nan = X.copy()
+    nan[17, 1] = np.nan
+    return {"degenerate": X, "last_row": last, "middle_row": middle, "nan": nan}
+
+
+@pytest.mark.parametrize("layer", ["degenerate", "last_row", "middle_row", "nan"])
+def test_conditional_expectation_equals_full_scan(layer):
+    """The last-row shortcut decides every layer as the full scan did: equal
+    rows average, a row that differs (last or middle) regresses, and a NaN
+    regresses too (on a NaN Gram matrix the eigendecomposition fails, which
+    only the regression branch reaches)."""
+    X = _layers()[layer]
+    R = np.random.default_rng(5).standard_normal((X.shape[0], 3))
+    if layer == "nan":
+        for fn in (conditional_expectation, _conditional_expectation_ref):
+            with pytest.raises(np.linalg.LinAlgError):
+                fn(X, R, BASIS)
+        return
+    pred = conditional_expectation(X, R, BASIS)
+    np.testing.assert_array_equal(pred, _conditional_expectation_ref(X, R, BASIS))
+    assert np.all(pred == pred[0]) == (layer == "degenerate")
+
+
+def _stability_drivers(ens, B):
+    """The stability driver a sin y + b tanh z0 + phi_i of B members, as the
+    former form and as the form that computes b tanh z0 once per step."""
+    r = np.random.default_rng(B)
+    a, b = r.uniform(0.1, 0.5, size=2)
+    phi = r.uniform(-1.0, 1.0, size=(B, ens.grid.n_steps, ens.n_paths))
+    if B == 1:
+        phi = phi[0]
+
+    def former(i, x, y, z):
+        return a * np.sin(y) + b * np.tanh(z[..., 0]) + phi[..., i, :]
+
+    tanh_step = [None, None]
+
+    def once_per_step(i, x, y, z):
+        if tanh_step[0] != i:
+            tanh_step[:] = i, b * np.tanh(z[..., 0])
+        return a * np.sin(y) + tanh_step[1] + phi[..., i, :]
+
+    return former, once_per_step
+
+
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_FIELDS))
+def test_backward_sweep_equals_former_sweep(name, degree, B):
+    """Targets filled in place, Z divided in place and the reused residual
+    buffer give the former sweep's Y, Z, y_at_t0 and picard_residual bit for
+    bit, single (B = 1, (N,) terminal) and lockstep (B = 2); a driver that
+    computes its z term once per step changes nothing."""
+    ens, terminals, _, _ = _lockstep_members(name, n_steps=6)  # dt = 1/12, not a power of 2
+    yT = terminals[0] if B == 1 else np.stack(terminals[:B])
+    basis = RegressionBasis(degree=degree)
+    former, once_per_step = _stability_drivers(ens, B)
+    args = (ens.states, ens.noise.increments, ens.grid)
+    ref = _backward_sweep_ref(*args, former, yT, basis)
+    for driver in (former, once_per_step):
+        sol = backward_sweep(*args, driver, yT, basis)
+        np.testing.assert_array_equal(sol.Y, ref.Y)
+        np.testing.assert_array_equal(sol.Z, ref.Z)
+        np.testing.assert_array_equal(sol.y_at_t0, ref.y_at_t0)
+        assert type(sol.y_at_t0) is type(ref.y_at_t0)
+        assert sol.picard_residual == ref.picard_residual

@@ -98,6 +98,7 @@ def test_defaults_validate_and_print():
              "ladder": [{"n_theta": 32}, {"n_theta": 64, "n1": 64}, {"n_theta": 128}]},
             "ladder[1]",
         ),
+        ({"experiment": "oracle-circle", "mc": {"n_paths": 1}}, "mc.n_paths"),
     ],
 )
 def test_config_validation_errors(override, field):

@@ -198,6 +198,27 @@ def test_dpp_residual_small_on_suite():
         assert rep.passed, f"delta={ds}: max residual {rep.max_residual}"
 
 
+@pytest.mark.parametrize("nan_control", [0, 1])
+def test_dpp_residual_nan_window_value_is_not_passed_over(monkeypatch, nan_control):
+    """The window minimum is grid_argmin's: a NaN semigroup value under either
+    control gives a NaN residual, as a NaN does in value_function."""
+    import geodp.value as value
+
+    prob = circle_problem()
+    sigma_nan = prob.controls.grid()[nan_control][1]
+    grid = TimeGrid(0.0, 0.5, 8)
+    vf = value_function(prob, grid, CircleMesh(16))
+
+    def semigroup(ens, driver, basis, eta, picard_iters):
+        v = ens.policy.values(0, ens.states[0])[0]
+        return np.nan if v[1] == sigma_nan else 0.25
+
+    monkeypatch.setattr(value, "semigroup", semigroup)
+    rep = dpp_residual_check(prob, vf, 2, [(0, 0), (3, 5)], fresh_seed=1, n_paths=64)
+    assert np.all(np.isnan(rep.residuals))
+    assert np.isnan(rep.max_residual) and not rep.passed
+
+
 def test_continuity_moduli_decay():
     prob = circle_problem()
     mesh = CircleMesh(64)
