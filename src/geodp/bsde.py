@@ -20,7 +20,7 @@ the one its own sweep would make, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Callable, Optional
@@ -260,14 +260,7 @@ def solve_backward(
         basis,
         picard_iters=picard_iters,
     )
-    return BsdeSolution(
-        grid=sol.grid,
-        Y=sol.Y,
-        Z=sol.Z,
-        y_at_t0=sol.y_at_t0,
-        picard_residual=sol.picard_residual,
-        ensemble=ens,
-    )
+    return replace(sol, ensemble=ens)
 
 
 def semigroup(
@@ -280,23 +273,10 @@ def semigroup(
     """One-window recursion operator: BSDE value at the window start with
     terminal payoff eta at the window end.
 
-    With a zero-length window this is just eta at the (deterministic) start;
-    with f == 0 it reduces to the sample mean of eta.
+    With a zero-length window this is the mean of eta at the (deterministic)
+    start; with f == 0 it reduces to the sample mean of eta.
     """
-    eta = np.asarray(eta, dtype=float)
-    if ens.grid.n_steps == 0:
-        return float(np.mean(eta))
-    _check_contraction(driver, ens.grid)
-    sol = backward_sweep(
-        ens.states,
-        ens.noise.increments,
-        ens.grid,
-        _policy_driver(ens, driver),
-        eta,
-        basis,
-        picard_iters=picard_iters,
-    )
-    return sol.y_at_t0
+    return solve_backward(ens, driver, lambda x: eta, basis, picard_iters).y_at_t0
 
 
 @dataclass(frozen=True)

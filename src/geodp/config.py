@@ -33,7 +33,7 @@ DEFAULTS: Dict[str, Any] = {
     "terminal": {"id": "coord", "params": {"index": 0, "scale": 1.0}},
     "control_set": {"lower": [0.0, 1.0], "upper": [0.0, 1.0], "grid_points_per_axis": 1},
     "time": {"t0": 0.0, "T": 1.0, "n_steps": 64},
-    "mesh": {"n_theta": 128},
+    "mesh": {},  # sizes by key; value._MESH_SIZES has the keys and defaults per manifold
     "mc": {"n_paths": 8192, "basis_degree": 2, "picard_iters": 3},
     "seed": 12345,
     "experiment": "oracle-circle",
@@ -176,10 +176,6 @@ class ExperimentConfig:
             self._control_set()
         except (TypeError, ValueError) as e:
             raise ConfigError("control_set", str(e)) from e
-        try:
-            self.build_mesh()
-        except (TypeError, ValueError) as e:
-            raise ConfigError("mesh", str(e)) from e
         tm = r["time"]
         if not tm["t0"] < tm["T"]:
             raise ConfigError("time", "need t0 < T")
@@ -207,21 +203,22 @@ class ExperimentConfig:
                 raise ConfigError(
                     "dpp.delta_steps", f"need at least one entry, each in [1, n_steps = {tm['n_steps']}]"
                 )
+        meshes = [("mesh", r["mesh"])]
         if r["experiment"] == "convergence-table":
             if len(r["ladder"]) < 3:
                 raise ConfigError("ladder", "need at least 3 levels")
-            keys = _MESH_SIZES[m.factor_dims]
-            for k, sizes in enumerate(r["ladder"]):
-                unknown = sorted(set(sizes) - set(keys))
-                if unknown:
-                    raise ConfigError(
-                        f"ladder[{k}]", f"unknown mesh size keys {unknown} on {m.name}; "
-                        f"its keys are {list(keys)}"
-                    )
-                try:
-                    self.build_mesh(sizes)
-                except (TypeError, ValueError) as e:
-                    raise ConfigError(f"ladder[{k}]", str(e)) from e
+            meshes += [(f"ladder[{k}]", sizes) for k, sizes in enumerate(r["ladder"])]
+        keys = _MESH_SIZES[m.factor_dims]
+        for key, sizes in meshes:
+            unknown = sorted(set(sizes) - set(keys))
+            if unknown:
+                raise ConfigError(
+                    key, f"unknown mesh size keys {unknown} on {m.name}; its keys are {list(keys)}"
+                )
+            try:
+                self.build_mesh(sizes)
+            except (TypeError, ValueError) as e:
+                raise ConfigError(key, str(e)) from e
         if r["x0"] is not None:
             if len(r["x0"]) != m.ambient_dim:
                 raise ConfigError("x0", f"must have {m.ambient_dim} coordinates")
@@ -259,12 +256,11 @@ class ExperimentConfig:
         m = get_manifold(self.raw["manifold"])
         return make_mesh(m, sizes or self.raw["mesh"])
 
-    def x0(self, mesh: Optional[ManifoldMesh] = None) -> np.ndarray:
+    def x0(self) -> np.ndarray:
         if self.raw["x0"] is not None:
             m = get_manifold(self.raw["manifold"])
             return m.project(np.asarray(self.raw["x0"], dtype=float))
-        mesh = mesh or self.build_mesh()
-        return mesh.nodes[0]
+        return self.build_mesh().nodes[0]
 
 
 def print_defaults() -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -129,18 +129,13 @@ class ControlSet:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def contains(self, v, tol=1e-12) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(
-            np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol)
-        )
-
-    def grid(self, points_per_axis: Optional[int] = None) -> np.ndarray:
-        """Finite control grid, rows in lexicographic order.
+    def grid(self) -> np.ndarray:
+        """Finite control grid of ``grid_points_per_axis`` points per axis,
+        rows in lexicographic order.
 
         Axes with lower == upper collapse to a single point.
         """
-        k = points_per_axis or self.grid_points_per_axis
+        k = self.grid_points_per_axis
         axes = []
         for lo, up in zip(self.lower, self.upper):
             if up - lo < 1e-15:

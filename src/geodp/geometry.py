@@ -204,13 +204,14 @@ def _coords(p, b):
     return [p[..., k] for k in range(b.start, b.stop)]
 
 
-def _guarded_norm(rows, eps=_PROJ_EPS):
-    """``_row_norm(rows)``; raises SingularProjection where a norm is below eps
-    or not finite (an overflowed state), the one guard of every projection."""
+def _guarded_norm(rows):
+    """``_row_norm(rows)``; raises SingularProjection where a norm is below
+    _PROJ_EPS or not finite (an overflowed state), the one guard of every
+    projection."""
     n = np.asarray(_row_norm(rows))
-    if n.size and not (n.min() >= eps and n.max() < np.inf):  # a NaN fails both
-        bad = float(n[~((n >= eps) & (n < np.inf))][0])
-        raise SingularProjection(f"norm {bad:.3g} is non-finite or below {eps}")
+    if n.size and not (n.min() >= _PROJ_EPS and n.max() < np.inf):  # a NaN fails both
+        bad = float(n[~((n >= _PROJ_EPS) & (n < np.inf))][0])
+        raise SingularProjection(f"norm {bad:.3g} is non-finite or below {_PROJ_EPS}")
     return n
 
 

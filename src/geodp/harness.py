@@ -42,7 +42,6 @@ class RunReport:
     passed: bool
     wall_time: float
     seed: int
-    artifact_paths: List[str]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -134,12 +133,9 @@ def _exp_oracle_circle(cfg, out_dir, dump_paths):
     passed = (
         abs_error <= max(tol["oracle_se_mult"] * se, _ROUNDOFF) and violation <= tol["on_manifold"]
     )
-    artifacts = []
     if dump_paths:
-        p = os.path.join(out_dir, "paths.csv")
-        export_paths(ens, p)
-        artifacts.append(p)
-    return metrics, passed, artifacts
+        export_paths(ens, os.path.join(out_dir, "paths.csv"))
+    return metrics, passed
 
 
 def _probe_points(n_time: int, n_nodes: int, max_delta: int, count: int = 16):
@@ -160,7 +156,7 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
     probes = _probe_points(grid.n_steps, mesh.n_nodes, max(deltas), int(cfg["dpp"]["n_probes"]))
     rows = []
     metrics = {}
-    worst = 0.0
+    reports = []
     for ds in deltas:
         rep = dpp_residual_check(
             prob, vf, ds, probes,
@@ -170,16 +166,16 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
             picard_iters=int(cfg["mc"]["picard_iters"]),
             tolerance=tol["dpp_max_residual"],
         )
+        reports.append(rep)
         metrics[f"max_residual_delta_{ds}"] = rep.max_residual
-        worst = max(worst, rep.max_residual)
         for (i, j), r in zip(rep.probes, rep.residuals):
             rows.append([ds, i, j, float(r)])
-    metrics["max_residual"] = worst
-    vf_path = os.path.join(out_dir, "value_field.csv")
-    export_value_field(vf, vf_path)
-    res_path = os.path.join(out_dir, "dpp_residuals.csv")
-    _write_csv(res_path, ["delta_steps", "time_index", "node_index", "residual"], rows)
-    return metrics, worst <= tol["dpp_max_residual"], [vf_path, res_path]
+    # np.max, not max: a NaN residual of any delta is the run's maximum.
+    metrics["max_residual"] = float(np.max([rep.max_residual for rep in reports]))
+    export_value_field(vf, os.path.join(out_dir, "value_field.csv"))
+    _write_csv(os.path.join(out_dir, "dpp_residuals.csv"),
+               ["delta_steps", "time_index", "node_index", "residual"], rows)
+    return metrics, all(rep.passed for rep in reports)
 
 
 def _exp_solver_agreement(cfg, out_dir, dump_paths):
@@ -188,7 +184,6 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
     tm = cfg["time"]
     levels = int(cfg["agreement"]["levels"])
     metrics = {}
-    artifacts = []
     passed = True
     mesh = cfg.build_mesh()
     n_steps = int(tm["n_steps"])
@@ -208,14 +203,11 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
         metrics[f"tolerance_level_{level}"] = level_tol
         passed = passed and sup <= level_tol
         if level == 0:
-            vp = os.path.join(out_dir, "value_field.csv")
-            hp = os.path.join(out_dir, "hjb_field.csv")
-            export_value_field(vf, vp)
-            export_hjb_field(hf, hp)
-            artifacts += [vp, hp]
+            export_value_field(vf, os.path.join(out_dir, "value_field.csv"))
+            export_hjb_field(hf, os.path.join(out_dir, "hjb_field.csv"))
         mesh = mesh.refine()
         n_steps *= 2
-    return metrics, passed, artifacts
+    return metrics, passed
 
 
 def _pair_direction(m, x0):
@@ -285,8 +277,8 @@ def _exp_estimates(cfg, out_dir, dump_paths):
         n_pass += int(rep.passed)
         rows.append([k, rep.lhs, rep.rhs, rep.beta0, int(rep.passed)])
 
-    stab_path = os.path.join(out_dir, "stability.csv")
-    _write_csv(stab_path, ["instance", "lhs", "rhs", "beta0", "pass"], rows)
+    _write_csv(os.path.join(out_dir, "stability.csv"),
+               ["instance", "lhs", "rhs", "beta0", "pass"], rows)
     metrics = {
         "flow_lhs": flow.lhs,
         "flow_rhs": flow.rhs,
@@ -295,7 +287,7 @@ def _exp_estimates(cfg, out_dir, dump_paths):
         "stability_instances": float(n_inst),
     }
     passed = flow.passed and n_pass == n_inst
-    return metrics, passed, [stab_path]
+    return metrics, passed
 
 
 def _exp_hypotheses(cfg, out_dir, dump_paths):
@@ -313,18 +305,15 @@ def _exp_hypotheses(cfg, out_dir, dump_paths):
             C_bar=tol["c_bar"],
         )
     )
-    artifacts = []
     metrics = {}
     for rep in reports:
-        p = os.path.join(out_dir, f"hypothesis_{rep.name}.json")
-        with open(p, "w") as fh:
+        with open(os.path.join(out_dir, f"hypothesis_{rep.name}.json"), "w") as fh:
             fh.write(rep.to_json())
             fh.write("\n")
-        artifacts.append(p)
         metrics[f"{rep.name}_max_violation"] = rep.max_violation
         metrics[f"{rep.name}_pass"] = float(rep.passed)
     passed = all(r.passed for r in reports)
-    return metrics, passed, artifacts
+    return metrics, passed
 
 
 def _exp_convergence_table(cfg, out_dir, dump_paths):
@@ -349,10 +338,9 @@ def _exp_convergence_table(cfg, out_dir, dump_paths):
             ratio = errors[level - 1] / err
             passed = passed and ratio >= tol["convergence_ratio"]
         rows.append([level, err, ratio])
-    conv_path = os.path.join(out_dir, "convergence.csv")
-    _write_csv(conv_path, ["level", "error", "ratio"], rows)
+    _write_csv(os.path.join(out_dir, "convergence.csv"), ["level", "error", "ratio"], rows)
     metrics = {f"error_level_{i}": e for i, e in enumerate(errors)}
-    return metrics, passed, [conv_path]
+    return metrics, passed
 
 
 _EXPERIMENTS = {
@@ -372,12 +360,11 @@ def run(
 ) -> RunReport:
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
-    metrics, passed, artifacts = _EXPERIMENTS[cfg["experiment"]](cfg, out_dir, dump_paths)
+    metrics, passed = _EXPERIMENTS[cfg["experiment"]](cfg, out_dir, dump_paths)
     wall = time.perf_counter() - t_start
 
-    metrics_path = os.path.join(out_dir, "metrics.json")
     _write_json(
-        metrics_path,
+        os.path.join(out_dir, "metrics.json"),
         {
             "experiment": cfg["experiment"],
             "seed": int(cfg["seed"]),
@@ -386,8 +373,7 @@ def run(
             "pass": bool(passed),
         },
     )
-    schema_path = os.path.join(out_dir, "csv_schema.txt")
-    with open(schema_path, "w") as fh:
+    with open(os.path.join(out_dir, "csv_schema.txt"), "w") as fh:
         fh.write(CSV_SCHEMA)
     return RunReport(
         experiment=cfg["experiment"],
@@ -395,5 +381,4 @@ def run(
         passed=bool(passed),
         wall_time=wall,
         seed=int(cfg["seed"]),
-        artifact_paths=artifacts + [metrics_path, schema_path],
     )

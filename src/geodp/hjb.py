@@ -64,19 +64,19 @@ class TestFunctionProbe:
             return self._dt(t, np.asarray(x, dtype=float))
         return (self.value(t + _T_FD, x) - self.value(t - _T_FD, x)) / (2.0 * _T_FD)
 
-    def dir1(self, m, V: VectorField, t, x, h: float = _DIR_FD):
+    def dir1(self, m, V: VectorField, t, x):
         if V.id in self._dir1:
             return self._dir1[V.id](t, np.asarray(x, dtype=float))
-        xp = flow_step(m, V, t, x, h)
-        xm = flow_step(m, V, t, x, -h)
-        return (self.value(t, xp) - self.value(t, xm)) / (2.0 * h)
+        xp = flow_step(m, V, t, x, _DIR_FD)
+        xm = flow_step(m, V, t, x, -_DIR_FD)
+        return (self.value(t, xp) - self.value(t, xm)) / (2.0 * _DIR_FD)
 
-    def dir2(self, m, V: VectorField, t, x, h: float = _DIR_FD):
+    def dir2(self, m, V: VectorField, t, x):
         if V.id in self._dir2:
             return self._dir2[V.id](t, np.asarray(x, dtype=float))
-        xp = flow_step(m, V, t, x, h)
-        xm = flow_step(m, V, t, x, -h)
-        return (self.value(t, xp) - 2.0 * self.value(t, x) + self.value(t, xm)) / h**2
+        xp = flow_step(m, V, t, x, _DIR_FD)
+        xm = flow_step(m, V, t, x, -_DIR_FD)
+        return (self.value(t, xp) - 2.0 * self.value(t, x) + self.value(t, xm)) / _DIR_FD**2
 
 
 ZERO_PROBE = TestFunctionProbe(
@@ -131,7 +131,6 @@ def hamiltonian_F0(
     x: np.ndarray,
     y,
     z,
-    points_per_axis: Optional[int] = None,
 ) -> Tuple[float, np.ndarray]:
     """Minimum of the probe Hamiltonian over the finite control grid.
 
@@ -139,7 +138,7 @@ def hamiltonian_F0(
     repeated k times.  Ties resolve to the lexicographically smallest control
     (grid order).
     """
-    controls = prob.controls.grid(points_per_axis)
+    controls = prob.controls.grid()
     k = controls.shape[0]
     x = np.asarray(x, dtype=float)
     values = hamiltonian_F(
@@ -154,17 +153,11 @@ def hamiltonian_F0(
 
 
 @dataclass(frozen=True)
-class HjbField:
-    grid: TimeGrid  # the output grid: HJB step = time index * stride
-    mesh: ManifoldMesh
-    u: np.ndarray  # (grid.n_steps+1, n_nodes)
-    cfl_ratio: float
-    argmin_control: np.ndarray  # (grid.n_steps, n_nodes, d+1)
+class HjbField(ValueField):
+    """A value field on the output grid (HJB step = time index * stride) with
+    the CFL ratio its steps ran at."""
 
-    def as_value_field(self) -> ValueField:
-        return ValueField(
-            grid=self.grid, mesh=self.mesh, u=self.u, argmin_control=self.argmin_control
-        )
+    cfl_ratio: float
 
 
 def _max_diffusion_load(prob: ControlProblem) -> float:
@@ -300,6 +293,8 @@ def hjb_steps_for_cfl(
 
 def _backward_rk4(g, t: float, delta: float, n_substeps: int) -> float:
     """RK4 for y' = g(s, y) from y(t + delta) = 0 back down to time t."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     n_substeps = max(n_substeps, 32)
     hstep = -delta / n_substeps
     s = t + delta
@@ -317,17 +312,14 @@ def frozen_ode_solve(
     t: float,
     delta: float,
     n_substeps: int = 64,
-    points_per_axis: Optional[int] = None,
 ) -> float:
     """Backward RK4 integration of the state-frozen minimized Hamiltonian ODE.
 
     Integrates -y' = F0(s, x, y, 0) from y(t + delta) = 0 down to time t.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     zeros = np.zeros(prob.d)
     return _backward_rk4(
-        lambda s, y: -hamiltonian_F0(prob, probe, s, x, y, zeros, points_per_axis)[0],
+        lambda s, y: -hamiltonian_F0(prob, probe, s, x, y, zeros)[0],
         t, delta, n_substeps,
     )
 
@@ -509,4 +501,4 @@ def freezing_gap_report(
 
 def export_hjb_field(hf: HjbField, path: str) -> None:
     """CSV dump with the same shape as the value-field export."""
-    export_value_field(hf.as_value_field(), path)
+    export_value_field(hf, path)

@@ -31,7 +31,8 @@ maps nodal values to interpolated values with one take of the cell corners
 and one lerp per axis.  ``interpolate(values, points)`` is
 ``gather(points)(values)``.
 Because the rule's points are fixed and the catalog fields are autonomous,
-``value_function`` builds one gather per control before its time loop.
+``value_function`` builds one gather for all grid controls before its time
+loop, and steps every control of a layer as one array.
 """
 
 from __future__ import annotations
@@ -341,32 +342,30 @@ def value_function(
     u[grid.n_steps] = prob.terminal(nodes)
     argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
 
-    # One-step states from every node under every rule point, charted once
-    # per control: the points are fixed and the catalog fields autonomous.
-    # The (node, rule point) pairs are the columns of one coordinate-major step.
+    # One-step states from every node under every rule point and every grid
+    # control, charted once: the points are fixed and the catalog fields
+    # autonomous.  The (control, node, rule point) triples are the columns of
+    # one coordinate-major step, and their values are gathered as one
+    # (k, n_nodes, 3^d) array per layer.
+    k = controls.shape[0]
     n_rule = xi.shape[0]
-    X = np.repeat(nodes.T, n_rule, axis=1)
-    dW_cols = np.tile(dW.T, mesh.n_nodes)
-    at_next = [
-        mesh.gather(
-            np.ascontiguousarray(
-                euler_step(prob.manifold, prob.fields, grid.t0, dt, X, v[:, None], dW_cols).T
-            ).reshape(mesh.n_nodes, n_rule, -1)
-        )
-        for v in controls
-    ]
-    values = np.empty((controls.shape[0], mesh.n_nodes))
+    X = np.tile(np.repeat(nodes.T, n_rule, axis=1), k)
+    V = np.repeat(controls.T, mesh.n_nodes * n_rule, axis=1)
+    dW_cols = np.tile(dW.T, k * mesh.n_nodes)
+    at_next = mesh.gather(
+        np.ascontiguousarray(
+            euler_step(prob.manifold, prob.fields, grid.t0, dt, X, V, dW_cols).T
+        ).reshape(k, mesh.n_nodes, n_rule, -1)
+    )
+    vv = np.broadcast_to(controls[:, None, :], (k, mesh.n_nodes, controls.shape[1]))
     for i in range(grid.n_steps - 1, -1, -1):
-        for k, (v, gather) in enumerate(zip(controls, at_next)):
-            u_next = gather(u[i + 1])  # (n_nodes, 3^d)
-            y_bar = u_next @ w
-            Z = (u_next * w) @ xi / sqrt_dt
-            vv = np.broadcast_to(v, (mesh.n_nodes, v.shape[0]))
-            y = y_bar
-            for _ in range(picard_iters):
-                y = y_bar + dt * prob.driver(times[i], nodes, y, Z, vv)
-            values[k] = y
-        u[i], rows = grid_argmin(values)
+        u_next = at_next(u[i + 1])  # (k, n_nodes, 3^d)
+        y_bar = u_next @ w
+        Z = (u_next * w) @ xi / sqrt_dt
+        y = y_bar
+        for _ in range(picard_iters):
+            y = y_bar + dt * prob.driver(times[i], nodes, y, Z, vv)
+        u[i], rows = grid_argmin(y)
         argmin[i] = controls[rows]
 
     return ValueField(grid=grid, mesh=mesh, u=u, argmin_control=argmin)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from functools import lru_cache
 
@@ -71,10 +72,9 @@ def test_control_set_grid_lexicographic():
     cs = ControlSet(lower=np.array([0.0, 0.5]), upper=np.array([0.0, 1.0]), grid_points_per_axis=2)
     g = cs.grid()
     np.testing.assert_allclose(g, [[0.0, 0.5], [0.0, 1.0]])
-    g3 = cs.grid(3)
+    g3 = dataclasses.replace(cs, grid_points_per_axis=3).grid()
     np.testing.assert_allclose(g3[:, 1], [0.5, 0.75, 1.0])
-    assert cs.contains([0.0, 0.7])
-    assert not cs.contains([0.1, 0.7])
+    assert np.all((g3 >= cs.lower) & (g3 <= cs.upper))
 
 
 def test_frozen_dynamics_zero_fields():

@@ -7,7 +7,9 @@ that interpolates every stencil point set afresh at every step and takes the
 controls one at a time, and keep every stride-th layer of it;
 ``value_function`` must reproduce one that rebuilds and interpolates its
 one-step states on every layer.  Both references minimize with their own
-strict-< scan over the controls, not with ``grid_argmin``.
+strict-< scan over the controls, not with ``grid_argmin``.  ``value_function``
+must also reproduce its former loop over the grid controls, which stepped one
+control at a time, bit for bit.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from geodp import rng as geodp_rng
 from geodp.bsde import Driver
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import ControlSet, TimeGrid, euler_step
+from geodp.dynamics import ControlSet, TimeGrid, euler_step, grid_argmin
 from geodp.geometry import flow_step, get_field, get_manifold
 from geodp.hjb import hjb_steps_for_cfl, solve_hjb
 from geodp.problem import ControlProblem
@@ -460,6 +462,81 @@ def test_value_function_gathers_once_per_control(monkeypatch, name, n_steps):
     calls["normal_increments"] = 0
     monkeypatch.setattr(geodp_rng, "normal_increments", counted_normals)
     value_function(prob, TimeGrid(0.0, 0.05 * n_steps, n_steps), mesh)
-    n_controls = prob.controls.grid().shape[0]
-    assert n_controls >= 2
-    assert calls == {"interpolate": 0, "gather": n_controls, "normal_increments": 0}
+    assert prob.controls.grid().shape[0] >= 2
+    # One gather for the one-step states of all grid controls together.
+    assert calls == {"interpolate": 0, "gather": 1, "normal_increments": 0}
+
+
+# ---------------------------------------------------------------------------
+# value_function against the former per-control loop
+# ---------------------------------------------------------------------------
+
+
+def _per_control_value_function(prob, grid, mesh, picard_iters=3):
+    """The former value_function: one gather, one Gauss-Hermite average and
+    one driver call per grid control, then ``grid_argmin`` of their values."""
+    controls = prob.controls.grid()
+    nodes = mesh.nodes
+    dt = grid.dt
+    sqrt_dt = np.sqrt(dt)
+    xi, w = gauss_hermite_rule(prob.d)
+    dW = xi * sqrt_dt
+    u = np.empty((grid.n_steps + 1, mesh.n_nodes))
+    u[grid.n_steps] = prob.terminal(nodes)
+    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
+    n_rule = xi.shape[0]
+    X = np.repeat(nodes.T, n_rule, axis=1)
+    dW_cols = np.tile(dW.T, mesh.n_nodes)
+    at_next = [
+        mesh.gather(
+            np.ascontiguousarray(
+                euler_step(prob.manifold, prob.fields, grid.t0, dt, X, v[:, None], dW_cols).T
+            ).reshape(mesh.n_nodes, n_rule, -1)
+        )
+        for v in controls
+    ]
+    values = np.empty((controls.shape[0], mesh.n_nodes))
+    for i in range(grid.n_steps - 1, -1, -1):
+        for k, (v, gather) in enumerate(zip(controls, at_next)):
+            u_next = gather(u[i + 1])
+            y_bar = u_next @ w
+            Z = (u_next * w) @ xi / sqrt_dt
+            vv = np.broadcast_to(v, (mesh.n_nodes, v.shape[0]))
+            y = y_bar
+            for _ in range(picard_iters):
+                y = y_bar + dt * prob.driver(grid.times[i], nodes, y, Z, vv)
+            values[k] = y
+        u[i], rows = grid_argmin(values)
+        argmin[i] = controls[rows]
+    return u, argmin
+
+
+# Control boxes with k = 1, 2, 5, 16 and 27 grid controls: (lower, upper,
+# points per axis), circle first, then sphere2 and torus2 (d = 2).
+_K_BOXES = {
+    "circle": {1: ([0.0, 1.0], [0.0, 1.0], 1), 2: ([0.0, 0.5], [0.0, 1.0], 2),
+               5: ([0.0, 0.5], [0.0, 1.0], 5), 16: ([-0.5, 0.5], [0.5, 1.0], 4),
+               27: ([0.0, 0.2], [0.0, 1.0], 27)},
+    "d2": {1: ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], 1), 2: ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], 2),
+           5: ([0.0, 0.5, 1.0], [0.0, 1.0, 1.0], 5), 16: ([0.0, 0.5, 0.5], [0.0, 1.0, 1.0], 4),
+           27: ([-0.3, 0.5, 0.5], [0.3, 1.0, 1.0], 3)},
+}
+_K_MANIFOLDS = {
+    "circle": (["rot", "rot"], "circle", lambda: CircleMesh(24)),
+    "sphere2": (["rot_x", "rot_y", "rot_z"], "d2", lambda: SphereMesh(7, 12)),
+    "torus2": (["rot1", "rot1", "rot2"], "d2", lambda: TorusMesh(6, 9)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16, 27])
+@pytest.mark.parametrize("manifold", sorted(_K_MANIFOLDS))
+def test_value_function_matches_the_per_control_loop(manifold, k):
+    fields, boxes, make_mesh = _K_MANIFOLDS[manifold]
+    prob = _problem(manifold, fields, *_K_BOXES[boxes][k])
+    assert prob.controls.grid().shape[0] == k
+    mesh = make_mesh()
+    grid = TimeGrid(0.0, 0.5, 8)
+    vf = value_function(prob, grid, mesh)
+    u, argmin = _per_control_value_function(prob, grid, mesh)
+    assert np.array_equal(vf.u, u)
+    assert np.array_equal(vf.argmin_control, argmin)

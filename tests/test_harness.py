@@ -99,12 +99,37 @@ def test_defaults_validate_and_print():
             "ladder[1]",
         ),
         ({"experiment": "oracle-circle", "mc": {"n_paths": 1}}, "mc.n_paths"),
+        ({"mesh": {"n_thetaa": 16}}, "mesh"),
+        ({"manifold": "torus2", "fields": ["zero", "rot1"], "mesh": {"n_lat": 9}}, "mesh"),
     ],
 )
 def test_config_validation_errors(override, field):
     with pytest.raises(ConfigError) as exc:
         _cfg(**override)
     assert exc.value.field == field
+
+
+def test_dpp_check_fails_on_a_nan_window_value(tmp_path, monkeypatch):
+    """One NaN window value makes its delta's maximum residual and the run's
+    NaN, and the run FAILs, although every other residual is small."""
+    import geodp.value as value
+
+    semigroup = value.semigroup
+    calls = []
+
+    def first_nan(*a, **k):
+        calls.append(1)
+        return np.nan if len(calls) == 1 else semigroup(*a, **k)
+
+    monkeypatch.setattr(value, "semigroup", first_nan)
+    cfg = _cfg(experiment="dpp-check", time={"n_steps": 16}, mesh={"n_theta": 32},
+               dpp={"n_paths": 256, "n_probes": 4})
+    rep = run(cfg, out_dir=str(tmp_path))
+    m = rep.metrics
+    assert np.isnan(m["max_residual_delta_1"]) and np.isnan(m["max_residual"])
+    assert m["max_residual_delta_4"] <= cfg["tolerances"]["dpp_max_residual"]
+    assert not rep.passed
+    assert json.loads((tmp_path / "metrics.json").read_text())["pass"] is False
 
 
 def test_run_oracle_writes_reports(tmp_path):

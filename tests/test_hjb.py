@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,9 +86,9 @@ def test_hamiltonian_F0_brute_force_oracle():
     assert argmin in prob.controls.grid()
 
 
-def _F0_per_control(prob, probe, t, x, y, z, points_per_axis=None):
+def _F0_per_control(prob, probe, t, x, y, z):
     """The former hamiltonian_F0: one hamiltonian_F call per grid control."""
-    controls = prob.controls.grid(points_per_axis)
+    controls = prob.controls.grid()
     values = np.array([float(hamiltonian_F(prob, probe, t, x, y, z, v)) for v in controls])
     best, row = grid_argmin(values)
     return float(best), controls[row]
@@ -123,12 +125,15 @@ def test_hamiltonian_F0_one_call_equals_the_per_control_list(case):
         y, t = float(rng.uniform(-1, 1)), float(rng.uniform(0, 1))
         z = rng.uniform(-1, 1, size=prob.d)
         for ppa in (None, 3):
-            got = hamiltonian_F0(prob, probe, t, x, y, z, ppa)
-            want = _F0_per_control(prob, probe, t, x, y, z, ppa)
+            p = prob if ppa is None else dataclasses.replace(
+                prob, controls=dataclasses.replace(prob.controls, grid_points_per_axis=ppa)
+            )
+            got = hamiltonian_F0(p, probe, t, x, y, z)
+            want = _F0_per_control(p, probe, t, x, y, z)
             assert got[0] == want[0]
             np.testing.assert_array_equal(got[1], want[1])
             if case == "ties":
-                np.testing.assert_array_equal(got[1], prob.controls.grid(ppa)[0])
+                np.testing.assert_array_equal(got[1], p.controls.grid()[0])
 
 
 def test_solve_hjb_heat_closed_form():
@@ -243,9 +248,22 @@ def test_frozen_ode_bracket_vs_constant_controls():
     assert abs(y - brute) <= 1e-8
     finer = min(
         frozen_ode_constant_control(prob, probe, x, t, delta, v, n_substeps=64)
-        for v in prob.controls.grid(4 * prob.controls.grid_points_per_axis)
+        for v in dataclasses.replace(
+            prob.controls, grid_points_per_axis=4 * prob.controls.grid_points_per_axis
+        ).grid()
     )
     assert y <= finer + 1e-8
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5])
+def test_frozen_odes_reject_a_non_positive_delta(delta):
+    """Both frozen ODEs integrate back from t + delta, so each needs delta > 0."""
+    prob = circle_problem(driver_id="constant")
+    x = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="delta must be positive"):
+        frozen_ode_solve(prob, ZERO_PROBE, x, 0.1, delta)
+    with pytest.raises(ValueError, match="delta must be positive"):
+        frozen_ode_constant_control(prob, ZERO_PROBE, x, 0.1, delta, prob.controls.grid()[0])
 
 
 def test_shift_identity_smooth_probe():

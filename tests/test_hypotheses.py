@@ -346,8 +346,8 @@ def test_degenerate_pairs_are_skipped_as_in_the_loops(monkeypatch):
     quotient and, in the modulus, draw no r."""
     sample_pairs = hypotheses._sample_pairs
 
-    def with_degenerate_pairs(m, n, rng, max_frac=0.5):
-        x, y, t = sample_pairs(m, n, rng, max_frac)
+    def with_degenerate_pairs(m, n, rng):
+        x, y, t = sample_pairs(m, n, rng)
         y[::7] = x[::7]
         return x, y, t
 
@@ -365,7 +365,7 @@ def test_degenerate_pairs_are_skipped_as_in_the_loops(monkeypatch):
 
 
 def test_all_degenerate_pairs_report_no_witness(monkeypatch):
-    def same_point(m, n, rng, max_frac=0.5):
+    def same_point(m, n, rng):
         x = m.random_points(n, rng)
         return x, x.copy(), rng.uniform(0.0, 1.0, size=n)
 
@@ -427,7 +427,7 @@ def test_modulus_squares_distances_as_the_loop_did(monkeypatch):
     pick = np.array([10.0 * d**2 + d != 10.0 * (d * d) + d for d in dist])
     assert pick.sum() >= 20
     monkeypatch.setattr(
-        hypotheses, "_sample_pairs", lambda m, n, rng, max_frac=0.5: (x[pick], y[pick], t[pick])
+        hypotheses, "_sample_pairs", lambda m, n, rng: (x[pick], y[pick], t[pick])
     )
     n = int(pick.sum())
     for seed in range(5):
