@@ -20,15 +20,15 @@ the one its own sweep would make, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .dynamics import CHUNK, TrajectoryEnsemble
-from .errors import ComparisonViolated, ContractionViolated, GridMismatch
+from .errors import ComparisonViolated, ContractionViolated
 
 # Relative singular-value cutoff: ambient monomials are exactly collinear on an
 # embedded manifold (e.g. x1^2 + x2^2 = 1), so the null directions of the
@@ -88,14 +88,14 @@ class RegressionBasis:
 @dataclass(frozen=True)
 class BsdeSolution:
     """One sweep's solution; a lockstep sweep of B members puts a leading
-    batch axis of length B on ``Y``, ``Z`` and ``y_at_t0``."""
+    batch axis of length B on ``Y``, ``Z`` and ``y_at_t0``.  Two BSDEs on
+    shared noise are such a sweep with B = 2, which the pair checks read."""
 
     grid: "object"
     Y: np.ndarray  # ([B,] n_steps+1, n_paths)
     Z: np.ndarray  # ([B,] n_steps, n_paths, d)
     y_at_t0: float  # or (B,) for a lockstep sweep
     picard_residual: float
-    ensemble: Optional[TrajectoryEnsemble] = field(default=None, repr=False)
 
 
 def _chunked_gram(F: np.ndarray, R: np.ndarray):
@@ -175,7 +175,7 @@ def backward_sweep(
     B = yT.shape[0]
     n_steps = grid.n_steps
     n_paths = states.shape[1]
-    d = increments.shape[2] if n_steps > 0 else 0
+    d = increments.shape[2]
     dt = grid.dt
 
     Y = np.empty((B, n_steps + 1, n_paths))
@@ -228,7 +228,7 @@ def backward_sweep(
 
 def _check_contraction(driver: Driver, grid) -> None:
     """The implicit Picard step contracts only when K*dt < 1."""
-    if grid.n_steps > 0 and driver.lipschitz_K * grid.dt >= 1.0:
+    if driver.lipschitz_K * grid.dt >= 1.0:
         raise ContractionViolated(f"K*dt = {driver.lipschitz_K * grid.dt:.3g} >= 1")
 
 
@@ -251,7 +251,7 @@ def solve_backward(
 ) -> BsdeSolution:
     """Solve the BSDE with terminal cost at maturity along the ensemble."""
     _check_contraction(driver, ens.grid)
-    sol = backward_sweep(
+    return backward_sweep(
         ens.states,
         ens.noise.increments,
         ens.grid,
@@ -260,7 +260,6 @@ def solve_backward(
         basis,
         picard_iters=picard_iters,
     )
-    return replace(sol, ensemble=ens)
 
 
 def semigroup(
@@ -273,8 +272,7 @@ def semigroup(
     """One-window recursion operator: BSDE value at the window start with
     terminal payoff eta at the window end.
 
-    With a zero-length window this is the mean of eta at the (deterministic)
-    start; with f == 0 it reduces to the sample mean of eta.
+    With f == 0 it reduces to the sample mean of eta.
     """
     return solve_backward(ens, driver, lambda x: eta, basis, picard_iters).y_at_t0
 
@@ -288,45 +286,37 @@ class StabilityReport:
 
 
 def stability_check(
-    sol1: BsdeSolution,
-    sol2: BsdeSolution,
-    xi1: np.ndarray,
-    xi2: np.ndarray,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
+    pair: BsdeSolution,
+    xi: np.ndarray,
+    phi: np.ndarray,
     C_L: float,
     slack: float = 0.05,
 ) -> StabilityReport:
     """Mean-square stability of a BSDE pair differing only in (xi, phi).
 
-    Both solutions must share the grid, the noise and the common generator g;
-    phi1/phi2 are the per-path-per-step additive perturbation processes,
-    shape (n_steps, n_paths).
+    ``pair`` is one lockstep sweep of two members, so both share the grid,
+    the noise and the common generator g.  xi holds their terminal values,
+    shape (2, n_paths), and phi their per-path-per-step additive perturbation
+    processes, shape (2, n_steps, n_paths).
     """
-    if sol1.grid != sol2.grid:
-        raise GridMismatch("solutions built on different time grids")
-    if (
-        sol1.ensemble is not None
-        and sol2.ensemble is not None
-        and sol1.ensemble.noise.seed != sol2.ensemble.noise.seed
-    ):
-        raise GridMismatch("solutions do not share the noise")
     beta0 = 16.0 * (1.0 + C_L**2)
-    grid = sol1.grid
+    grid = pair.grid
     dt = grid.dt
     t = grid.times
     horizon = grid.T - grid.t0
 
-    dY = sol1.Y - sol2.Y
-    dZ = sol1.Z - sol2.Z
+    dY = pair.Y[0] - pair.Y[1]
+    dZ = pair.Z[0] - pair.Z[1]
     w = np.exp(beta0 * (t[:-1] - grid.t0))  # left-endpoint weights
     integrand = dY[:-1] ** 2 + np.sum(dZ**2, axis=-1)
     lhs = float(
-        (sol1.y_at_t0 - sol2.y_at_t0) ** 2
+        (pair.y_at_t0[0] - pair.y_at_t0[1]) ** 2
         + 0.5 * np.mean(np.sum(w[:, None] * integrand, axis=0) * dt)
     )
-    dxi = np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)
-    dphi = np.asarray(phi1, dtype=float) - np.asarray(phi2, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    dxi = xi[0] - xi[1]
+    dphi = phi[0] - phi[1]
     rhs = float(
         np.mean(dxi**2) * np.exp(beta0 * horizon)
         + np.mean(np.sum(w[:, None] * dphi**2, axis=0) * dt)
@@ -334,16 +324,12 @@ def stability_check(
     return StabilityReport(lhs=lhs, rhs=rhs, beta0=beta0, passed=lhs <= rhs * (1.0 + slack))
 
 
-def comparison_check(
-    sol_low: BsdeSolution,
-    sol_high: BsdeSolution,
-    tol: float = 1e-8 + 1e-3,
-) -> bool:
-    """Assert Y_low <= Y_high + tol at every node; raises ComparisonViolated."""
-    if sol_low.grid != sol_high.grid:
-        raise GridMismatch("solutions built on different time grids")
-    diff = sol_low.Y - sol_high.Y
+def comparison_check(pair: BsdeSolution, tol: float = 1e-8 + 1e-3) -> bool:
+    """Assert Y_low <= Y_high + tol at every node of the lockstep pair
+    (low, high); raises ComparisonViolated."""
+    low, high = pair.Y
+    diff = low - high
     if np.any(diff > tol):
         i, p = np.unravel_index(int(np.argmax(diff)), diff.shape)
-        raise ComparisonViolated(int(i), int(p), float(sol_low.Y[i, p]), float(sol_high.Y[i, p]))
+        raise ComparisonViolated(int(i), int(p), float(low[i, p]), float(high[i, p]))
     return True

@@ -8,7 +8,7 @@ import resource
 import sys
 
 from .config import ExperimentConfig, print_defaults
-from .errors import ConfigError, GeodpError
+from .errors import ConfigError
 from .harness import run
 
 
@@ -42,7 +42,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2
-    except GeodpError as e:
+    except Exception as e:  # toolkit errors and any other failure of the run
         sys.stderr.write(f"run error: {type(e).__name__}: {e}\n")
         return 3
     status = "PASS" if report.passed else "FAIL"

@@ -116,8 +116,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+        # Read as bytes, so that yaml reports an undecodable file as a YAMLError.
+        try:
+            with open(path, "rb") as fh:
+                data = yaml.safe_load(fh) or {}
+        except (OSError, yaml.YAMLError) as e:
+            raise ConfigError("<root>", f"cannot read {path}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError("<root>", "config must be a mapping")
         return cls.from_dict(data)
@@ -209,6 +213,7 @@ class ExperimentConfig:
                 raise ConfigError("ladder", "need at least 3 levels")
             meshes += [(f"ladder[{k}]", sizes) for k, sizes in enumerate(r["ladder"])]
         keys = _MESH_SIZES[m.factor_dims]
+        coarser = None
         for key, sizes in meshes:
             unknown = sorted(set(sizes) - set(keys))
             if unknown:
@@ -216,9 +221,15 @@ class ExperimentConfig:
                     key, f"unknown mesh size keys {unknown} on {m.name}; its keys are {list(keys)}"
                 )
             try:
-                self.build_mesh(sizes)
+                mesh = self.build_mesh(sizes)
             except (TypeError, ValueError) as e:
                 raise ConfigError(key, str(e)) from e
+            if key.startswith("ladder"):
+                if coarser is not None and mesh.n_nodes <= coarser:
+                    raise ConfigError(
+                        key, f"a ladder must refine: {mesh.n_nodes} nodes after {coarser}"
+                    )
+                coarser = mesh.n_nodes
         if r["x0"] is not None:
             if len(r["x0"]) != m.ambient_dim:
                 raise ConfigError("x0", f"must have {m.ambient_dim} coordinates")
@@ -254,7 +265,7 @@ class ExperimentConfig:
 
     def build_mesh(self, sizes: Optional[dict] = None) -> ManifoldMesh:
         m = get_manifold(self.raw["manifold"])
-        return make_mesh(m, sizes or self.raw["mesh"])
+        return make_mesh(m, self.raw["mesh"] if sizes is None else sizes)
 
     def x0(self) -> np.ndarray:
         if self.raw["x0"] is not None:

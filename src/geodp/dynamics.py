@@ -48,12 +48,6 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        # n_steps == 0 with t0 == T is the degenerate window used by the
-        # zero-delta semigroup; otherwise the grid must be nontrivial.
-        if self.n_steps == 0:
-            if self.t0 != self.T:
-                raise ValueError("zero-step grid requires t0 == T")
-            return
         if not self.t0 < self.T:
             raise ValueError(f"need t0 < T, got [{self.t0}, {self.T}]")
         if self.n_steps < 1:
@@ -61,8 +55,6 @@ class TimeGrid:
 
     @property
     def dt(self) -> float:
-        if self.n_steps == 0:
-            return 0.0
         return (self.T - self.t0) / self.n_steps
 
     @property

@@ -33,7 +33,7 @@ class ComparisonViolated(GeodpError):
 
 
 class GridMismatch(GeodpError):
-    """Two solutions that must share a grid/noise were built on different ones."""
+    """A noise grid that does not fit the fields it drives (its dimension d)."""
 
 
 class CflViolated(GeodpError):

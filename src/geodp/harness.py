@@ -17,7 +17,7 @@ from typing import Dict, List
 import numpy as np
 
 from . import rng
-from .bsde import BsdeSolution, RegressionBasis, backward_sweep, solve_backward, stability_check
+from .bsde import RegressionBasis, backward_sweep, solve_backward, stability_check
 from .config import ExperimentConfig
 from .dynamics import BrownianGrid, ControlPolicy, TimeGrid, export_paths, flow_continuity_check, simulate
 from .errors import ConfigError
@@ -268,12 +268,9 @@ def _exp_estimates(cfg, out_dir, dump_paths):
             return a * np.sin(y) + tanh_step[1] + phi[:, i]
 
         # Both members of the pair share the ensemble, so they sweep in lockstep.
-        sol = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, np.stack([xi1, xi2]), basis)
-        sol1, sol2 = (
-            BsdeSolution(sgrid, sol.Y[j], sol.Z[j], float(sol.y_at_t0[j]), sol.picard_residual)
-            for j in range(2)
-        )
-        rep = stability_check(sol1, sol2, xi1, xi2, phi[0], phi[1], C_L, slack=tol["stability_slack"])
+        xi = np.stack([xi1, xi2])
+        pair = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, xi, basis)
+        rep = stability_check(pair, xi, phi, C_L, slack=tol["stability_slack"])
         n_pass += int(rep.passed)
         rows.append([k, rep.lhs, rep.rhs, rep.beta0, int(rep.passed)])
 

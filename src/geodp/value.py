@@ -387,10 +387,17 @@ def dpp_residual_check(
     The window minimization searches constant-per-window controls on the
     finite control grid, with fresh noise, and compares against the stored
     value layer.  The minimum over the grid is ``grid_argmin``'s, as in
-    ``value_function``, so a NaN window value gives a NaN residual.
+    ``value_function``, so a NaN window value gives a NaN residual.  Each
+    probe (i, j) must lie in [0, n_steps) x [0, n_nodes), so that its window
+    has at least one step.
     """
     if not 1 <= delta_steps <= vf.grid.n_steps:
         raise ValueError("delta_steps out of range")
+    for i, j in probes:
+        if not (0 <= i < vf.grid.n_steps and 0 <= j < vf.mesh.n_nodes):
+            raise ValueError(
+                f"probe ({i}, {j}) outside [0, {vf.grid.n_steps}) x [0, {vf.mesh.n_nodes})"
+            )
     basis = basis or RegressionBasis()
     controls = prob.controls.grid()
     residuals = []

@@ -144,17 +144,15 @@ def test_criterion_05_stability_estimate_suite():
         a = C_L * float(r.uniform(0.0, 1.0))
         b = C_L - a
         c1, c2 = r.uniform(-1, 1, size=(2, 2))
-        xi1, xi2 = ens.states[-1] @ c1, ens.states[-1] @ c2
+        xi = np.stack([ens.states[-1] @ c1, ens.states[-1] @ c2])
         p1, p2 = r.uniform(-1, 1, size=2)
-        phi1 = p1 * ens.states[:-1, :, 0]
-        phi2 = p2 * ens.states[:-1, :, 1]
+        phi = np.stack([p1 * ens.states[:-1, :, 0], p2 * ens.states[:-1, :, 1]])
 
-        def mk(phi):
-            return lambda i, xx, y, z: a * np.sin(y) + b * np.tanh(z[:, 0]) + phi[i]
+        def driver(i, xx, y, z):
+            return a * np.sin(y) + b * np.tanh(z[..., 0]) + phi[:, i]
 
-        s1 = backward_sweep(ens.states, ens.noise.increments, sgrid, mk(phi1), xi1, BASIS)
-        s2 = backward_sweep(ens.states, ens.noise.increments, sgrid, mk(phi2), xi2, BASIS)
-        n_pass += int(stability_check(s1, s2, xi1, xi2, phi1, phi2, C_L, slack=0.05).passed)
+        pair = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, xi, BASIS)
+        n_pass += int(stability_check(pair, xi, phi, C_L, slack=0.05).passed)
     elapsed = time.perf_counter() - t0
     _verdict(
         5, "mean-square stability estimate",

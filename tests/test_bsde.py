@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -18,7 +19,7 @@ from geodp.bsde import (
 )
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import BrownianGrid, ControlPolicy, TimeGrid, simulate
-from geodp.errors import ComparisonViolated, ContractionViolated, GridMismatch
+from geodp.errors import ComparisonViolated, ContractionViolated
 from geodp.geometry import Circle, get_field
 
 
@@ -116,13 +117,9 @@ def test_semigroup_reductions():
     # zero driver: semigroup = sample mean of eta (within regression noise)
     val = semigroup(ens, get_driver("zero"), BASIS, eta)
     assert abs(val - float(np.mean(eta))) < 5e-3
-    # zero-length window: exactly the mean
-    m = Circle()
-    fields = [get_field(m, "zero"), get_field(m, "rot")]
-    zgrid = TimeGrid(1.0, 1.0, 0)
-    znoise = BrownianGrid(grid=zgrid, d=1, n_paths=16, seed=0)
-    zens = simulate(m, fields, np.array([1.0, 0.0]), ControlPolicy.constant([0.0, 1.0]), znoise)
-    assert semigroup(zens, get_driver("zero"), BASIS, np.full(16, 3.25)) == 3.25
+    # a zero-length window is no grid
+    with pytest.raises(ValueError):
+        TimeGrid(1.0, 1.0, 0)
 
 
 def test_semigroup_nesting():
@@ -153,14 +150,11 @@ def test_stability_closed_form_pair():
     """Zero driver, constant terminals, frozen dynamics (sigma = 0) with
     antithetic noise: Z vanishes exactly, so lhs and rhs are computable by hand."""
     ens = _ensemble(n_steps=16, n_paths=256, seed=2, T=0.5, sigma=0.0, antithetic=True)
-    z = get_driver("zero")
-    sol1 = solve_backward(ens, z, get_terminal("constant", {"c": 1.0}), BASIS)
-    sol2 = solve_backward(ens, z, get_terminal("constant", {"c": 0.0}), BASIS)
     n_steps, n_paths = 16, 256
-    xi1 = np.ones(n_paths)
-    xi2 = np.zeros(n_paths)
-    phi = np.zeros((n_steps, n_paths))
-    rep = stability_check(sol1, sol2, xi1, xi2, phi, phi, C_L=0.0)
+    xi = np.stack([np.ones(n_paths), np.zeros(n_paths)])
+    phi = np.zeros((2, n_steps, n_paths))
+    pair = solve_backward(ens, get_driver("zero"), lambda x: xi, BASIS)
+    rep = stability_check(pair, xi, phi, C_L=0.0)
     assert rep.beta0 == 16.0
     # dY = 1 and dZ = 0 everywhere: lhs = 1 + 0.5 * sum w_i dt; rhs = e^{8}
     w = np.exp(16.0 * (ens.grid.times[:-1] - 0.0))
@@ -170,54 +164,45 @@ def test_stability_closed_form_pair():
     assert rep.passed
 
 
-def test_stability_randomized_instances():
-    from geodp.bsde import backward_sweep
+def _random_pair(ens, r):
+    """A randomized stability instance on ``ens``: the lockstep pair, its
+    terminal values xi (2, N), perturbations phi (2, n_steps, N) and C_L."""
+    C_L = float(r.uniform(0.1, 1.0))
+    a = C_L * float(r.uniform(0.0, 1.0))
+    b = C_L - a
+    coef = r.uniform(-1, 1, size=(2, ens.states.shape[-1]))
+    xi = np.stack([ens.states[-1] @ coef[0], ens.states[-1] @ coef[1]])
+    p1, p2 = r.uniform(-1, 1, size=2)
+    phi = np.stack([p1 * ens.states[:-1, :, 0], p2 * ens.states[:-1, :, 1]])
 
+    def driver(i, xx, y, z):
+        return a * np.sin(y) + b * np.tanh(z[..., 0]) + phi[:, i]
+
+    pair = backward_sweep(ens.states, ens.noise.increments, ens.grid, driver, xi, BASIS)
+    return pair, xi, phi, C_L
+
+
+def test_stability_randomized_instances():
     ens = _ensemble(n_steps=32, n_paths=2048, seed=9, T=0.5)
-    grid = ens.grid
     r = np.random.default_rng(7)
     for _ in range(10):
-        C_L = float(r.uniform(0.1, 1.0))
-        a = C_L * float(r.uniform(0.0, 1.0))
-        b = C_L - a
-        c1, c2 = r.uniform(-1, 1, size=(2, 2))
-        xi1 = ens.states[-1] @ c1
-        xi2 = ens.states[-1] @ c2
-        p1, p2 = r.uniform(-1, 1, size=2)
-        phi1 = p1 * ens.states[:-1, :, 0]
-        phi2 = p2 * ens.states[:-1, :, 1]
-
-        def mk(phi):
-            return lambda i, xx, y, z: a * np.sin(y) + b * np.tanh(z[:, 0]) + phi[i]
-
-        s1 = backward_sweep(ens.states, ens.noise.increments, grid, mk(phi1), xi1, BASIS)
-        s2 = backward_sweep(ens.states, ens.noise.increments, grid, mk(phi2), xi2, BASIS)
-        rep = stability_check(s1, s2, xi1, xi2, phi1, phi2, C_L)
+        pair, xi, phi, C_L = _random_pair(ens, r)
+        rep = stability_check(pair, xi, phi, C_L)
         assert rep.passed
 
 
 def test_comparison_and_bounds():
     ens = _ensemble(n_steps=32, n_paths=2048, seed=4)
     driver = get_driver("linear_y", {"beta": 0.5, "c": 0.0})
-    low = solve_backward(ens, driver, get_terminal("constant", {"c": -1.0}), BASIS)
-    high = solve_backward(ens, driver, get_terminal("constant", {"c": 1.0}), BASIS)
-    assert comparison_check(low, high)
+    low_high = np.stack([np.full(ens.n_paths, -1.0), np.full(ens.n_paths, 1.0)])
+    pair = solve_backward(ens, driver, lambda x: low_high, BASIS)
+    assert comparison_check(pair)
     with pytest.raises(ComparisonViolated):
-        comparison_check(high, low, tol=1e-6)
+        comparison_check(dataclasses.replace(pair, Y=pair.Y[::-1]), tol=1e-6)
     # a priori bound |Y| <= e^{K(T-t)} (|Phi|_inf + K0 (T-t))
     K = driver.lipschitz_K
     bound = np.exp(K * 1.0) * (1.0 + 0.0)
-    assert np.max(np.abs(high.Y)) <= bound + 1e-8
-
-
-def test_stability_grid_mismatch():
-    e1 = _ensemble(n_steps=8, n_paths=128)
-    e2 = _ensemble(n_steps=16, n_paths=128)
-    z = get_driver("zero")
-    s1 = solve_backward(e1, z, get_terminal("constant"), BASIS)
-    s2 = solve_backward(e2, z, get_terminal("constant"), BASIS)
-    with pytest.raises(GridMismatch):
-        stability_check(s1, s2, np.ones(128), np.ones(128), np.zeros((8, 128)), np.zeros((8, 128)), 0.5)
+    assert np.max(np.abs(pair.Y[1])) <= bound + 1e-8
 
 
 _LOCKSTEP_FIELDS = {
@@ -277,6 +262,47 @@ def test_lockstep_sweep_equals_separate_sweeps(name):
     ens, terminals, drivers, stacked = _lockstep_members(name)
     assert np.all(ens.states[0] == ens.states[0, 0])
     _assert_lockstep_equals_separate(ens, terminals, drivers, stacked)
+
+
+def _stability_check_ref(sol1, sol2, xi1, xi2, phi1, phi2, C_L):
+    """The former two-solution stability formula: (lhs, rhs, beta0)."""
+    beta0 = 16.0 * (1.0 + C_L**2)
+    grid = sol1.grid
+    dt = grid.dt
+    t = grid.times
+    horizon = grid.T - grid.t0
+    dY = sol1.Y - sol2.Y
+    dZ = sol1.Z - sol2.Z
+    w = np.exp(beta0 * (t[:-1] - grid.t0))
+    integrand = dY[:-1] ** 2 + np.sum(dZ**2, axis=-1)
+    lhs = float(
+        (sol1.y_at_t0 - sol2.y_at_t0) ** 2
+        + 0.5 * np.mean(np.sum(w[:, None] * integrand, axis=0) * dt)
+    )
+    dxi = np.asarray(xi1, dtype=float) - np.asarray(xi2, dtype=float)
+    dphi = np.asarray(phi1, dtype=float) - np.asarray(phi2, dtype=float)
+    rhs = float(
+        np.mean(dxi**2) * np.exp(beta0 * horizon)
+        + np.mean(np.sum(w[:, None] * dphi**2, axis=0) * dt)
+    )
+    return lhs, rhs, beta0
+
+
+@pytest.mark.parametrize("name", sorted(_LOCKSTEP_FIELDS))
+def test_pair_stability_equals_former_two_solution_formula(name):
+    """The pair check reads the two members of one lockstep sweep and gives
+    the former formula's lhs, rhs and beta0 on the split solutions, bit for bit."""
+    ens = _lockstep_members(name)[0]
+    r = np.random.default_rng(11)
+    for _ in range(4):
+        pair, xi, phi, C_L = _random_pair(ens, r)
+        sol1, sol2 = (
+            BsdeSolution(pair.grid, pair.Y[j], pair.Z[j], float(pair.y_at_t0[j]), pair.picard_residual)
+            for j in range(2)
+        )
+        rep = stability_check(pair, xi, phi, C_L)
+        ref = _stability_check_ref(sol1, sol2, xi[0], xi[1], phi[0], phi[1], C_L)
+        assert (rep.lhs, rep.rhs, rep.beta0) == ref
 
 
 # Former implementations, kept as references for the rewritten sweep: one

@@ -60,8 +60,8 @@ def test_time_grid_basics():
     np.testing.assert_allclose(g.times, [0.0, 0.25, 0.5, 0.75, 1.0])
     w = g.window(1, 3)
     assert w.t0 == 0.25 and w.T == 0.75 and w.n_steps == 2
-    z = TimeGrid(0.5, 0.5, 0)
-    assert z.dt == 0.0
+    with pytest.raises(ValueError):
+        TimeGrid(1.0, 1.0, 0)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0.0, 4)
     with pytest.raises(ValueError):

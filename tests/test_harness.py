@@ -101,12 +101,28 @@ def test_defaults_validate_and_print():
         ({"experiment": "oracle-circle", "mc": {"n_paths": 1}}, "mc.n_paths"),
         ({"mesh": {"n_thetaa": 16}}, "mesh"),
         ({"manifold": "torus2", "fields": ["zero", "rot1"], "mesh": {"n_lat": 9}}, "mesh"),
+        ({"experiment": "convergence-table", "ladder": [{}, {}, {}]}, "ladder[1]"),
+        (
+            {"experiment": "convergence-table",
+             "ladder": [{"n_theta": 128}, {"n_theta": 64}, {"n_theta": 32}]},
+            "ladder[1]",
+        ),
     ],
 )
 def test_config_validation_errors(override, field):
     with pytest.raises(ConfigError) as exc:
         _cfg(**override)
     assert exc.value.field == field
+
+
+def test_ladder_entries_take_the_manifold_defaults_not_mesh():
+    """An empty ladder entry is the default mesh, like any missing size key;
+    `mesh` sizes the mesh only when no sizes are given."""
+    cfg = _cfg(mesh={"n_theta": 16})
+    assert cfg.build_mesh().n_nodes == 16
+    assert cfg.build_mesh({}).n_nodes == 128
+    with pytest.raises(ConfigError, match="128 nodes after 128"):
+        _cfg(experiment="convergence-table", ladder=[{"n_theta": 32}, {}, {}])
 
 
 def test_dpp_check_fails_on_a_nan_window_value(tmp_path, monkeypatch):
@@ -542,6 +558,32 @@ def test_cli_toolkit_error_exits_3_and_names_the_class(tmp_path, capsys, monkeyp
     f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 64\n")
     assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
     assert "SingularProjection" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["experiment: [oracle\n", None])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, text):
+    """Malformed YAML and a missing config file are config errors, not a
+    traceback with the tolerance-failure exit code."""
+    f = tmp_path / "c.yaml"
+    if text is not None:
+        f.write_text(text)
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(f) in err
+
+
+def test_cli_unexpected_error_exits_3_and_names_the_class(tmp_path, capsys, monkeypatch):
+    """An error that is not a toolkit error still ends the run with exit 3
+    and one line naming its class, not a traceback."""
+
+    def broken(cfg, out_dir, dump_paths):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(harness._EXPERIMENTS, "oracle-circle", broken)
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: oracle-circle\n")
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "run error: ValueError: boom\n"
 
 
 def test_cli_overflowing_field_exits_3_with_singular_projection(tmp_path, capsys):

@@ -219,6 +219,16 @@ def test_dpp_residual_nan_window_value_is_not_passed_over(monkeypatch, nan_contr
     assert np.isnan(rep.max_residual) and not rep.passed
 
 
+@pytest.mark.parametrize("probe", [(8, 0), (-1, 0), (0, 16)])
+def test_dpp_residual_rejects_a_probe_outside_the_table(probe):
+    """A probe at i = n_steps would have a window of zero steps, and one
+    outside the steps or the nodes names no table entry: each is a ValueError."""
+    prob = circle_problem()
+    vf = value_function(prob, TimeGrid(0.0, 0.5, 8), CircleMesh(16))
+    with pytest.raises(ValueError, match="outside"):
+        dpp_residual_check(prob, vf, 1, [(0, 0), probe], fresh_seed=1, n_paths=64)
+
+
 def test_continuity_moduli_decay():
     prob = circle_problem()
     mesh = CircleMesh(64)
