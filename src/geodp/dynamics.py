@@ -21,7 +21,6 @@ from an F-ordered feature matrix differs in the last bits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -320,12 +319,48 @@ def flow_continuity_check(
     return FlowContinuityReport(lhs=lhs, rhs=rhs, constant_C=C, passed=lhs <= rhs)
 
 
-def export_paths(ens: TrajectoryEnsemble, path: str) -> None:
-    """Columnar CSV dump: step, path, embedded coordinates."""
-    n = ens.manifold.ambient_dim
+def float_texts(a: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``a``, as an object array of ``a``'s shape.
+
+    Each distinct bit pattern is formatted once and its text scattered back
+    through ``np.unique``'s inverse index: a value-table layer repeats most of
+    its values.  Keying on the uint64 bits keeps -0.0 and 0.0 apart, and
+    ``return_inverse`` keeps ``np.unique`` on its sorting path, which does not
+    import ``numpy.ma``.
+    """
+    bits = np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(repr, keys.view(np.float64).tolist())), dtype=object)
+    return texts[inverse.reshape(bits.shape)]
+
+
+def write_csv_layers(path: str, header: Sequence[str], layers) -> None:
+    """Write the CSV header, then each layer, an object array of text pieces
+    whose concatenation in C order is that layer's rows, as one string."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "path"] + [f"x{k}" for k in range(n)])
+        fh.write(",".join(header) + "\r\n")
+        for layer in layers:
+            fh.write("".join(layer.ravel().tolist()))
+
+
+def export_paths(ens: TrajectoryEnsemble, path: str) -> None:
+    """Columnar CSV dump: step, path, embedded coordinates.
+
+    The bytes are those of ``csv.writer`` with ``repr`` floats (CRLF line
+    ends); each step is written as one string.
+    """
+    n_paths, n = ens.states.shape[1:]
+    # Per path: "{i},", "{p},", then the coordinates with "," between them
+    # and the line end after the last.
+    row = np.empty((n_paths, 2 + 2 * n), dtype=object)
+    row[:, 1] = [f"{p}," for p in range(n_paths)]
+    row[:, 3::2] = ","
+    row[:, -1] = "\r\n"
+
+    def layers():
         for i in range(ens.grid.n_steps + 1):
-            for p in range(ens.n_paths):
-                w.writerow([i, p] + [repr(float(c)) for c in ens.states[i, p]])
+            row[:, 0] = f"{i},"
+            row[:, 2::2] = float_texts(ens.states[i])
+            yield row
+
+    write_csv_layers(path, ["step", "path"] + [f"x{k}" for k in range(n)], layers())

@@ -355,6 +355,10 @@ def run(
     out_dir: str = ".",
     dump_paths: bool = False,
 ) -> RunReport:
+    if dump_paths and cfg["experiment"] != "oracle-circle":
+        raise ConfigError(
+            "dump_paths", f"only oracle-circle writes paths.csv; {cfg['experiment']} has no paths"
+        )
     os.makedirs(out_dir, exist_ok=True)
     t_start = time.perf_counter()
     metrics, passed = _EXPERIMENTS[cfg["experiment"]](cfg, out_dir, dump_paths)

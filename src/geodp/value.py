@@ -45,7 +45,16 @@ import numpy as np
 
 from . import rng
 from .bsde import RegressionBasis, semigroup, solve_backward
-from .dynamics import BrownianGrid, ControlPolicy, TimeGrid, euler_step, grid_argmin, simulate
+from .dynamics import (
+    BrownianGrid,
+    ControlPolicy,
+    TimeGrid,
+    euler_step,
+    float_texts,
+    grid_argmin,
+    simulate,
+    write_csv_layers,
+)
 from .geometry import Circle, FlatTorus2, ManifoldModel, Sphere2
 from .problem import ControlProblem
 
@@ -456,13 +465,13 @@ def continuity_moduli(vf: ValueField) -> ContinuityModuli:
     return ContinuityModuli(space_modulus=space, time_modulus=time_mod)
 
 
-class _FormattedRows(dict):
-    """The CSV text of a float64 row, keyed by the row's bytes and formatted
-    on its first lookup: equal bytes are equal reprs, so each distinct row is
-    formatted once."""
+class _ControlTails(dict):
+    """The CSV tail of a float64 control row, ``",v0,...,vd"`` and the CRLF
+    line end, keyed by the row's bytes and formatted on its first lookup:
+    equal bytes are equal reprs, so each distinct row is formatted once."""
 
     def __missing__(self, row: bytes) -> str:
-        text = self[row] = ",".join(map(repr, np.frombuffer(row).tolist()))
+        text = self[row] = "," + ",".join(map(repr, np.frombuffer(row).tolist())) + "\r\n"
         return text
 
 
@@ -470,11 +479,15 @@ def export_value_field(vf: ValueField, path: str) -> None:
     """CSV dump: time index, node index, node coordinates, u, argmin control.
 
     The bytes are those of ``csv.writer`` with ``repr`` floats (CRLF line
-    ends, empty control fields on the last layer); each node's coordinate
-    string and each distinct control row are formatted once, and each time
-    layer is written as one string.
+    ends, empty control fields on the last layer).  A row is the pieces
+    ``"{i},"``, the node's head ``"{j},{x0},...,"``, the u text and the
+    control tail: the heads are built once per export, the tails once per
+    distinct control row, each float text once per distinct value of the
+    nodes or of a layer (``float_texts``), and each layer is written as one
+    string.
     """
-    n = vf.mesh.nodes.shape[1]
+    nodes = vf.mesh.nodes
+    n_nodes, n = nodes.shape
     n_ctrl_layers, _, dctrl = vf.argmin_control.shape
     header = (
         ["time_index", "node_index"]
@@ -482,25 +495,24 @@ def export_value_field(vf: ValueField, path: str) -> None:
         + ["u"]
         + [f"v{k}" for k in range(dctrl)]
     )
-    coords = [",".join(map(repr, x)) for x in vf.mesh.nodes.tolist()]
-    no_ctrl = [",".join([""] * dctrl)] * len(coords)
+    row = np.empty((n_nodes, 4), dtype=object)
+    row[:, 1] = [f"{j},{','.join(x)}," for j, x in enumerate(float_texts(nodes).tolist())]
+    no_ctrl = "," * dctrl + "\r\n"
     # One bytes object per (layer, node): the row of its argmin control.
     ctrl_rows = (
         np.ascontiguousarray(vf.argmin_control, dtype=np.float64)
         .view(np.dtype((np.void, 8 * dctrl)))[..., 0]
     )
-    ctrl_text = _FormattedRows()
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    tails = _ControlTails()
+
+    def layers():
         for i in range(vf.u.shape[0]):
-            ctrl = (
-                list(map(ctrl_text.__getitem__, ctrl_rows[i].tolist()))
-                if i < n_ctrl_layers
-                else no_ctrl
-            )
-            fh.write(
-                "".join(
-                    f"{i},{j},{x},{u!r},{c}\r\n"
-                    for j, (x, u, c) in enumerate(zip(coords, vf.u[i].tolist(), ctrl))
-                )
-            )
+            row[:, 0] = f"{i},"
+            row[:, 2] = float_texts(vf.u[i])
+            if i < n_ctrl_layers:
+                row[:, 3] = list(map(tails.__getitem__, ctrl_rows[i].tolist()))
+            else:
+                row[:, 3] = no_ctrl
+            yield row
+
+    write_csv_layers(path, header, layers())

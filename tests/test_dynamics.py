@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import tracemalloc
 from functools import lru_cache
@@ -463,6 +464,41 @@ def test_export_paths_roundtrip(tmp_path):
     vals = lines[1].split(",")
     assert float(vals[2]) == 1.0 and float(vals[3]) == 0.0
 
+
+
+def _csv_writer_paths(ens, path):
+    """export_paths written with csv.writer and one repr per coordinate."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["step", "path"] + [f"x{k}" for k in range(ens.states.shape[2])])
+        for i in range(ens.grid.n_steps + 1):
+            for p in range(ens.states.shape[1]):
+                w.writerow([i, p] + [repr(float(c)) for c in ens.states[i, p]])
+
+
+def test_export_paths_matches_csv_writer_bytes(tmp_path):
+    """Antithetic pairs on the torus, then the same states with NaN payloads,
+    infinities and signed zeros written in."""
+    from geodp.dynamics import export_paths
+
+    m = get_manifold("torus2")
+    fields = [get_field(m, f) for f in ("zero", "rot1", "rot2")]
+    grid = TimeGrid(0.0, 0.25, 5)
+    noise = _noise(grid, d=2, n_paths=6, seed=11, antithetic=True)
+    ens = simulate(m, fields, np.array([1.0, 0.0, 0.0, 1.0]), ControlPolicy.constant([0.0, 1.0, 1.0]),
+                   noise)
+    states = ens.states.copy()
+    states[1, 0] = np.array([0x7FF8000000000001, 0x7FF0000000000002, 0xFFF8000000000000,
+                             0x7FF8000000000000], dtype=np.uint64).view(np.float64)
+    states[2, 1] = [np.inf, -np.inf, -0.0, 0.0]
+    states[3, :, 1] = -0.0
+    for i, e in enumerate((ens, dataclasses.replace(ens, states=states))):
+        fast, ref = tmp_path / f"fast{i}.csv", tmp_path / f"ref{i}.csv"
+        export_paths(e, str(fast))
+        _csv_writer_paths(e, str(ref))
+        assert fast.read_bytes() == ref.read_bytes()
+    text = fast.read_bytes()
+    assert b"\r\n1,0,nan,nan,nan,nan\r\n" in text and b"\r\n2,1,inf,-inf,-0.0,0.0\r\n" in text
 
 @settings(max_examples=40, deadline=None)
 @given(name=_catalog_manifold, data=st.data())

@@ -305,6 +305,21 @@ def test_cli_pass_fail_and_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "experiment", ["dpp-check", "solver-agreement", "estimates", "hypotheses", "convergence-table"]
+)
+def test_cli_dump_paths_outside_oracle_circle_is_a_config_error(tmp_path, capsys, experiment):
+    """Only oracle-circle writes paths.csv; elsewhere --dump-paths exits 2
+    before any work, naming dump_paths, rather than being ignored."""
+    f = tmp_path / "c.yaml"
+    f.write_text(f"experiment: {experiment}\n")
+    out = tmp_path / "o"
+    assert cli_main(["run", str(f), "--out", str(out), "--dump-paths"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "dump_paths" in err and experiment in err
+    assert not out.exists()
+
 def test_cli_value_table_dt_bound_is_a_config_error(tmp_path, capsys):
     """dt = 0.2 would stop value_function; validation rejects it first."""
     f = tmp_path / "c.yaml"

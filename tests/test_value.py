@@ -1,5 +1,8 @@
 import csv
 import itertools
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -310,3 +313,135 @@ def test_export_formats_repeated_control_rows_like_csv_writer(tmp_path):
     _csv_writer_export(vf, str(ref))
     assert fast.read_bytes() == ref.read_bytes()
     assert b",-0.0,1.0\r\n" in fast.read_bytes()
+
+
+def _fstring_export(vf, path):
+    """The export as one f-string per row, each node's coordinates and each
+    control row joined with repr once."""
+    n = vf.mesh.nodes.shape[1]
+    n_ctrl_layers, _, dctrl = vf.argmin_control.shape
+    coords = [",".join(map(repr, x)) for x in vf.mesh.nodes.tolist()]
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            ",".join(["time_index", "node_index"] + [f"x{k}" for k in range(n)] + ["u"]
+                     + [f"v{k}" for k in range(dctrl)]) + "\r\n"
+        )
+        for i, layer in enumerate(vf.u.tolist()):
+            ctrl = (
+                [",".join(map(repr, c)) for c in vf.argmin_control[i].tolist()]
+                if i < n_ctrl_layers
+                else [",".join([""] * dctrl)] * len(coords)
+            )
+            fh.write("".join(
+                f"{i},{j},{x},{u!r},{c}\r\n"
+                for j, (x, u, c) in enumerate(zip(coords, layer, ctrl))
+            ))
+
+
+def _assert_export_matches_references(vf, tmp_path):
+    fast, ref, old = tmp_path / "fast.csv", tmp_path / "ref.csv", tmp_path / "old.csv"
+    export_value_field(vf, str(fast))
+    _csv_writer_export(vf, str(ref))
+    _fstring_export(vf, str(old))
+    assert fast.read_bytes() == ref.read_bytes()
+    assert fast.read_bytes() == old.read_bytes()
+    return fast.read_bytes()
+
+
+def _table(nodes, u, argmin):
+    u = np.asarray(u, dtype=float)
+    return ValueField(grid=TimeGrid(0.0, 0.1 * (len(u) - 1), len(u) - 1),
+                      mesh=types.SimpleNamespace(nodes=np.asarray(nodes, dtype=float)),
+                      u=u, argmin_control=np.asarray(argmin, dtype=float))
+
+
+# Two quiet NaNs with payloads, a signalling NaN and a negative NaN: all are
+# written "nan".
+_NANS = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0x7FF0000000000003,
+                  0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+_SQUARE = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+_ONE_ROW = [[[0.0, 1.0]] * 4]
+
+
+@pytest.mark.parametrize(
+    "nodes, u, argmin",
+    [
+        (_SQUARE, [_NANS, [np.nan, 1.0, _NANS[1], -0.5]], _ONE_ROW),
+        (_SQUARE, [[np.inf, -np.inf, 1e308, np.inf], [-np.inf, 0.0, -np.inf, 5e-324]],
+         [[[np.inf, 1.0], [-np.inf, 1.0], [np.inf, 1.0], [0.0, np.nan]]]),
+        ([[-0.0, 1.0], [0.0, -1.0], [1.0, -0.0], [-1.0, 0.0]],
+         [[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]],
+         [[[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]]),
+        (_SQUARE, [[0.1 + 0.2] * 4, [0.3] * 4, np.arange(4) / 3.0], [[[0.0, 1.0]] * 4] * 2),
+        (np.linspace(-1.0, 1.0, 24).reshape(12, 2), np.random.default_rng(5).normal(size=(3, 12)),
+         np.random.default_rng(6).normal(size=(2, 12, 2))),
+        (_SQUARE * 2, np.arange(24.0).reshape(3, 8) % 5 / 7.0,
+         np.array([[0.0, 1.0, 0.5], [0.0, 0.5, 1.0], [0.0, 1.0, 1.0]])[
+             np.arange(16).reshape(2, 8) % 3]),
+        ([[0.6, 0.8]], [[0.25], [0.5], [1.0 / 3.0]], [[[0.0, 1.0, 2.0]], [[-0.0, 2.0, 1.0]]]),
+    ],
+    ids=["nan-payloads", "infinities", "signed-zeros", "all-repeat", "all-distinct",
+         "k3-controls-d2", "single-node"],
+)
+def test_export_value_field_matches_both_references(tmp_path, nodes, u, argmin):
+    _assert_export_matches_references(_table(nodes, u, argmin), tmp_path)
+
+
+def test_export_value_field_keeps_signed_zeros_and_special_values_apart(tmp_path):
+    vf = _table([[-0.0, 1.0], [0.0, -1.0]], [[0.0, -0.0], [_NANS[3], -np.inf]],
+                [[[-0.0, 1.0], [0.0, 1.0]]])
+    text = _assert_export_matches_references(vf, tmp_path).decode()
+    assert text.splitlines()[1:] == [
+        "0,0,-0.0,1.0,0.0,-0.0,1.0",
+        "0,1,0.0,-1.0,-0.0,0.0,1.0",
+        "1,0,-0.0,1.0,nan,,",
+        "1,1,0.0,-1.0,-inf,,",
+    ]
+
+
+def test_export_of_a_torus_value_table_and_hjb_field_matches_both_references(tmp_path):
+    from geodp.hjb import export_hjb_field, hjb_steps_for_cfl, solve_hjb
+
+    prob = _heat_problem("torus2", ["zero", "rot1", "rot2"], [0, 1, 1])
+    mesh = TorusMesh(12, 10)
+    grid = TimeGrid(0.0, 0.5, 6)
+    vf = value_function(prob, grid, mesh)
+    n_hjb = hjb_steps_for_cfl(prob, 0.0, 0.5, mesh, cfl_limit=0.4, multiple_of=grid.n_steps)
+    hf = solve_hjb(prob, TimeGrid(0.0, 0.5, n_hjb), mesh, cfl_limit=0.4,
+                   stride=n_hjb // grid.n_steps)
+    _assert_export_matches_references(vf, tmp_path)
+    hjb_bytes = _assert_export_matches_references(hf, tmp_path)
+    export_hjb_field(hf, str(tmp_path / "hjb.csv"))
+    assert (tmp_path / "hjb.csv").read_bytes() == hjb_bytes
+    # The layers repeat values, the case that float_texts formats once.
+    assert len(set(vf.u[0].tolist())) < vf.u.shape[1]
+    assert len(set(hf.u[0].tolist())) < hf.u.shape[1]
+
+
+def test_exports_leave_numpy_ma_unimported(tmp_path):
+    """np.unique without return_inverse calls np.ma.is_masked, which imports
+    numpy.ma; no export may pay for that import."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from geodp.dynamics import BrownianGrid, ControlPolicy, TimeGrid, export_paths, simulate\n"
+        "from geodp.geometry import get_field, get_manifold\n"
+        "from geodp.value import CircleMesh, export_value_field, value_function\n"
+        "from conftest import unit_diffusion_circle\n"
+        "vf = value_function(unit_diffusion_circle(), TimeGrid(0.0, 0.2, 4), CircleMesh(8))\n"
+        f"export_value_field(vf, {str(tmp_path / 'vf.csv')!r})\n"
+        "m = get_manifold('circle')\n"
+        "grid = TimeGrid(0.0, 0.2, 4)\n"
+        "noise = BrownianGrid(grid=grid, d=1, n_paths=8, seed=3)\n"
+        "ens = simulate(m, [get_field(m, 'zero'), get_field(m, 'rot')], np.array([1.0, 0.0]),\n"
+        "               ControlPolicy.constant([0.0, 1.0]), noise)\n"
+        f"export_paths(ens, {str(tmp_path / 'paths.csv')!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "tests")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+    assert (tmp_path / "vf.csv").exists() and (tmp_path / "paths.csv").exists()
