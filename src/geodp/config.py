@@ -199,6 +199,15 @@ class ExperimentConfig:
             section, name = key.split(".")
             if r[section][name] < 1:
                 raise ConfigError(key, "must be >= 1")
+        tols = r["tolerances"]
+        for name in DEFAULTS["tolerances"]:
+            if tols[name] < 0:
+                raise ConfigError(f"tolerances.{name}", f"must be >= 0, got {tols[name]!r}")
+        if not 0 < tols["cfl_limit"] <= 1:
+            # Above 1 the weight 1 - dt*sum v_a^2/h^2 on u(x) is negative: not monotone.
+            raise ConfigError("tolerances.cfl_limit", "must be in (0, 1]")
+        if r["mu"] < 0:
+            raise ConfigError("mu", f"must be >= 0, got {r['mu']!r}")
         if r["experiment"] == "oracle-circle" and r["mc"]["n_paths"] < 2:
             raise ConfigError("mc.n_paths", "oracle-circle needs >= 2 paths for its standard error")
         if r["experiment"] == "dpp-check":

@@ -194,7 +194,7 @@ class TrajectoryEnsemble:
         return np.stack(out, axis=0)
 
 
-def euler_step(m, fields, t, dt, X, v, dW):
+def euler_step(m, fields, dt, X, v, dW):
     """One projected Euler step in coordinate-major layout.
 
     X: (n, N) states, one row per ambient coordinate; v: (d+1, N) controls,
@@ -260,7 +260,6 @@ def simulate(
         if not f.tangent_to(m):
             raise NonTangentField(f"diffusion field '{f.id}' is not tangent to {m.name}")
     grid = noise.grid
-    times = grid.times
     dt = grid.dt
     states = np.empty((grid.n_steps + 1, noise.n_paths, m.ambient_dim))
     states[0] = np.asarray(x0, dtype=float)
@@ -269,7 +268,7 @@ def simulate(
         X = np.ascontiguousarray(states[0, paths].T)
         for i in range(grid.n_steps):
             v = policy.values(i, states[i, paths]).T
-            X = euler_step(m, fields, times[i], dt, X, v, noise.increments[i, paths].T)
+            X = euler_step(m, fields, dt, X, v, noise.increments[i, paths].T)
             # Row by row: numpy copies a whole transposed block several times slower.
             for k, row in enumerate(X):
                 states[i + 1, paths, k] = row

@@ -36,14 +36,13 @@ _CUT_GUARD = 1e-9
 class VectorField:
     """The linear field x -> A x in ambient coordinates.
 
-    ``V(t, x)`` accepts batched x of shape (..., n) and returns ``x @ A.T``;
-    catalog fields are autonomous, so t is ignored.
+    ``V(x)`` accepts batched x of shape (..., n) and returns ``x @ A.T``.
     """
 
     id: str
     A: np.ndarray
 
-    def __call__(self, t, x):
+    def __call__(self, x):
         return np.asarray(x, dtype=float) @ self.A.T
 
     def tangent_to(self, m: "ManifoldModel") -> bool:
@@ -281,16 +280,16 @@ class FlatTorus2(ManifoldModel):
     factor_dims = (2, 2)
 
 
-def flow_step(m: ManifoldModel, V: VectorField, t: float, x, h: float) -> np.ndarray:
-    """Flow of xdot = V(t, x) for parameter h: projected RK4, with parameters
+def flow_step(m: ManifoldModel, V: VectorField, x, h: float) -> np.ndarray:
+    """Flow of xdot = V(x) for parameter h: projected RK4, with parameters
     larger than 0.1 split into equal substeps to keep the local error bounded."""
     x = np.asarray(x, dtype=float)
     if h == 0.0:
         return x.copy()
     n_sub = max(1, int(np.ceil(abs(h) / 0.1)))
     hs = h / n_sub
-    for k in range(n_sub):
-        x = m.project(rk4_step(V, t + k * hs, x, hs))
+    for _ in range(n_sub):
+        x = m.project(rk4_step(lambda s, y: V(y), 0.0, x, hs))
     return x
 
 

@@ -18,13 +18,13 @@ controls, and two diagnostic checks tying the BSDE pipeline to the PDE one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bsde import RegressionBasis, backward_sweep, conditional_expectation
-from .dynamics import BrownianGrid, ControlPolicy, TimeGrid, grid_argmin, simulate
+from .dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid, grid_argmin, simulate
 from .errors import CflViolated
 from .geometry import VectorField, flow_step, rk4_step
 from .problem import ControlProblem
@@ -67,15 +67,15 @@ class TestFunctionProbe:
     def dir1(self, m, V: VectorField, t, x):
         if V.id in self._dir1:
             return self._dir1[V.id](t, np.asarray(x, dtype=float))
-        xp = flow_step(m, V, t, x, _DIR_FD)
-        xm = flow_step(m, V, t, x, -_DIR_FD)
+        xp = flow_step(m, V, x, _DIR_FD)
+        xm = flow_step(m, V, x, -_DIR_FD)
         return (self.value(t, xp) - self.value(t, xm)) / (2.0 * _DIR_FD)
 
     def dir2(self, m, V: VectorField, t, x):
         if V.id in self._dir2:
             return self._dir2[V.id](t, np.asarray(x, dtype=float))
-        xp = flow_step(m, V, t, x, _DIR_FD)
-        xm = flow_step(m, V, t, x, -_DIR_FD)
+        xp = flow_step(m, V, x, _DIR_FD)
+        xm = flow_step(m, V, x, -_DIR_FD)
         return (self.value(t, xp) - 2.0 * self.value(t, x) + self.value(t, xm)) / _DIR_FD**2
 
 
@@ -83,20 +83,6 @@ ZERO_PROBE = TestFunctionProbe(
     value=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
     time_derivative=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
 )
-
-
-def _probe_terms(prob: ControlProblem, probe: TestFunctionProbe, t: float, x, v):
-    """The probe's part of the shifted generator at points x (N, n) under v:
-    phi, the sum of the time term, the transport term and the half
-    second-order terms, and the z shift (N, d)."""
-    m = prob.manifold
-    phi = probe.value(t, x)
-    out = probe.time_derivative(t, x) + v[..., 0] * probe.dir1(m, prob.fields[0], t, x)
-    z_shift = np.zeros((x.shape[0], prob.d))
-    for a in range(1, prob.d + 1):
-        out = out + 0.5 * v[..., a] ** 2 * probe.dir2(m, prob.fields[a], t, x)
-        z_shift[:, a - 1] = v[..., a] * probe.dir1(m, prob.fields[a], t, x)
-    return phi, out, z_shift
 
 
 def hamiltonian_F(
@@ -118,7 +104,13 @@ def hamiltonian_F(
     if single:
         x = x[None, :]
         y = np.atleast_1d(y)
-    phi, out, z_shift = _probe_terms(prob, probe, t, x, v)
+    m = prob.manifold
+    phi = probe.value(t, x)
+    out = probe.time_derivative(t, x) + v[..., 0] * probe.dir1(m, prob.fields[0], t, x)
+    z_shift = np.zeros((x.shape[0], prob.d))
+    for a in range(1, prob.d + 1):
+        out = out + 0.5 * v[..., a] ** 2 * probe.dir2(m, prob.fields[a], t, x)
+        z_shift[:, a - 1] = v[..., a] * probe.dir1(m, prob.fields[a], t, x)
     vv = np.broadcast_to(v, (x.shape[0], v.shape[-1]) if v.ndim == 1 else v.shape)
     out = out + prob.driver(t, x, y + phi, z + z_shift, vv)
     return out[0] if single else out
@@ -181,8 +173,8 @@ def solve_hjb(
     caller that compares against a coarser value table passes the ratio of
     the step counts; one that reads only t0 passes ``grid.n_steps``.
 
-    Stencil points are precomputed at t0 (the catalog fields are autonomous),
-    and so are their stencil gathers: the plus and minus points of the fields
+    Stencil points are precomputed once (the fields take no time), and so
+    are their stencil gathers: the plus and minus points of the fields
     are stacked into one (2, fields, n_nodes, ambient) array and handed to
     ``mesh.gather`` once, so each time step is a single gather of u.  Each
     step evaluates the Hamiltonian of all k grid controls at all nodes as one
@@ -223,7 +215,7 @@ def solve_hjb(
     zero_drift = not np.any(prob.fields[0].A)
     moving = prob.fields[1:] if zero_drift else prob.fields
     stencil = mesh.gather(
-        np.array([[flow_step(m, V, grid.t0, nodes, s) for V in moving] for s in (h, -h)])
+        np.array([[flow_step(m, V, nodes, s) for V in moving] for s in (h, -h)])
         .reshape(2, len(moving), *nodes.shape)
     )
     first = len(moving) - prob.d  # row of the first diffusion field in the stencil
@@ -291,20 +283,6 @@ def hjb_steps_for_cfl(
     return n
 
 
-def _backward_rk4(g, t: float, delta: float, n_substeps: int) -> float:
-    """RK4 for y' = g(s, y) from y(t + delta) = 0 back down to time t."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n_substeps = max(n_substeps, 32)
-    hstep = -delta / n_substeps
-    s = t + delta
-    y = 0.0
-    for _ in range(n_substeps):
-        y = rk4_step(g, s, y, hstep)
-        s = s + hstep
-    return float(y)
-
-
 def frozen_ode_solve(
     prob: ControlProblem,
     probe: TestFunctionProbe,
@@ -315,30 +293,25 @@ def frozen_ode_solve(
 ) -> float:
     """Backward RK4 integration of the state-frozen minimized Hamiltonian ODE.
 
-    Integrates -y' = F0(s, x, y, 0) from y(t + delta) = 0 down to time t.
+    Integrates -y' = F0(s, x, y, 0) from y(t + delta) = 0 down to time t in
+    max(n_substeps, 32) steps.  The ODE of one constant control v is this ODE
+    over the one-point control set ``ControlSet(v, v)``, whose grid is v.
     """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     zeros = np.zeros(prob.d)
-    return _backward_rk4(
-        lambda s, y: -hamiltonian_F0(prob, probe, s, x, y, zeros)[0],
-        t, delta, n_substeps,
-    )
 
+    def g(s, y):
+        return -hamiltonian_F0(prob, probe, s, x, y, zeros)[0]
 
-def frozen_ode_constant_control(
-    prob: ControlProblem,
-    probe: TestFunctionProbe,
-    x: np.ndarray,
-    t: float,
-    delta: float,
-    v: np.ndarray,
-    n_substeps: int = 64,
-) -> float:
-    """Same backward ODE with the control held at one fixed value."""
-    zeros = np.zeros(prob.d)
-    return _backward_rk4(
-        lambda s, y: -float(hamiltonian_F(prob, probe, s, x, y, zeros, v)),
-        t, delta, n_substeps,
-    )
+    n_substeps = max(n_substeps, 32)
+    hstep = -delta / n_substeps
+    s = t + delta
+    y = 0.0
+    for _ in range(n_substeps):
+        y = rk4_step(g, s, y, hstep)
+        s = s + hstep
+    return float(y)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +331,6 @@ def shift_identity_check(
     probe: TestFunctionProbe,
     t: float,
     x: np.ndarray,
-    delta: float,
     policy: ControlPolicy,
     noise: BrownianGrid,
     basis: Optional[RegressionBasis] = None,
@@ -372,7 +344,8 @@ def shift_identity_check(
     the probe-shifted side uses the discrete probe increments (the conditional
     expectation of phi at the next layer rather than analytic derivatives), so
     the identity is algebraic at the discrete level; the reported gap measures
-    only Picard-initialization and floating-point noise.
+    only Picard-initialization and floating-point noise.  The window is
+    ``noise.grid``.
     """
     basis = basis or RegressionBasis()
     ens = simulate(prob.manifold, prob.fields, x, policy, noise)
@@ -426,21 +399,6 @@ class FreezingGapReport:
     monotone_decay: bool
 
 
-def _analytic_shift_driver(prob, probe, times, v):
-    """Probe-shifted driver with analytic probe derivatives along the path;
-    the probe terms of each step are computed once."""
-    cache = {}
-
-    def fn(i, xx, y, z):
-        if i not in cache:
-            cache[i] = _probe_terms(prob, probe, times[i], xx, v)
-        phi, base, zs = cache[i]
-        vv = np.broadcast_to(v, (xx.shape[0], v.shape[0]))
-        return base + prob.driver(times[i], xx, y + phi, z + zs, vv)
-
-    return fn
-
-
 def freezing_gap_report(
     prob: ControlProblem,
     probe: TestFunctionProbe,
@@ -455,9 +413,10 @@ def freezing_gap_report(
 ) -> FreezingGapReport:
     """Gap between the probe-shifted BSDE along the moving state and its
     state-frozen counterpart, per window length, maximized over the control
-    grid.  Each window has 16 BSDE steps, and the frozen ODE takes 32 RK4
-    substeps.  The per-unit-time gap must shrink along the
-    (decreasing) sequence.
+    grid.  Each window has 16 BSDE steps, whose driver is the probe-shifted
+    generator ``hamiltonian_F`` under v, and the frozen ODE of v takes 32 RK4
+    substeps.  The per-unit-time gap must shrink along the (decreasing)
+    sequence.
     """
     basis = basis or RegressionBasis()
     deltas = list(delta_sequence)
@@ -465,8 +424,9 @@ def freezing_gap_report(
         raise ValueError("delta_sequence must be strictly decreasing")
     gaps = []
     x = np.asarray(x, dtype=float)
-    for k, delta in enumerate(deltas):
+    for delta in deltas:
         grid = TimeGrid(t0=t, T=t + delta, n_steps=16)
+        times = grid.times
         worst = 0.0
         noise = BrownianGrid(
             grid=grid,
@@ -479,17 +439,17 @@ def freezing_gap_report(
             ens = simulate(
                 prob.manifold, prob.fields, x, ControlPolicy.constant(v), noise
             )
-            driver = _analytic_shift_driver(prob, probe, grid.times, v)
             sol1 = backward_sweep(
                 ens.states,
                 ens.noise.increments,
                 grid,
-                driver,
+                lambda i, xx, y, z: hamiltonian_F(prob, probe, times[i], xx, y, z, v),
                 np.zeros(n_paths),
                 basis,
                 picard_iters=picard_iters,
             )
-            y2 = frozen_ode_constant_control(prob, probe, x, t, delta, v, n_substeps=32)
+            frozen = replace(prob, controls=ControlSet(v, v))
+            y2 = frozen_ode_solve(frozen, probe, x, t, delta, n_substeps=32)
             worst = max(worst, abs(sol1.y_at_t0 - y2))
         gaps.append(worst)
     ratios = [g / d for g, d in zip(gaps, deltas)]

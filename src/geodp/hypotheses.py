@@ -95,7 +95,7 @@ def check_H2(
     if not V.tangent_to(m):
         raise ValueError(f"field '{V.id}' is not tangent to {m.name}")
     x, y, t = _sample_pairs(m, n_samples, np.random.default_rng(seed))
-    worst, k = _first_max(_norm(m.transport(x, y, V(t, x)) - V(t, y)), -1.0)
+    worst, k = _first_max(_norm(m.transport(x, y, V(x)) - V(y)), -1.0)
     return HypothesisReport(
         name="H2",
         max_violation=worst,
@@ -117,7 +117,7 @@ def check_H1(
     x, y, t = _sample_pairs(m, n_samples, np.random.default_rng(seed))
     dist = m.distance(x, y)
     keep = dist >= 1e-10  # degenerate pairs have no quotient
-    defect = _norm(m.transport(x, y, V0(t, x)) - V0(t, y))
+    defect = _norm(m.transport(x, y, V0(x)) - V0(y))
     worst, k = _first_max(defect / np.where(keep, dist, 1.0), -1.0, keep)
     return HypothesisReport(
         name="H1",
@@ -200,9 +200,9 @@ def _hamiltonian_symbol(prob, t, x, r, zeta, quad, v):
     """
     z = np.empty((len(r), prob.d))
     for a in range(1, prob.d + 1):
-        z[:, a - 1] = np.vecdot(zeta, v[a] * prob.fields[a](t, x))
+        z[:, a - 1] = np.vecdot(zeta, v[a] * prob.fields[a](x))
     fval = prob.driver(t, x, r, z, np.broadcast_to(v, (len(r), len(v))))
-    out = -fval - np.vecdot(zeta, v[0] * prob.fields[0](t, x))
+    out = -fval - np.vecdot(zeta, v[0] * prob.fields[0](x))
     for a in range(1, prob.d + 1):
         out -= 0.5 * v[a] ** 2 * quad[a - 1]
     return out

@@ -30,7 +30,7 @@ indices and weights are built once for a point set, and the returned function
 maps nodal values to interpolated values with one take of the cell corners
 and one lerp per axis.  ``interpolate(values, points)`` is
 ``gather(points)(values)``.
-Because the rule's points are fixed and the catalog fields are autonomous,
+Because the rule's points are fixed and the Euler step takes no time,
 ``value_function`` builds one gather for all grid controls before its time
 loop, and steps every control of a layer as one array.
 """
@@ -339,8 +339,6 @@ def value_function(
     if grid.dt > 0.1:
         raise ValueError(f"dt = {grid.dt:.3g} exceeds the 0.1 sanity bound")
     controls = prob.controls.grid()
-    if controls.shape[0] == 0:
-        raise ValueError("empty control grid")
     nodes = mesh.nodes
     dt = grid.dt
     sqrt_dt = np.sqrt(dt)
@@ -352,8 +350,8 @@ def value_function(
     argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
 
     # One-step states from every node under every rule point and every grid
-    # control, charted once: the points are fixed and the catalog fields
-    # autonomous.  The (control, node, rule point) triples are the columns of
+    # control, charted once: the points are fixed and the Euler step takes
+    # no time.  The (control, node, rule point) triples are the columns of
     # one coordinate-major step, and their values are gathered as one
     # (k, n_nodes, 3^d) array per layer.
     k = controls.shape[0]
@@ -363,7 +361,7 @@ def value_function(
     dW_cols = np.tile(dW.T, k * mesh.n_nodes)
     at_next = mesh.gather(
         np.ascontiguousarray(
-            euler_step(prob.manifold, prob.fields, grid.t0, dt, X, V, dW_cols).T
+            euler_step(prob.manifold, prob.fields, dt, X, V, dW_cols).T
         ).reshape(k, mesh.n_nodes, n_rule, -1)
     )
     vv = np.broadcast_to(controls[:, None, :], (k, mesh.n_nodes, controls.shape[1]))

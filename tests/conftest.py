@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,12 @@ def unit_diffusion_circle(driver_id="zero", driver_params=None, terminal_id="coo
         driver_id=driver_id, driver_params=driver_params, terminal_id=terminal_id,
         sigma_low=1.0, sigma_high=1.0, grid_points=1,
     )
+
+
+def one_point_problem(prob, v):
+    """The problem over the one-point control set {v}: its frozen ODE is that of
+    the constant control v."""
+    return dataclasses.replace(prob, controls=ControlSet(v, v))
 
 
 @pytest.fixture

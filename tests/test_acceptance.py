@@ -15,7 +15,6 @@ from geodp.harness import run
 from geodp.hjb import (
     TestFunctionProbe,
     freezing_gap_report,
-    frozen_ode_constant_control,
     frozen_ode_solve,
     hjb_steps_for_cfl,
     shift_identity_check,
@@ -24,7 +23,7 @@ from geodp.hjb import (
 from geodp.hypotheses import check_H1, check_H2
 from geodp.value import CircleMesh, dpp_residual_check, value_function
 
-from conftest import circle_problem, unit_diffusion_circle
+from conftest import circle_problem, one_point_problem, unit_diffusion_circle
 
 BASIS = RegressionBasis(degree=2)
 
@@ -167,7 +166,7 @@ def test_criterion_06_shift_identity():
     grid = TimeGrid(0.0, 0.25, 16)
     noise = BrownianGrid(grid=grid, d=1, n_paths=4096, seed=12345, antithetic=True)
     rep = shift_identity_check(
-        prob, _suite_probe(), 0.0, np.array([1.0, 0.0]), 0.25,
+        prob, _suite_probe(), 0.0, np.array([1.0, 0.0]),
         ControlPolicy.constant([0.0, 1.0]), noise, tolerance=1e-4,
     )
     const_probe = TestFunctionProbe(
@@ -175,7 +174,7 @@ def test_criterion_06_shift_identity():
         time_derivative=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
     )
     rep_c = shift_identity_check(
-        prob, const_probe, 0.0, np.array([1.0, 0.0]), 0.25,
+        prob, const_probe, 0.0, np.array([1.0, 0.0]),
         ControlPolicy.constant([0.0, 1.0]), noise, tolerance=1e-10,
     )
     elapsed = time.perf_counter() - t0
@@ -212,11 +211,11 @@ def test_criterion_08_frozen_ode_bracket():
     x = np.array([np.cos(1.1), np.sin(1.1)])
     y = frozen_ode_solve(prob, probe, x, 0.1, 0.5, n_substeps=64)
     brute = min(
-        frozen_ode_constant_control(prob, probe, x, 0.1, 0.5, v, n_substeps=64)
+        frozen_ode_solve(one_point_problem(prob, v), probe, x, 0.1, 0.5, n_substeps=64)
         for v in prob.controls.grid()
     )
     finer = min(
-        frozen_ode_constant_control(prob, probe, x, 0.1, 0.5, v, n_substeps=64)
+        frozen_ode_solve(one_point_problem(prob, v), probe, x, 0.1, 0.5, n_substeps=64)
         for v in dataclasses.replace(
             prob.controls, grid_points_per_axis=4 * prob.controls.grid_points_per_axis
         ).grid()

@@ -173,9 +173,9 @@ def test_euler_step_broadcast_matches_path_steps(name):
     v = np.array([0.4, 0.7, 1.2])
     X = np.repeat(nodes.T, 5, axis=1)
     dW_cols = np.tile(dW.T, 6)
-    out = euler_step(m, fields, 0.0, 0.01, X, v[:, None], dW_cols).T.reshape(6, 5, -1)
+    out = euler_step(m, fields, 0.01, X, v[:, None], dW_cols).T.reshape(6, 5, -1)
     assert out.shape == (6, 5, m.ambient_dim)
-    paths = euler_step(m, fields, 0.0, 0.01, X, np.tile(v[:, None], (1, 30)), dW_cols).T
+    paths = euler_step(m, fields, 0.01, X, np.tile(v[:, None], (1, 30)), dW_cols).T
     np.testing.assert_array_equal(out.reshape(30, -1), paths)
 
 
@@ -190,15 +190,15 @@ def test_euler_step_matches_broadcast_jacobian_reference(name):
     X = m.random_points(2048, rng)
     v = rng.uniform(0.0, 1.5, size=(2048, d + 1))
     dW = 0.1 * rng.standard_normal((2048, d))
-    drift = v[:, 0:1] * fields[0](0.0, X)
+    drift = v[:, 0:1] * fields[0](X)
     for a in range(1, d + 1):
         J = np.broadcast_to(fields[a].A, X.shape + (m.ambient_dim,)).copy()
-        DV = np.einsum("...ij,...j->...i", J, fields[a](0.0, X))
+        DV = np.einsum("...ij,...j->...i", J, fields[a](X))
         drift = drift + 0.5 * v[:, a : a + 1] ** 2 * DV
     Y = X + 0.01 * drift
     for a in range(1, d + 1):
-        Y = Y + v[:, a : a + 1] * fields[a](0.0, X) * dW[:, a - 1 : a]
-    got = euler_step(m, fields, 0.0, 0.01, np.ascontiguousarray(X.T), v.T, dW.T).T
+        Y = Y + v[:, a : a + 1] * fields[a](X) * dW[:, a - 1 : a]
+    got = euler_step(m, fields, 0.01, np.ascontiguousarray(X.T), v.T, dW.T).T
     np.testing.assert_array_equal(got, m.project(Y))
 
 
@@ -238,12 +238,12 @@ def test_coordinate_major_step_equals_row_major_reference(name, fid, data):
         v = np.concatenate([X[:, :1], rng.uniform(-2.0, 2.0, (len(X), d))], axis=1)
         dW = np.sqrt(dt) * rng.standard_normal((len(X), d))
         want = _row_major_step(m, fields, dt, X, v, dW)
-        got = euler_step(m, fields, 0.0, dt, np.ascontiguousarray(X.T), v.T, dW.T).T
+        got = euler_step(m, fields, dt, np.ascontiguousarray(X.T), v.T, dW.T).T
     else:
         v = rng.uniform(-2.0, 2.0, d + 1)
         dW = np.sqrt(dt) * rng.standard_normal((3**d, d))
         want = _row_major_step(m, fields, dt, X[:, None, :], v, dW[None])
-        cols = euler_step(m, fields, 0.0, dt, np.repeat(X.T, len(dW), axis=1), v[:, None], np.tile(dW.T, len(X)))
+        cols = euler_step(m, fields, dt, np.repeat(X.T, len(dW), axis=1), v[:, None], np.tile(dW.T, len(X)))
         got = cols.T.reshape(want.shape)
     np.testing.assert_array_equal(got, want)
 
@@ -527,7 +527,7 @@ def test_flow_step_and_exp_stay_on_manifold(name, data):
     r = data.draw(st.floats(0.0, 20.0), label="r")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1), label="seed"))
     x = m.random_points(32, rng)
-    assert np.max(m.constraint_violation(flow_step(m, get_field(m, fid), 0.0, x, h))) <= 1e-9
+    assert np.max(m.constraint_violation(flow_step(m, get_field(m, fid), x, h))) <= 1e-9
     w = m.tangent_project(x, rng.standard_normal(x.shape))
     w = r * w / np.linalg.norm(w, axis=-1, keepdims=True)
     assert np.max(m.constraint_violation(m.exp(x, w))) <= 1e-9

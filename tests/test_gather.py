@@ -325,8 +325,8 @@ def _reference_solve_hjb(prob, grid, mesh):
     h = mesh.spacing()
     nodes = mesh.nodes
     controls = prob.controls.grid()
-    plus = [flow_step(prob.manifold, V, grid.t0, nodes, h) for V in prob.fields]
-    minus = [flow_step(prob.manifold, V, grid.t0, nodes, -h) for V in prob.fields]
+    plus = [flow_step(prob.manifold, V, nodes, h) for V in prob.fields]
+    minus = [flow_step(prob.manifold, V, nodes, -h) for V in prob.fields]
     u = np.empty((grid.n_steps + 1, mesh.n_nodes))
     u[grid.n_steps] = prob.terminal(nodes)
     argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
@@ -419,7 +419,7 @@ def _reference_value_function(prob, grid, mesh, picard_iters=3):
     for i in range(grid.n_steps - 1, -1, -1):
         values = []
         for v in controls:
-            X1 = euler_step(prob.manifold, prob.fields, grid.times[i], grid.dt,
+            X1 = euler_step(prob.manifold, prob.fields, grid.dt,
                             np.repeat(nodes.T, len(w), axis=1), v[:, None],
                             np.tile((xi * sqrt_dt).T, mesh.n_nodes))
             X1 = X1.T.reshape(mesh.n_nodes, len(w), -1)
@@ -490,7 +490,7 @@ def _per_control_value_function(prob, grid, mesh, picard_iters=3):
     at_next = [
         mesh.gather(
             np.ascontiguousarray(
-                euler_step(prob.manifold, prob.fields, grid.t0, dt, X, v[:, None], dW_cols).T
+                euler_step(prob.manifold, prob.fields, dt, X, v[:, None], dW_cols).T
             ).reshape(mesh.n_nodes, n_rule, -1)
         )
         for v in controls

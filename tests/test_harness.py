@@ -1,7 +1,9 @@
+import ast
 import csv
 import filecmp
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -107,6 +109,13 @@ def test_defaults_validate_and_print():
              "ladder": [{"n_theta": 128}, {"n_theta": 64}, {"n_theta": 32}]},
             "ladder[1]",
         ),
+        ({"tolerances": {"cfl_limit": 0}}, "tolerances.cfl_limit"),
+        ({"tolerances": {"cfl_limit": -0.4}}, "tolerances.cfl_limit"),
+        ({"tolerances": {"cfl_limit": 1.5}}, "tolerances.cfl_limit"),
+        ({"tolerances": {"oracle_se_mult": -3}}, "tolerances.oracle_se_mult"),
+        ({"experiment": "estimates", "tolerances": {"stability_slack": -0.01}}, "tolerances.stability_slack"),
+        ({"tolerances": {"h2_threshold": -1e-8}}, "tolerances.h2_threshold"),
+        ({"mu": -1.0}, "mu"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -662,3 +671,40 @@ def test_probe_points_are_the_unique_grid_indices(n_time, n_nodes, max_delta, co
     want = [(int(i), int(j)) for i in tis for j in njs]
     got = harness._probe_points(n_time, n_nodes, max_delta, count)
     assert got == want and all(type(i) is int and type(j) is int for i, j in got)
+
+
+def _unread_parameters(fn: ast.FunctionDef):
+    """The parameters of ``fn`` that its body never reads.  A nested function
+    reading one counts, and a zero-argument ``super()`` reads the first."""
+    a = fn.args
+    params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+    read = set()
+    for node in (n for stmt in fn.body for n in ast.walk(stmt)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            read.add(node.target.id)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "super" and not node.args and params):
+            read.add(params[0])
+    return [p for p in params if p not in read]
+
+
+def test_no_geodp_function_has_an_unread_parameter():
+    """Every parameter of a module-level function or method in geodp is read
+    by its body.  Nested functions and lambdas are exempt, as they implement a
+    caller's protocol.  Two are kept unread on purpose: ``value_function``'s
+    ``n_sub``, which the benchmark's span tracer reads by name, and the
+    ``dump_paths`` that ``harness.run`` hands to every experiment."""
+    allowed = {("value.py", "value_function", "n_sub")} | {
+        ("harness.py", fn.__name__, "dump_paths") for fn in harness._EXPERIMENTS.values()
+    }
+    unread = []
+    for path in sorted(pathlib.Path(harness.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            methods = [(f"{node.name}.", m) for m in node.body] if isinstance(node, ast.ClassDef) else []
+            for prefix, fn in [("", node)] + methods:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    unread += [(path.name, prefix + fn.name, p) for p in _unread_parameters(fn)
+                               if (path.name, prefix + fn.name, p) not in allowed]
+    assert unread == []

@@ -3,15 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from geodp.bsde import RegressionBasis, backward_sweep
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid, grid_argmin
+from geodp.dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid, grid_argmin, simulate
 from geodp.errors import CflViolated
-from geodp.geometry import get_field, get_manifold
+from geodp.geometry import get_field, get_manifold, rk4_step
 from geodp.hjb import (
     ZERO_PROBE,
     TestFunctionProbe,
     freezing_gap_report,
-    frozen_ode_constant_control,
     frozen_ode_solve,
     hamiltonian_F,
     hamiltonian_F0,
@@ -22,7 +22,7 @@ from geodp.hjb import (
 from geodp.problem import ControlProblem
 from geodp.value import CircleMesh, TorusMesh
 
-from conftest import circle_problem, unit_diffusion_circle
+from conftest import circle_problem, one_point_problem, unit_diffusion_circle
 
 
 def _coord_probe():
@@ -242,12 +242,12 @@ def test_frozen_ode_bracket_vs_constant_controls():
     t, delta = 0.1, 0.5
     y = frozen_ode_solve(prob, probe, x, t, delta, n_substeps=64)
     brute = min(
-        frozen_ode_constant_control(prob, probe, x, t, delta, v, n_substeps=64)
+        frozen_ode_solve(one_point_problem(prob, v), probe, x, t, delta, n_substeps=64)
         for v in prob.controls.grid()
     )
     assert abs(y - brute) <= 1e-8
     finer = min(
-        frozen_ode_constant_control(prob, probe, x, t, delta, v, n_substeps=64)
+        frozen_ode_solve(one_point_problem(prob, v), probe, x, t, delta, n_substeps=64)
         for v in dataclasses.replace(
             prob.controls, grid_points_per_axis=4 * prob.controls.grid_points_per_axis
         ).grid()
@@ -263,7 +263,106 @@ def test_frozen_odes_reject_a_non_positive_delta(delta):
     with pytest.raises(ValueError, match="delta must be positive"):
         frozen_ode_solve(prob, ZERO_PROBE, x, 0.1, delta)
     with pytest.raises(ValueError, match="delta must be positive"):
-        frozen_ode_constant_control(prob, ZERO_PROBE, x, 0.1, delta, prob.controls.grid()[0])
+        frozen_ode_solve(one_point_problem(prob, prob.controls.grid()[0]), ZERO_PROBE, x, 0.1, delta)
+
+
+# References: the former constant-control ODE, a backward RK4 over
+# hamiltonian_F at the one control v, and the former freezing-sweep driver,
+# which computed the probe terms of each step once and cached them.
+
+
+def _former_constant_control_ode(prob, probe, x, t, delta, v, n_substeps):
+    zeros = np.zeros(prob.d)
+
+    def g(s, y):
+        return -float(hamiltonian_F(prob, probe, s, x, y, zeros, v))
+
+    n_substeps = max(n_substeps, 32)
+    hstep = -delta / n_substeps
+    s = t + delta
+    y = 0.0
+    for _ in range(n_substeps):
+        y = rk4_step(g, s, y, hstep)
+        s = s + hstep
+    return float(y)
+
+
+def _former_shift_driver(prob, probe, times, v):
+    m = prob.manifold
+    cache = {}
+
+    def fn(i, xx, y, z):
+        if i not in cache:
+            t = times[i]
+            phi = probe.value(t, xx)
+            base = probe.time_derivative(t, xx) + v[..., 0] * probe.dir1(m, prob.fields[0], t, xx)
+            zs = np.zeros((xx.shape[0], prob.d))
+            for a in range(1, prob.d + 1):
+                base = base + 0.5 * v[..., a] ** 2 * probe.dir2(m, prob.fields[a], t, xx)
+                zs[:, a - 1] = v[..., a] * probe.dir1(m, prob.fields[a], t, xx)
+            cache[i] = phi, base, zs
+        phi, base, zs = cache[i]
+        vv = np.broadcast_to(v, (xx.shape[0], v.shape[0]))
+        return base + prob.driver(times[i], xx, y + phi, z + zs, vv)
+
+    return fn
+
+
+def _former_freezing_gaps(prob, probe, t, x, deltas, seed, n_paths):
+    """``freezing_gap_report``'s gaps, computed with the two references."""
+    gaps = []
+    for delta in deltas:
+        grid = TimeGrid(t0=t, T=t + delta, n_steps=16)
+        noise = BrownianGrid(grid=grid, d=prob.d, n_paths=n_paths, seed=seed, antithetic=True)
+        worst = 0.0
+        for v in prob.controls.grid():
+            ens = simulate(prob.manifold, prob.fields, x, ControlPolicy.constant(v), noise)
+            sol = backward_sweep(
+                ens.states, ens.noise.increments, grid,
+                _former_shift_driver(prob, probe, grid.times, v),
+                np.zeros(n_paths), RegressionBasis(), picard_iters=3,
+            )
+            y2 = _former_constant_control_ode(prob, probe, x, t, delta, v, 32)
+            worst = max(worst, abs(sol.y_at_t0 - y2))
+        gaps.append(worst)
+    return gaps
+
+
+_LEMMA_PROBLEMS = {
+    "smooth": lambda: circle_problem(grid_points=3),
+    "linear_y": lambda: circle_problem(driver_id="linear_y", driver_params={"beta": 0.5, "c": 0.2}),
+}
+_LEMMA_PROBES = {
+    "closed_form": _coord_probe,
+    "finite_difference": lambda: TestFunctionProbe(value=_coord_probe().value),
+}
+
+
+@pytest.mark.parametrize("probe_id", sorted(_LEMMA_PROBES))
+@pytest.mark.parametrize("problem_id", sorted(_LEMMA_PROBLEMS))
+def test_one_point_frozen_ode_equals_the_former_constant_control_ode(problem_id, probe_id):
+    """The frozen ODE over the one-point control set {v} is the former
+    constant-control ODE bit for bit, for every grid control v."""
+    prob, probe = _LEMMA_PROBLEMS[problem_id](), _LEMMA_PROBES[probe_id]()
+    x = np.array([np.cos(1.1), np.sin(1.1)])
+    for v in prob.controls.grid():
+        for n_substeps in (16, 40):
+            want = _former_constant_control_ode(prob, probe, x, 0.1, 0.5, v, n_substeps)
+            got = frozen_ode_solve(one_point_problem(prob, v), probe, x, 0.1, 0.5, n_substeps=n_substeps)
+            assert got == want, (v, n_substeps)
+
+
+@pytest.mark.parametrize("probe_id", sorted(_LEMMA_PROBES))
+@pytest.mark.parametrize("problem_id", sorted(_LEMMA_PROBLEMS))
+def test_freezing_gaps_equal_the_former_sweep(problem_id, probe_id):
+    """The freezing sweep with hamiltonian_F as its driver and the one-point
+    frozen ODE gives the gaps of the former cached driver and constant-control
+    ODE bit for bit, over every grid control."""
+    prob, probe = _LEMMA_PROBLEMS[problem_id](), _LEMMA_PROBES[probe_id]()
+    x = np.array([np.cos(0.4), np.sin(0.4)])
+    deltas = [0.25, 0.125]
+    rep = freezing_gap_report(prob, probe, 0.0, x, deltas, seed=5, n_paths=512)
+    assert rep.gaps == _former_freezing_gaps(prob, probe, 0.0, x, deltas, seed=5, n_paths=512)
 
 
 def test_shift_identity_smooth_probe():
@@ -272,7 +371,7 @@ def test_shift_identity_smooth_probe():
     grid = TimeGrid(0.0, 0.25, 16)
     noise = BrownianGrid(grid=grid, d=1, n_paths=4096, seed=31, antithetic=True)
     rep = shift_identity_check(
-        prob, probe, 0.0, np.array([1.0, 0.0]), 0.25,
+        prob, probe, 0.0, np.array([1.0, 0.0]),
         ControlPolicy.constant([0.0, 1.0]), noise,
     )
     assert rep.passed, f"gap {rep.gap}"
@@ -287,7 +386,7 @@ def test_shift_identity_constant_probe_exact():
     grid = TimeGrid(0.0, 0.25, 16)
     noise = BrownianGrid(grid=grid, d=1, n_paths=2048, seed=13, antithetic=True)
     rep = shift_identity_check(
-        prob, const_probe, 0.0, np.array([1.0, 0.0]), 0.25,
+        prob, const_probe, 0.0, np.array([1.0, 0.0]),
         ControlPolicy.constant([0.0, 0.5]), noise, tolerance=1e-10,
     )
     assert rep.passed, f"gap {rep.gap}"

@@ -131,8 +131,8 @@ def _loop_H2(m, V, n_samples, seed, threshold=1e-8):
     worst = -1.0
     witness = {}
     for k in range(n_samples):
-        moved = m.transport(x[k], y[k], V(t[k], x[k]))
-        viol = float(np.linalg.norm(moved - V(t[k], y[k])))
+        moved = m.transport(x[k], y[k], V(x[k]))
+        viol = float(np.linalg.norm(moved - V(y[k])))
         if viol > worst:
             worst = viol
             witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
@@ -150,8 +150,8 @@ def _loop_H1(m, V0, mu, n_samples, seed):
         if dist < 1e-10:
             continue
         used += 1
-        moved = m.transport(x[k], y[k], V0(t[k], x[k]))
-        ratio = float(np.linalg.norm(moved - V0(t[k], y[k]))) / dist
+        moved = m.transport(x[k], y[k], V0(x[k]))
+        ratio = float(np.linalg.norm(moved - V0(y[k]))) / dist
         if ratio > worst:
             worst = ratio
             witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
@@ -212,12 +212,12 @@ def _loop_A2(prob, n_samples, seed):
 
 def _loop_symbol(prob, t, x, r, zeta, quad, v):
     z = np.array(
-        [float(np.dot(zeta, v[a] * prob.fields[a](t, x))) for a in range(1, prob.d + 1)]
+        [float(np.dot(zeta, v[a] * prob.fields[a](x))) for a in range(1, prob.d + 1)]
     )
     fval = _scalar(
         prob.driver(t, x[None], np.array([r]), z[None, :], np.asarray(v, dtype=float)[None, :])
     )
-    out = -fval - float(np.dot(zeta, v[0] * prob.fields[0](t, x)))
+    out = -fval - float(np.dot(zeta, v[0] * prob.fields[0](x)))
     for a in range(1, prob.d + 1):
         out -= 0.5 * v[a] ** 2 * quad[a - 1]
     return out
