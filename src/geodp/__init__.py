@@ -16,10 +16,11 @@ from .bsde import (
 from .config import DEFAULTS, EXPERIMENTS, ExperimentConfig
 from .dynamics import (
     BrownianGrid,
-    ControlPolicy,
     ControlSet,
+    Policy,
     TimeGrid,
     TrajectoryEnsemble,
+    constant_policy,
     flow_continuity_check,
     simulate,
 )

@@ -236,7 +236,7 @@ def _policy_driver(ens: TrajectoryEnsemble, driver: Driver):
     times = ens.grid.times
 
     def fn(i, x, y, z):
-        v = ens.policy.values(i, x)
+        v = ens.policy(i, x)
         return driver(times[i], x, y, z, v)
 
     return fn

@@ -137,38 +137,25 @@ class ControlSet:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-class ControlPolicy:
-    """Piecewise-constant-in-time control: open-loop or feedback.
+# A control policy: the controls applied on step i to states X of shape
+# (N, n), as an (N, d+1) array.  A feedback control is any such function.
+Policy = Callable[[int, np.ndarray], np.ndarray]
 
-    ``values(i, X)`` returns the control applied on step i for states X of
-    shape (N, n), as an array of shape (N, d+1).
-    """
 
-    def __init__(self, fn: Callable[[int, np.ndarray], np.ndarray]):
-        self._fn = fn
+def constant_policy(v) -> Policy:
+    """The control v on every step and path.  The policy returns a read-only
+    broadcast view of one private copy of v, not a fresh array, and the same
+    view again while the number of paths stays the same."""
+    v = np.array(v, dtype=float, ndmin=1)
+    view = np.broadcast_to(v, (0, v.shape[0]))
 
-    def values(self, i: int, X: np.ndarray) -> np.ndarray:
-        return self._fn(i, np.asarray(X, dtype=float))
+    def policy(i, X):
+        nonlocal view
+        if view.shape[0] != X.shape[0]:
+            view = np.broadcast_to(v, (X.shape[0], v.shape[0]))
+        return view
 
-    @classmethod
-    def constant(cls, v) -> "ControlPolicy":
-        """The control v on every step and path.  ``values`` returns a
-        read-only broadcast view of one private copy of v, not a fresh array,
-        and the same view again while the number of paths stays the same."""
-        v = np.array(v, dtype=float, ndmin=1)
-        view = np.broadcast_to(v, (0, v.shape[0]))
-
-        def fn(i, X):
-            nonlocal view
-            if view.shape[0] != X.shape[0]:
-                view = np.broadcast_to(v, (X.shape[0], v.shape[0]))
-            return view
-
-        return cls(fn)
-
-    @classmethod
-    def feedback(cls, fn: Callable[[int, np.ndarray], np.ndarray]) -> "ControlPolicy":
-        return cls(fn)
+    return policy
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ class TrajectoryEnsemble:
     manifold: ManifoldModel
     states: np.ndarray  # (n_steps+1, n_paths, ambient_dim)
     noise: BrownianGrid
-    policy: ControlPolicy
+    policy: Policy
 
     @property
     def n_paths(self) -> int:
@@ -185,13 +172,6 @@ class TrajectoryEnsemble:
 
     def constraint_violation(self) -> float:
         return float(np.max(self.manifold.constraint_violation(self.states)))
-
-    def control_values(self) -> np.ndarray:
-        """Controls actually applied, shape (n_steps, n_paths, d+1)."""
-        out = []
-        for i in range(self.grid.n_steps):
-            out.append(self.policy.values(i, self.states[i]))
-        return np.stack(out, axis=0)
 
 
 def euler_step(m, fields, dt, X, v, dW):
@@ -249,7 +229,7 @@ def simulate(
     m: ManifoldModel,
     fields: Sequence[VectorField],
     x0: np.ndarray,
-    policy: ControlPolicy,
+    policy: Policy,
     noise: BrownianGrid,
 ) -> TrajectoryEnsemble:
     """Run the projected Euler scheme for all paths of the noise grid."""
@@ -267,7 +247,7 @@ def simulate(
         paths = slice(p0, p0 + CHUNK)
         X = np.ascontiguousarray(states[0, paths].T)
         for i in range(grid.n_steps):
-            v = policy.values(i, states[i, paths]).T
+            v = policy(i, states[i, paths]).T
             X = euler_step(m, fields, dt, X, v, noise.increments[i, paths].T)
             # Row by row: numpy copies a whole transposed block several times slower.
             for k, row in enumerate(X):
@@ -288,8 +268,8 @@ def flow_continuity_check(
     fields: Sequence[VectorField],
     x: np.ndarray,
     x2: np.ndarray,
-    policy: ControlPolicy,
-    policy2: ControlPolicy,
+    policy: Policy,
+    policy2: Policy,
     noise: BrownianGrid,
     C: float,
 ) -> FlowContinuityReport:
@@ -310,8 +290,10 @@ def flow_continuity_check(
         sup_sq.append(np.max(np.sum((ens1.states - ens2.states) ** 2, axis=-1), axis=0))
         # Sum the steps in step order for every block width: np.sum(axis=0)
         # switches to pairwise summation on a one-path block.
-        dv2 = np.sum((ens1.control_values() - ens2.control_values()) ** 2, axis=-1)
-        ctrl_sq.append(sum(dv2))
+        ctrl_sq.append(sum(
+            np.sum((policy(i, X1) - policy2(i, X2)) ** 2, axis=-1)
+            for i, (X1, X2) in enumerate(zip(ens1.states[:-1], ens2.states[:-1]))
+        ))
     lhs = float(np.mean(np.concatenate(sup_sq)))
     ctrl_term = float(np.mean(np.concatenate(ctrl_sq) * noise.grid.dt))
     rhs = C * (float(np.sum((np.asarray(x) - np.asarray(x2)) ** 2)) + ctrl_term)

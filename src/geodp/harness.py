@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .bsde import RegressionBasis, backward_sweep, solve_backward, stability_check
 from .config import ExperimentConfig
-from .dynamics import BrownianGrid, ControlPolicy, TimeGrid, export_paths, flow_continuity_check, simulate
+from .dynamics import BrownianGrid, TimeGrid, constant_policy, export_paths, flow_continuity_check, simulate
 from .errors import ConfigError
 from .hjb import TestFunctionProbe, export_hjb_field, hjb_steps_for_cfl, solve_hjb
 from .hypotheses import sample_structural_modulus, uniqueness_certified
@@ -115,7 +115,7 @@ def _exp_oracle_circle(cfg, out_dir, dump_paths):
     noise = BrownianGrid(
         grid=grid, d=prob.d, n_paths=int(cfg["mc"]["n_paths"]), seed=int(cfg["seed"])
     )
-    ens = simulate(prob.manifold, prob.fields, x0, ControlPolicy.constant(v), noise)
+    ens = simulate(prob.manifold, prob.fields, x0, constant_policy(v), noise)
     sol = solve_backward(ens, prob.driver, prob.terminal, _basis(cfg), int(cfg["mc"]["picard_iters"]))
     phiT = prob.terminal(ens.states[-1])
     se = float(np.std(phiT, ddof=1) / np.sqrt(len(phiT)))
@@ -235,7 +235,7 @@ def _exp_estimates(cfg, out_dir, dump_paths):
     noise = BrownianGrid(grid=grid, d=prob.d, n_paths=int(cfg["mc"]["n_paths"]), seed=seed)
     flow = flow_continuity_check(
         m, prob.fields, x0, x1,
-        ControlPolicy.constant(v), ControlPolicy.constant(v),
+        constant_policy(v), constant_policy(v),
         noise, C=tol["flow_C"],
     )
 
@@ -249,7 +249,7 @@ def _exp_estimates(cfg, out_dir, dump_paths):
         sk = rng.derive_seed(seed, 1000 + k)
         r = np.random.default_rng(sk)
         noise_k = BrownianGrid(grid=sgrid, d=prob.d, n_paths=2048, seed=sk)
-        ens = simulate(m, prob.fields, x0, ControlPolicy.constant(v), noise_k)
+        ens = simulate(m, prob.fields, x0, constant_policy(v), noise_k)
         C_L = float(r.uniform(0.1, 1.0))
         ua = float(r.uniform(0.0, 1.0))
         a, b = C_L * ua, C_L * (1.0 - ua)

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bsde import RegressionBasis, backward_sweep, conditional_expectation
-from .dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid, grid_argmin, simulate
+from .dynamics import BrownianGrid, ControlSet, Policy, TimeGrid, constant_policy, grid_argmin, simulate
 from .errors import CflViolated
 from .geometry import VectorField, flow_step, rk4_step
 from .problem import ControlProblem
@@ -331,7 +331,7 @@ def shift_identity_check(
     probe: TestFunctionProbe,
     t: float,
     x: np.ndarray,
-    policy: ControlPolicy,
+    policy: Policy,
     noise: BrownianGrid,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
@@ -370,7 +370,7 @@ def shift_identity_check(
 
     def driver(i, xx, y, z):
         phi_bar, z_phi = cond_phi[i]
-        v = ens.policy.values(i, xx)
+        v = ens.policy(i, xx)
         incr = (phi_bar - phi_layers[i]) / dt
         return np.stack([
             f(times[i], xx, y[0], z[0], v),
@@ -436,9 +436,7 @@ def freezing_gap_report(
             antithetic=True,
         )
         for v in prob.controls.grid():
-            ens = simulate(
-                prob.manifold, prob.fields, x, ControlPolicy.constant(v), noise
-            )
+            ens = simulate(prob.manifold, prob.fields, x, constant_policy(v), noise)
             sol1 = backward_sweep(
                 ens.states,
                 ens.noise.increments,

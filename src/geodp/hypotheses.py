@@ -48,11 +48,11 @@ def _first_max(values, initial, keep=True):
     return float(values.flat[k]), k
 
 
-def _witness(x, y, t, k, **extra) -> Dict:
+def _witness(x, y, k, **extra) -> Dict:
     """The sample pair k as a report witness; empty when k is None."""
     if k is None:
         return {}
-    return {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k]), **extra}
+    return {"x": x[k].tolist(), "y": y[k].tolist(), **extra}
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,12 @@ def check_H2(
     """Transported field values must agree with the field at the target point."""
     if not V.tangent_to(m):
         raise ValueError(f"field '{V.id}' is not tangent to {m.name}")
-    x, y, t = _sample_pairs(m, n_samples, np.random.default_rng(seed))
+    x, y, _ = _sample_pairs(m, n_samples, np.random.default_rng(seed))
     worst, k = _first_max(_norm(m.transport(x, y, V(x)) - V(y)), -1.0)
     return HypothesisReport(
         name="H2",
         max_violation=worst,
-        witness=_witness(x, y, t, k),
+        witness=_witness(x, y, k),
         passed=worst <= threshold,
         samples=n_samples,
         seed=seed,
@@ -114,7 +114,7 @@ def check_H1(
     seed: int = 0,
 ) -> HypothesisReport:
     """Transport defect of the drift field must be Lipschitz in the distance."""
-    x, y, t = _sample_pairs(m, n_samples, np.random.default_rng(seed))
+    x, y, _ = _sample_pairs(m, n_samples, np.random.default_rng(seed))
     dist = m.distance(x, y)
     keep = dist >= 1e-10  # degenerate pairs have no quotient
     defect = _norm(m.transport(x, y, V0(x)) - V0(y))
@@ -122,7 +122,7 @@ def check_H1(
     return HypothesisReport(
         name="H1",
         max_violation=worst,
-        witness=_witness(x, y, t, k),
+        witness=_witness(x, y, k),
         passed=worst <= mu * (1.0 + 1e-6) + _ABS_EPS,
         samples=int(keep.sum()),
         seed=seed,
@@ -157,7 +157,7 @@ def check_A1(
     return HypothesisReport(
         name="A1",
         max_violation=max(worst, 0.0),
-        witness=_witness(x, y, t, k),
+        witness={} if k is None else _witness(x, y, k, t=float(t[k])),
         passed=worst <= 1e-9,
         samples=n_samples,
         seed=seed,
@@ -250,7 +250,7 @@ def sample_structural_modulus(
     witness = {}
     if k is not None:
         i, j = divmod(k, len(ratios))
-        witness = _witness(x, y, t, i, alpha=float(alpha_list[j]))
+        witness = _witness(x, y, i, t=float(t[i]), alpha=float(alpha_list[j]))
     return HypothesisReport(
         name="Mod311",
         max_violation=float(worst),

@@ -47,8 +47,9 @@ from . import rng
 from .bsde import RegressionBasis, semigroup, solve_backward
 from .dynamics import (
     BrownianGrid,
-    ControlPolicy,
+    Policy,
     TimeGrid,
+    constant_policy,
     euler_step,
     float_texts,
     grid_argmin,
@@ -285,22 +286,14 @@ class DppReport:
 
 def cost_functional(
     prob: ControlProblem,
-    t: float,
     x: np.ndarray,
-    policy: ControlPolicy,
-    T: float,
-    n_steps: int,
-    n_paths: int,
-    seed: int,
+    policy: Policy,
+    noise: BrownianGrid,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
-    antithetic: bool = True,
 ) -> float:
-    """Recursive cost of one policy: simulate forward, solve the BSDE backward."""
-    grid = TimeGrid(t0=t, T=T, n_steps=n_steps)
-    noise = BrownianGrid(
-        grid=grid, d=prob.d, n_paths=n_paths, seed=seed, antithetic=antithetic
-    )
+    """Recursive cost of one policy from x over the window ``noise.grid``:
+    simulate forward on the noise, solve the BSDE backward."""
     ens = simulate(prob.manifold, prob.fields, x, policy, noise)
     sol = solve_backward(
         ens, prob.driver, prob.terminal, basis or RegressionBasis(), picard_iters
@@ -421,7 +414,7 @@ def dpp_residual_check(
         )
         values = np.empty(len(controls))
         for c, v in enumerate(controls):
-            ens = simulate(prob.manifold, prob.fields, x0, ControlPolicy.constant(v), noise)
+            ens = simulate(prob.manifold, prob.fields, x0, constant_policy(v), noise)
             eta = vf.mesh.interpolate(vf.u[i_end], ens.states[-1])
             values[c] = semigroup(ens, prob.driver, basis, eta, picard_iters)
         best, _ = grid_argmin(values)

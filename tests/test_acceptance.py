@@ -9,7 +9,7 @@ import numpy as np
 
 from geodp.bsde import RegressionBasis, backward_sweep, solve_backward, stability_check
 from geodp.config import ExperimentConfig
-from geodp.dynamics import BrownianGrid, ControlPolicy, TimeGrid, simulate
+from geodp.dynamics import BrownianGrid, TimeGrid, constant_policy, simulate
 from geodp.geometry import Circle, Sphere2, get_field, get_manifold
 from geodp.harness import run
 from geodp.hjb import (
@@ -56,7 +56,7 @@ def test_criterion_01_on_manifold_invariance():
         fields = [get_field(m, f) for f in fids]
         d = len(fields) - 1
         noise = BrownianGrid(grid=TimeGrid(0.0, 1.0, 64), d=d, n_paths=8192, seed=12345)
-        ens = simulate(m, fields, np.array(x0), ControlPolicy.constant([0.0] + [1.0] * d), noise)
+        ens = simulate(m, fields, np.array(x0), constant_policy([0.0] + [1.0] * d), noise)
         worst = max(worst, ens.constraint_violation())
     elapsed = time.perf_counter() - t0
     _verdict(
@@ -72,7 +72,7 @@ def test_criterion_02_circle_diffusion_oracle():
     noise = BrownianGrid(grid=TimeGrid(0.0, 1.0, 64), d=1, n_paths=8192, seed=12345)
     ens = simulate(
         prob.manifold, prob.fields, np.array([1.0, 0.0]),
-        ControlPolicy.constant([0.0, 1.0]), noise,
+        constant_policy([0.0, 1.0]), noise,
     )
     sol = solve_backward(ens, prob.driver, prob.terminal, BASIS)
     phiT = ens.states[-1, :, 0]
@@ -138,7 +138,7 @@ def test_criterion_05_stability_estimate_suite():
     for k in range(n_inst):
         r = np.random.default_rng(10_000 + k)
         noise = BrownianGrid(grid=sgrid, d=1, n_paths=2048, seed=10_000 + k)
-        ens = simulate(m, fields, np.array([1.0, 0.0]), ControlPolicy.constant([0.0, 1.0]), noise)
+        ens = simulate(m, fields, np.array([1.0, 0.0]), constant_policy([0.0, 1.0]), noise)
         C_L = float(r.uniform(0.1, 1.0))
         a = C_L * float(r.uniform(0.0, 1.0))
         b = C_L - a
@@ -167,7 +167,7 @@ def test_criterion_06_shift_identity():
     noise = BrownianGrid(grid=grid, d=1, n_paths=4096, seed=12345, antithetic=True)
     rep = shift_identity_check(
         prob, _suite_probe(), 0.0, np.array([1.0, 0.0]),
-        ControlPolicy.constant([0.0, 1.0]), noise, tolerance=1e-4,
+        constant_policy([0.0, 1.0]), noise, tolerance=1e-4,
     )
     const_probe = TestFunctionProbe(
         value=lambda t, x: np.full(np.asarray(x).shape[:-1], 0.6),
@@ -175,7 +175,7 @@ def test_criterion_06_shift_identity():
     )
     rep_c = shift_identity_check(
         prob, const_probe, 0.0, np.array([1.0, 0.0]),
-        ControlPolicy.constant([0.0, 1.0]), noise, tolerance=1e-10,
+        constant_policy([0.0, 1.0]), noise, tolerance=1e-10,
     )
     elapsed = time.perf_counter() - t0
     _verdict(

@@ -18,7 +18,7 @@ from geodp.bsde import (
     stability_check,
 )
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import BrownianGrid, ControlPolicy, TimeGrid, simulate
+from geodp.dynamics import BrownianGrid, TimeGrid, constant_policy, simulate
 from geodp.errors import ComparisonViolated, ContractionViolated
 from geodp.geometry import Circle, get_field
 
@@ -28,7 +28,7 @@ def _ensemble(n_steps=32, n_paths=4096, seed=0, T=1.0, sigma=1.0, antithetic=Fal
     fields = [get_field(m, "zero"), get_field(m, "rot")]
     grid = TimeGrid(0.0, T, n_steps)
     noise = BrownianGrid(grid=grid, d=1, n_paths=n_paths, seed=seed, antithetic=antithetic)
-    return simulate(m, fields, np.array([1.0, 0.0]), ControlPolicy.constant([0.0, sigma]), noise)
+    return simulate(m, fields, np.array([1.0, 0.0]), constant_policy([0.0, sigma]), noise)
 
 
 BASIS = RegressionBasis(degree=2)
@@ -139,7 +139,7 @@ def test_semigroup_nesting():
         head_states,
         ens.noise.increments[:16],
         ens.grid.window(0, 16),
-        lambda i, xx, y, z: driver(ens.grid.times[i], xx, y, z, ens.policy.values(i, xx)),
+        lambda i, xx, y, z: driver(ens.grid.times[i], xx, y, z, ens.policy(i, xx)),
         eta,
         BASIS,
     )
@@ -223,7 +223,7 @@ def _lockstep_members(name, n_paths=512, n_steps=8):
     grid = TimeGrid(0.0, 0.5, n_steps)
     noise = BrownianGrid(grid=grid, d=d, n_paths=n_paths, seed=17)
     x0 = m.project(np.arange(1.0, m.ambient_dim + 1.0))
-    ens = simulate(m, fields, x0, ControlPolicy.constant(np.ones(d + 1)), noise)
+    ens = simulate(m, fields, x0, constant_policy(np.ones(d + 1)), noise)
     r = np.random.default_rng(3)
     coef = r.uniform(-1.0, 1.0, size=(3, m.ambient_dim))
     terminal = ens.states[-1] @ coef.T  # (N, 3)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from geodp import dynamics
 from geodp.dynamics import (
     BrownianGrid,
-    ControlPolicy,
     ControlSet,
     TimeGrid,
+    constant_policy,
     euler_step,
     flow_continuity_check,
     grid_argmin,
@@ -83,7 +83,7 @@ def test_frozen_dynamics_zero_fields():
     fields = [get_field(m, "zero"), get_field(m, "scale:0:rot")]
     x0 = np.array([0.0, 1.0])
     grid = TimeGrid(0.0, 1.0, 16)
-    ens = simulate(m, fields, x0, ControlPolicy.constant([1.0, 1.0]), _noise(grid))
+    ens = simulate(m, fields, x0, constant_policy([1.0, 1.0]), _noise(grid))
     np.testing.assert_allclose(ens.states, np.broadcast_to(x0, ens.states.shape), atol=1e-14)
 
 
@@ -96,7 +96,7 @@ def test_pure_drift_rotation_order():
     errs = []
     for n in (32, 64, 128):
         grid = TimeGrid(0.0, 1.0, n)
-        ens = simulate(m, fields, x0, ControlPolicy.constant([1.0, 0.0]), _noise(grid, n_paths=1))
+        ens = simulate(m, fields, x0, constant_policy([1.0, 0.0]), _noise(grid, n_paths=1))
         end = ens.states[-1, 0]
         errs.append(np.linalg.norm(end - np.array([np.cos(1.0), np.sin(1.0)])))
     assert errs[1] < errs[0] and errs[2] < errs[1]
@@ -115,7 +115,7 @@ def test_on_manifold_all_catalog_manifolds():
         d = len(fields) - 1
         grid = TimeGrid(0.0, 1.0, 64)
         ens = simulate(
-            m, fields, np.array(x0), ControlPolicy.constant([0.0] + [1.0] * d),
+            m, fields, np.array(x0), constant_policy([0.0] + [1.0] * d),
             _noise(grid, d=d, n_paths=256, seed=3),
         )
         assert ens.constraint_violation() <= 1e-9
@@ -127,7 +127,7 @@ def test_circle_diffusion_oracle():
     fields = [get_field(m, "zero"), get_field(m, "rot")]
     x0 = np.array([1.0, 0.0])
     grid = TimeGrid(0.0, 1.0, 64)
-    ens = simulate(m, fields, x0, ControlPolicy.constant([0.0, 1.0]), _noise(grid, n_paths=8192, seed=7))
+    ens = simulate(m, fields, x0, constant_policy([0.0, 1.0]), _noise(grid, n_paths=8192, seed=7))
     est = float(np.mean(ens.states[-1, :, 0]))
     ref = np.exp(-0.5)
     se = float(np.std(ens.states[-1, :, 0], ddof=1) / np.sqrt(8192))
@@ -153,7 +153,7 @@ def test_chunk_partition_invariance(monkeypatch, name):
     d = len(fields) - 1
     grid = TimeGrid(0.0, 0.5, 16)
     noise = _noise(grid, d=d, n_paths=5000, seed=11)
-    policy = ControlPolicy.constant([0.5] + [1.0] * d)
+    policy = constant_policy([0.5] + [1.0] * d)
     ref = simulate(m, fields, np.array(x0), policy, noise).states
     for chunk in (1000, 5000, 7):
         monkeypatch.setattr(dynamics, "CHUNK", chunk)
@@ -253,7 +253,7 @@ def test_noise_dimension_mismatch():
     fields = [get_field(m, "zero"), get_field(m, "rot")]
     grid = TimeGrid(0.0, 1.0, 8)
     with pytest.raises(GridMismatch):
-        simulate(m, fields, np.array([1.0, 0.0]), ControlPolicy.constant([0.0, 1.0]), _noise(grid, d=2))
+        simulate(m, fields, np.array([1.0, 0.0]), constant_policy([0.0, 1.0]), _noise(grid, d=2))
 
 
 def test_uncertified_diffusion_field_rejected():
@@ -264,17 +264,18 @@ def test_uncertified_diffusion_field_rejected():
         fields = [get_field(m, "zero"), bad]
         x0 = m.project(np.ones(m.ambient_dim))
         with pytest.raises(NonTangentField, match=bad.id):
-            simulate(m, fields, x0, ControlPolicy.constant([0.0, 1.0]), _noise(TimeGrid(0.0, 1.0, 8)))
+            simulate(m, fields, x0, constant_policy([0.0, 1.0]), _noise(TimeGrid(0.0, 1.0, 8)))
 
 
 def test_feedback_policy_applied():
     m = Circle()
     fields = [get_field(m, "rot"), get_field(m, "scale:0:rot")]
-    # drive with speed = first coordinate (feedback), deterministic
-    policy = ControlPolicy.feedback(lambda i, X: np.stack([X[:, 0], np.zeros(X.shape[0])], axis=1))
+    def policy(i, X):  # drive with speed = first coordinate (feedback), deterministic
+        return np.stack([X[:, 0], np.zeros(X.shape[0])], axis=1)
+
     grid = TimeGrid(0.0, 0.5, 64)
     ens = simulate(m, fields, np.array([1.0, 0.0]), policy, _noise(grid, n_paths=2))
-    v = ens.control_values()
+    v = np.stack([policy(i, ens.states[i]) for i in range(grid.n_steps)])
     assert v.shape == (64, 2, 2)
     np.testing.assert_allclose(v[0, :, 0], 1.0)
     # the state moved, so later feedback controls differ from the first
@@ -283,22 +284,28 @@ def test_feedback_policy_applied():
 
 @pytest.mark.parametrize("name", ["circle", "sphere2", "torus2"])
 def test_constant_policy_is_a_read_only_view(name):
-    """A constant policy hands out one read-only view of its control, and
-    simulates exactly like a feedback policy that returns fresh copies."""
+    """A constant policy hands out one read-only (N, d+1) view of its control,
+    the same object while N stays the same, and simulates exactly like a
+    feedback policy that returns fresh copies."""
     m = get_manifold(name)
     fields = [get_field(m, f) for f in CATALOG[name][:3]]
     v = np.linspace(0.5, 1.0, len(fields))
-    const = ControlPolicy.constant(v)
+    const = constant_policy(v)
     X = np.ones((7, m.ambient_dim))
-    vals = const.values(0, X)
+    vals = const(0, X)
     assert vals.shape == (7, len(fields)) and not vals.flags.writeable
     with pytest.raises(ValueError):
         vals[0, 0] = 0.0
     v[0] = -1.0  # the policy keeps its own copy of v
-    np.testing.assert_array_equal(const.values(3, X), np.broadcast_to(vals[0], vals.shape))
-    assert const.values(3, X)[0, 0] == 0.5
+    assert const(3, X) is vals
+    np.testing.assert_array_equal(vals, np.broadcast_to(np.linspace(0.5, 1.0, len(fields)), vals.shape))
+    other = const(3, X[:4])
+    assert other.shape == (4, len(fields)) and not other.flags.writeable
+    assert const(5, X[:4]) is other
 
-    copies = ControlPolicy.feedback(lambda i, X: np.tile(np.linspace(0.5, 1.0, len(fields)), (X.shape[0], 1)))
+    def copies(i, X):
+        return np.tile(np.linspace(0.5, 1.0, len(fields)), (X.shape[0], 1))
+
     noise = _noise(TimeGrid(0.0, 0.5, 16), d=len(fields) - 1, n_paths=300, seed=8)
     x0 = m.project(np.arange(1.0, m.ambient_dim + 1.0))
     np.testing.assert_array_equal(
@@ -314,7 +321,7 @@ def test_flow_continuity_shared_noise():
     noise = _noise(grid, n_paths=1024, seed=5)
     x = np.array([1.0, 0.0])
     x2 = m.exp(x, np.array([0.0, 0.1]))
-    pol = ControlPolicy.constant([0.0, 1.0])
+    pol = constant_policy([0.0, 1.0])
     rep = flow_continuity_check(m, fields, x, x2, pol, pol, noise, C=50.0)
     assert rep.passed
     # identical starts and controls: both sides vanish
@@ -331,10 +338,11 @@ def _flow_case(name, n_paths):
     d = len(fields) - 1
     x = np.array(x0)
     x2 = m.exp(x, 0.1 * m.tangent_project(x, np.ones(m.ambient_dim)))
-    pol = ControlPolicy.constant([0.5] + [1.0] * d)
-    pol2 = ControlPolicy.feedback(
-        lambda i, X: np.concatenate([0.5 + 2.0 * X[:, :1], np.ones((X.shape[0], d))], axis=1)
-    )
+    pol = constant_policy([0.5] + [1.0] * d)
+
+    def pol2(i, X):
+        return np.concatenate([0.5 + 2.0 * X[:, :1], np.ones((X.shape[0], d))], axis=1)
+
     noise = _noise(TimeGrid(0.0, 0.5, 16), d=d, n_paths=n_paths, seed=17, antithetic=True)
     return m, fields, x, x2, pol, pol2, noise
 
@@ -348,8 +356,8 @@ def _flow_reference(name, n_paths):
     ens2 = simulate(m, fields, x2, pol2, noise)
     diff2 = np.sum((ens1.states - ens2.states) ** 2, axis=-1)
     lhs = float(np.mean(np.max(diff2, axis=0)))
-    v1 = ens1.control_values()
-    v2 = ens2.control_values()
+    v1 = np.stack([pol(i, ens1.states[i]) for i in range(noise.grid.n_steps)])
+    v2 = np.stack([pol2(i, ens2.states[i]) for i in range(noise.grid.n_steps)])
     ctrl_term = float(np.mean(np.sum(np.sum((v1 - v2) ** 2, axis=-1), axis=0) * noise.grid.dt))
     rhs = 50.0 * (float(np.sum((x - x2) ** 2)) + ctrl_term)
     return lhs, rhs
@@ -397,6 +405,35 @@ def test_flow_continuity_chunk_invariance(name, n_paths, data):
     assert rep.lhs > 0.0 and rep.rhs > 50.0 * float(np.sum((x - x2) ** 2))
 
 
+@pytest.mark.parametrize("n_paths", [1, dynamics.CHUNK, dynamics.CHUNK + 1])
+@pytest.mark.parametrize("name", ["circle", "sphere2"])
+def test_flow_continuity_control_term_matches_stacked_controls(name, n_paths):
+    """The control term summed step by step from two feedback policies equals,
+    bit for bit, the formula over each block's stacked (n_steps, paths, d+1)
+    controls, for blocks of one path, of CHUNK paths and of CHUNK + 1."""
+    m, fields, x, x2, _, pol2, noise = _flow_case(name, n_paths)
+    d = len(fields) - 1
+
+    def pol1(i, X):
+        return np.concatenate([X[:, :1] - 0.3, np.tile(1.0 + 0.5 * X[:, 1:2] ** 2, (1, d))], axis=1)
+
+    rep = flow_continuity_check(m, fields, x, x2, pol1, pol2, noise, C=50.0)
+    sup_sq, ctrl_sq = [], []
+    for p0 in range(0, n_paths, dynamics.CHUNK):
+        block = noise.block(p0, min(p0 + dynamics.CHUNK, n_paths))
+        ens1 = simulate(m, fields, x, pol1, block)
+        ens2 = simulate(m, fields, x2, pol2, block)
+        sup_sq.append(np.max(np.sum((ens1.states - ens2.states) ** 2, axis=-1), axis=0))
+        stack1 = np.stack([pol1(i, X) for i, X in enumerate(ens1.states[:-1])])
+        stack2 = np.stack([pol2(i, X) for i, X in enumerate(ens2.states[:-1])])
+        ctrl_sq.append(sum(np.sum((stack1 - stack2) ** 2, axis=-1)))
+    lhs = float(np.mean(np.concatenate(sup_sq)))
+    ctrl_term = float(np.mean(np.concatenate(ctrl_sq) * noise.grid.dt))
+    assert ctrl_term > 0.0
+    assert rep.lhs == lhs
+    assert rep.rhs == 50.0 * (float(np.sum((x - x2) ** 2)) + ctrl_term)
+
+
 def test_flow_continuity_memory_is_flat_in_paths():
     """Peak traced memory does not grow with the path count beyond the
     per-path results (16 bytes a path), and the full noise is never built."""
@@ -404,7 +441,7 @@ def test_flow_continuity_memory_is_flat_in_paths():
     fields = [get_field(m, "zero"), get_field(m, "rot")]
     x = np.array([1.0, 0.0])
     x2 = m.exp(x, np.array([0.0, 0.1]))
-    pol = ControlPolicy.constant([0.0, 1.0])
+    pol = constant_policy([0.0, 1.0])
     peaks = {}
     for n_paths in (4096, 32768):
         noise = _noise(TimeGrid(0.0, 1.0, 16), n_paths=n_paths, seed=5)
@@ -438,7 +475,7 @@ def test_diffusion_oracle_beyond_the_circle(name):
     fields = [get_field(m, f) for f in fids]
     d = len(fields) - 1
     noise = _noise(TimeGrid(0.0, 1.0, 64), d=d, n_paths=16384, seed=7, antithetic=True)
-    ens = simulate(m, fields, np.array(x0), ControlPolicy.constant([0.0] + [1.0] * d), noise)
+    ens = simulate(m, fields, np.array(x0), constant_policy([0.0] + [1.0] * d), noise)
     # Antithetic pairs are dependent: the standard error is that of the pair means.
     pairs = 0.5 * (ens.states[-1, 0::2] + ens.states[-1, 1::2])
     est = np.mean(pairs, axis=0)
@@ -453,7 +490,7 @@ def test_export_paths_roundtrip(tmp_path):
     m = Circle()
     fields = [get_field(m, "zero"), get_field(m, "rot")]
     grid = TimeGrid(0.0, 0.25, 4)
-    ens = simulate(m, fields, np.array([1.0, 0.0]), ControlPolicy.constant([0.0, 1.0]), _noise(grid, n_paths=3))
+    ens = simulate(m, fields, np.array([1.0, 0.0]), constant_policy([0.0, 1.0]), _noise(grid, n_paths=3))
     from geodp.dynamics import export_paths
 
     p = tmp_path / "paths.csv"
@@ -485,7 +522,7 @@ def test_export_paths_matches_csv_writer_bytes(tmp_path):
     fields = [get_field(m, f) for f in ("zero", "rot1", "rot2")]
     grid = TimeGrid(0.0, 0.25, 5)
     noise = _noise(grid, d=2, n_paths=6, seed=11, antithetic=True)
-    ens = simulate(m, fields, np.array([1.0, 0.0, 0.0, 1.0]), ControlPolicy.constant([0.0, 1.0, 1.0]),
+    ens = simulate(m, fields, np.array([1.0, 0.0, 0.0, 1.0]), constant_policy([0.0, 1.0, 1.0]),
                    noise)
     states = ens.states.copy()
     states[1, 0] = np.array([0x7FF8000000000001, 0x7FF0000000000002, 0xFFF8000000000000,
@@ -514,7 +551,7 @@ def test_simulate_stays_on_manifold(name, data):
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
     x0 = m.random_points(1, np.random.default_rng(seed))[0]
     noise = _noise(TimeGrid(0.0, T, data.draw(st.integers(1, 16), label="n_steps")), d=d, n_paths=16, seed=seed)
-    ens = simulate(m, [get_field(m, f) for f in fids], x0, ControlPolicy.constant(v), noise)
+    ens = simulate(m, [get_field(m, f) for f in fids], x0, constant_policy(v), noise)
     assert ens.constraint_violation() <= 1e-9
 
 
@@ -543,7 +580,9 @@ def test_simulate_chunk_invariance(name, n_paths, data):
     fields = [get_field(m, f) for f in fids]
     d = len(fields) - 1
     noise = _noise(TimeGrid(0.0, 0.5, 8), d=d, n_paths=n_paths, seed=13)
-    policy = ControlPolicy.feedback(lambda i, X: np.concatenate([X[:, :1], np.ones((X.shape[0], d))], axis=1))
+    def policy(i, X):
+        return np.concatenate([X[:, :1], np.ones((X.shape[0], d))], axis=1)
+
     ref = simulate(m, fields, np.array(x0), policy, noise).states
     chunk = data.draw(st.integers(1, n_paths + 5), label="chunk")
     with pytest.MonkeyPatch.context() as mp:

@@ -14,7 +14,7 @@ import pytest
 
 from geodp import harness
 from geodp.cli import main as cli_main
-from geodp.config import ExperimentConfig, print_defaults
+from geodp.config import EXPERIMENTS, ExperimentConfig, print_defaults
 from geodp.errors import ConfigError, SingularProjection
 from geodp.harness import run
 from geodp.hjb import hjb_steps_for_cfl
@@ -22,6 +22,10 @@ from geodp.hjb import hjb_steps_for_cfl
 
 def _cfg(**over):
     return ExperimentConfig.from_dict(over)
+
+
+def test_config_names_exactly_the_experiments_the_harness_runs():
+    assert list(EXPERIMENTS) == list(harness._EXPERIMENTS)
 
 
 def test_defaults_validate_and_print():

@@ -5,7 +5,7 @@ import pytest
 
 from geodp.bsde import RegressionBasis, backward_sweep
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import BrownianGrid, ControlPolicy, ControlSet, TimeGrid, grid_argmin, simulate
+from geodp.dynamics import BrownianGrid, ControlSet, TimeGrid, constant_policy, grid_argmin, simulate
 from geodp.errors import CflViolated
 from geodp.geometry import get_field, get_manifold, rk4_step
 from geodp.hjb import (
@@ -316,7 +316,7 @@ def _former_freezing_gaps(prob, probe, t, x, deltas, seed, n_paths):
         noise = BrownianGrid(grid=grid, d=prob.d, n_paths=n_paths, seed=seed, antithetic=True)
         worst = 0.0
         for v in prob.controls.grid():
-            ens = simulate(prob.manifold, prob.fields, x, ControlPolicy.constant(v), noise)
+            ens = simulate(prob.manifold, prob.fields, x, constant_policy(v), noise)
             sol = backward_sweep(
                 ens.states, ens.noise.increments, grid,
                 _former_shift_driver(prob, probe, grid.times, v),
@@ -372,7 +372,7 @@ def test_shift_identity_smooth_probe():
     noise = BrownianGrid(grid=grid, d=1, n_paths=4096, seed=31, antithetic=True)
     rep = shift_identity_check(
         prob, probe, 0.0, np.array([1.0, 0.0]),
-        ControlPolicy.constant([0.0, 1.0]), noise,
+        constant_policy([0.0, 1.0]), noise,
     )
     assert rep.passed, f"gap {rep.gap}"
 
@@ -387,7 +387,7 @@ def test_shift_identity_constant_probe_exact():
     noise = BrownianGrid(grid=grid, d=1, n_paths=2048, seed=13, antithetic=True)
     rep = shift_identity_check(
         prob, const_probe, 0.0, np.array([1.0, 0.0]),
-        ControlPolicy.constant([0.0, 0.5]), noise, tolerance=1e-10,
+        constant_policy([0.0, 0.5]), noise, tolerance=1e-10,
     )
     assert rep.passed, f"gap {rep.gap}"
 

@@ -127,7 +127,7 @@ def _scalar(a) -> float:
 
 def _loop_H2(m, V, n_samples, seed, threshold=1e-8):
     rng_ = np.random.default_rng(seed)
-    x, y, t = hypotheses._sample_pairs(m, n_samples, rng_)
+    x, y, _ = hypotheses._sample_pairs(m, n_samples, rng_)
     worst = -1.0
     witness = {}
     for k in range(n_samples):
@@ -135,13 +135,13 @@ def _loop_H2(m, V, n_samples, seed, threshold=1e-8):
         viol = float(np.linalg.norm(moved - V(y[k])))
         if viol > worst:
             worst = viol
-            witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
+            witness = {"x": x[k].tolist(), "y": y[k].tolist()}
     return HypothesisReport("H2", worst, witness, worst <= threshold, n_samples, seed)
 
 
 def _loop_H1(m, V0, mu, n_samples, seed):
     rng_ = np.random.default_rng(seed)
-    x, y, t = hypotheses._sample_pairs(m, n_samples, rng_)
+    x, y, _ = hypotheses._sample_pairs(m, n_samples, rng_)
     worst = -1.0
     witness = {}
     used = 0
@@ -154,7 +154,7 @@ def _loop_H1(m, V0, mu, n_samples, seed):
         ratio = float(np.linalg.norm(moved - V0(y[k]))) / dist
         if ratio > worst:
             worst = ratio
-            witness = {"x": x[k].tolist(), "y": y[k].tolist(), "t": float(t[k])}
+            witness = {"x": x[k].tolist(), "y": y[k].tolist()}
     passed = worst <= mu * (1.0 + 1e-6) + 1e-10
     return HypothesisReport("H1", worst, witness, passed, used, seed)
 

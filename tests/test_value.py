@@ -10,7 +10,7 @@ import pytest
 
 from geodp.bsde import RegressionBasis
 from geodp.catalog import get_driver, get_terminal
-from geodp.dynamics import ControlPolicy, ControlSet, TimeGrid
+from geodp.dynamics import BrownianGrid, ControlSet, TimeGrid, constant_policy
 from geodp.geometry import get_field, get_manifold
 from geodp.problem import ControlProblem
 from geodp.value import (
@@ -133,10 +133,8 @@ def test_value_agrees_with_cost_functional_singleton_control():
     mesh = CircleMesh(64)
     vf = value_function(prob, grid, mesh)
     v = prob.controls.grid()[0]
-    j = cost_functional(
-        prob, 0.0, mesh.nodes[0], ControlPolicy.constant(v), 1.0,
-        n_steps=32, n_paths=8192, seed=17,
-    )
+    noise = BrownianGrid(TimeGrid(0.0, 1.0, 32), prob.d, 8192, 17, antithetic=True)
+    j = cost_functional(prob, mesh.nodes[0], constant_policy(v), noise)
     assert abs(vf.u[0, 0] - j) < 2e-2
 
 
@@ -147,11 +145,9 @@ def test_value_upper_bounded_by_constant_controls():
     mesh = CircleMesh(64)
     vf = value_function(prob, grid, mesh)
     node = 5
+    noise = BrownianGrid(TimeGrid(0.0, 1.0, 32), prob.d, 8192, 23, antithetic=True)
     best_const = min(
-        cost_functional(
-            prob, 0.0, mesh.nodes[node], ControlPolicy.constant(v), 1.0,
-            n_steps=32, n_paths=8192, seed=23,
-        )
+        cost_functional(prob, mesh.nodes[node], constant_policy(v), noise)
         for v in prob.controls.grid()
     )
     assert vf.u[0, node] <= best_const + 2e-2
@@ -213,7 +209,7 @@ def test_dpp_residual_nan_window_value_is_not_passed_over(monkeypatch, nan_contr
     vf = value_function(prob, grid, CircleMesh(16))
 
     def semigroup(ens, driver, basis, eta, picard_iters):
-        v = ens.policy.values(0, ens.states[0])[0]
+        v = ens.policy(0, ens.states[0])[0]
         return np.nan if v[1] == sigma_nan else 0.25
 
     monkeypatch.setattr(value, "semigroup", semigroup)
@@ -424,7 +420,7 @@ def test_exports_leave_numpy_ma_unimported(tmp_path):
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from geodp.dynamics import BrownianGrid, ControlPolicy, TimeGrid, export_paths, simulate\n"
+        "from geodp.dynamics import BrownianGrid, TimeGrid, constant_policy, export_paths, simulate\n"
         "from geodp.geometry import get_field, get_manifold\n"
         "from geodp.value import CircleMesh, export_value_field, value_function\n"
         "from conftest import unit_diffusion_circle\n"
@@ -434,7 +430,7 @@ def test_exports_leave_numpy_ma_unimported(tmp_path):
         "grid = TimeGrid(0.0, 0.2, 4)\n"
         "noise = BrownianGrid(grid=grid, d=1, n_paths=8, seed=3)\n"
         "ens = simulate(m, [get_field(m, 'zero'), get_field(m, 'rot')], np.array([1.0, 0.0]),\n"
-        "               ControlPolicy.constant([0.0, 1.0]), noise)\n"
+        "               constant_policy([0.0, 1.0]), noise)\n"
         f"export_paths(ens, {str(tmp_path / 'paths.csv')!r})\n"
         "print('numpy.ma' in sys.modules)\n"
     )
