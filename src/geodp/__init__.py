@@ -34,6 +34,7 @@ from .errors import (
     GridMismatch,
     NonTangentField,
     SingularProjection,
+    WorkerLost,
 )
 from .geometry import (
     Circle,

@@ -46,8 +46,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"run error: {type(e).__name__}: {e}\n")
         return 3
     status = "PASS" if report.passed else "FAIL"
-    # ru_maxrss is in KiB on Linux; like the wall time it stays out of metrics.json.
-    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    # The peak of the largest process of the run: this one or a fork_map worker
+    # (RUSAGE_CHILDREN holds the largest reaped child's).  ru_maxrss is in KiB
+    # on Linux; like the wall time it stays out of metrics.json.
+    peak_rss = max(resource.getrusage(who).ru_maxrss
+                   for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
     lines = [
         f"{report.experiment}: {status} (seed={report.seed}, wall={report.wall_time:.2f}s, "
         f"peak_rss={peak_rss:.1f}MB)\n"

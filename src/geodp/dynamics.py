@@ -21,14 +21,17 @@ from an F-ordered feature matrix differs in the last bits.
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import rng
-from .errors import GridMismatch, NonTangentField
+from .errors import GridMismatch, NonTangentField, WorkerLost
 from .geometry import ManifoldModel, VectorField
 
 # Paths are stepped in fixed-size chunks to bound the per-step temporaries:
@@ -255,6 +258,91 @@ def simulate(
     return TrajectoryEnsemble(grid=grid, manifold=m, states=states, noise=noise, policy=policy)
 
 
+# True in a fork_map worker, where a nested fork_map runs serially.
+_IN_WORKER = False
+
+
+def fork_map(units: Callable[[range], Iterator], n: int) -> list:
+    """``list(units(range(n)))``, with the units shared out over forked
+    worker processes.
+
+    ``units(indices)`` yields the result of each index in ``indices``, in
+    order, and each result must depend only on its index.  A generator keeps
+    one unit's arrays alive while the next allocates its own, as a plain
+    loop does; a function called once per index frees them all on return,
+    and glibc then gives the heap back and faults it in again for every unit.
+
+    On Linux there are W = min(n, usable CPUs) workers.  Worker w runs
+    ``units(range(w, n, W))``, sends back through a pipe one pickle of its
+    results and of the error that stopped it, if any, and leaves with
+    ``os._exit``.  The parent reaps every worker before it returns or raises.
+    The results are those of the serial loop, in index order, and the error
+    raised is that of the lowest failing index.  With one worker, off Linux
+    and inside a worker, the units run serially in this process.
+    """
+    n_workers = 1 if _IN_WORKER or sys.platform != "linux" else min(n, len(os.sched_getaffinity(0)))
+    if n_workers <= 1:
+        return list(units(range(n)))
+    workers, replies = [], []
+    try:
+        for w in range(n_workers):
+            r, wfd = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fork_worker(units, range(w, n, n_workers), wfd)  # leaves with os._exit
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(wfd)
+            workers.append((pid, r))
+        for _, r in workers:
+            with open(r, "rb", closefd=False) as fh:
+                replies.append(fh.read())
+    finally:
+        # Closing the read ends first: a worker still writing gets EPIPE and leaves.
+        statuses = []
+        for pid, r in workers:
+            os.close(r)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results, failure = [None] * n, None
+    for w, (reply, status) in enumerate(zip(replies, statuses)):
+        try:
+            values, error = pickle.loads(reply)
+        except Exception as e:
+            raise WorkerLost(f"worker {w} of {n_workers} ended with exit code {status} "
+                             f"and no readable result ({e!r})") from None
+        results[w : w + len(values) * n_workers : n_workers] = values
+        i = w + len(values) * n_workers  # the index that failed, if one did
+        if error is not None and (failure is None or i < failure[0]):
+            failure = (i, error)
+    if failure is not None:
+        raise failure[1]
+    return results
+
+
+def _fork_worker(units, indices, fd) -> None:
+    """A fork_map worker: collect the results of units(indices) until one
+    raises, write (results, error or None) to the pipe fd and end the process
+    without running exit handlers or unwinding into the caller."""
+    global _IN_WORKER
+    _IN_WORKER = True
+    status = 1
+    try:
+        values, error = [], None
+        try:
+            for value in units(indices):
+                values.append(value)
+        except BaseException as e:  # the parent raises it again
+            error = e
+        with open(fd, "wb") as fh:
+            fh.write(pickle.dumps((values, error)))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 @dataclass(frozen=True)
 class FlowContinuityReport:
     lhs: float
@@ -281,19 +369,25 @@ def flow_continuity_check(
     Both flows are simulated one CHUNK-sized block of paths at a time, each
     block on its own noise, and only sup_s |X_s - X'_s|^2 and sum_i |v - v'|^2
     are kept per path, so memory is O(CHUNK * n_steps) plus two floats per path.
+    The blocks run in ``fork_map`` workers.
     """
-    sup_sq, ctrl_sq = [], []
-    for p0 in range(0, noise.n_paths, CHUNK):
-        block = noise.block(p0, min(p0 + CHUNK, noise.n_paths))
-        ens1 = simulate(m, fields, x, policy, block)
-        ens2 = simulate(m, fields, x2, policy2, block)
-        sup_sq.append(np.max(np.sum((ens1.states - ens2.states) ** 2, axis=-1), axis=0))
-        # Sum the steps in step order for every block width: np.sum(axis=0)
-        # switches to pairwise summation on a one-path block.
-        ctrl_sq.append(sum(
-            np.sum((policy(i, X1) - policy2(i, X2)) ** 2, axis=-1)
-            for i, (X1, X2) in enumerate(zip(ens1.states[:-1], ens2.states[:-1]))
-        ))
+    starts = range(0, noise.n_paths, CHUNK)
+
+    def block_sums(ks):
+        for k in ks:
+            block = noise.block(starts[k], min(starts[k] + CHUNK, noise.n_paths))
+            ens1 = simulate(m, fields, x, policy, block)
+            ens2 = simulate(m, fields, x2, policy2, block)
+            sup = np.max(np.sum((ens1.states - ens2.states) ** 2, axis=-1), axis=0)
+            # Sum the steps in step order for every block width: np.sum(axis=0)
+            # switches to pairwise summation on a one-path block.
+            ctrl = sum(
+                np.sum((policy(i, X1) - policy2(i, X2)) ** 2, axis=-1)
+                for i, (X1, X2) in enumerate(zip(ens1.states[:-1], ens2.states[:-1]))
+            )
+            yield sup, ctrl
+
+    sup_sq, ctrl_sq = zip(*fork_map(block_sums, len(starts)))
     lhs = float(np.mean(np.concatenate(sup_sq)))
     ctrl_term = float(np.mean(np.concatenate(ctrl_sq) * noise.grid.dt))
     rhs = C * (float(np.sum((np.asarray(x) - np.asarray(x2)) ** 2)) + ctrl_term)

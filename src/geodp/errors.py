@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every error keeps its constructor's arguments as ``args`` and formats its
+message in ``__str__``, so ``pickle`` rebuilds it with the same class,
+message and attributes: a forked worker's error reaches the parent that way.
+"""
 
 
 class GeodpError(Exception):
@@ -25,11 +30,13 @@ class ComparisonViolated(GeodpError):
     """Ordered BSDE inputs produced unordered solutions at some node."""
 
     def __init__(self, step, path, low, high):
+        super().__init__(step, path, low, high)
         self.step = step
         self.path = path
-        super().__init__(
-            f"comparison violated at step={step}, path={path}: {low!r} > {high!r}"
-        )
+
+    def __str__(self):
+        step, path, low, high = self.args
+        return f"comparison violated at step={step}, path={path}: {low!r} > {high!r}"
 
 
 class GridMismatch(GeodpError):
@@ -40,9 +47,17 @@ class CflViolated(GeodpError):
     """Explicit time step too large for the stencil spacing."""
 
 
+class WorkerLost(GeodpError):
+    """A forked worker of ``dynamics.fork_map`` ended without sending its results."""
+
+
 class ConfigError(GeodpError):
     """Invalid experiment configuration; message names the offending field."""
 
     def __init__(self, field, message):
+        super().__init__(field, message)
         self.field = field
-        super().__init__(f"config field '{field}': {message}")
+
+    def __str__(self):
+        field, message = self.args
+        return f"config field '{field}': {message}"

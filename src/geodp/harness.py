@@ -19,7 +19,9 @@ import numpy as np
 from . import rng
 from .bsde import RegressionBasis, backward_sweep, solve_backward, stability_check
 from .config import ExperimentConfig
-from .dynamics import BrownianGrid, TimeGrid, constant_policy, export_paths, flow_continuity_check, simulate
+from .dynamics import (
+    BrownianGrid, TimeGrid, constant_policy, export_paths, flow_continuity_check, fork_map, simulate,
+)
 from .errors import ConfigError
 from .hjb import TestFunctionProbe, export_hjb_field, hjb_steps_for_cfl, solve_hjb
 from .hypotheses import sample_structural_modulus, uniqueness_certified
@@ -239,41 +241,43 @@ def _exp_estimates(cfg, out_dir, dump_paths):
         noise, C=tol["flow_C"],
     )
 
-    # Randomized BSDE stability suite on a shared ensemble per instance.
+    # Randomized BSDE stability suite on a shared ensemble per instance; the
+    # instances run in fork_map workers.
     n_inst = int(cfg["estimates"]["n_instances"])
     sgrid = TimeGrid(t0=0.0, T=0.5, n_steps=32)
     basis = _basis(cfg)
-    rows = []
-    n_pass = 0
-    for k in range(n_inst):
-        sk = rng.derive_seed(seed, 1000 + k)
-        r = np.random.default_rng(sk)
-        noise_k = BrownianGrid(grid=sgrid, d=prob.d, n_paths=2048, seed=sk)
-        ens = simulate(m, prob.fields, x0, constant_policy(v), noise_k)
-        C_L = float(r.uniform(0.1, 1.0))
-        ua = float(r.uniform(0.0, 1.0))
-        a, b = C_L * ua, C_L * (1.0 - ua)
-        c1 = r.uniform(-1.0, 1.0, size=m.ambient_dim)
-        c2 = r.uniform(-1.0, 1.0, size=m.ambient_dim)
-        xi1 = ens.states[-1] @ c1
-        xi2 = ens.states[-1] @ c2
-        p1, p2 = r.uniform(-1.0, 1.0, size=2)
-        phi = np.stack([p1 * ens.states[:-1, :, 0], p2 * ens.states[:-1, :, 1]])
 
-        tanh_step = [None, None]  # (step, b * tanh(z0)): z is fixed within a step
+    def instances(ks):
+        for k in ks:
+            sk = rng.derive_seed(seed, 1000 + k)
+            r = np.random.default_rng(sk)
+            noise_k = BrownianGrid(grid=sgrid, d=prob.d, n_paths=2048, seed=sk)
+            ens = simulate(m, prob.fields, x0, constant_policy(v), noise_k)
+            C_L = float(r.uniform(0.1, 1.0))
+            ua = float(r.uniform(0.0, 1.0))
+            a, b = C_L * ua, C_L * (1.0 - ua)
+            c1 = r.uniform(-1.0, 1.0, size=m.ambient_dim)
+            c2 = r.uniform(-1.0, 1.0, size=m.ambient_dim)
+            xi1 = ens.states[-1] @ c1
+            xi2 = ens.states[-1] @ c2
+            p1, p2 = r.uniform(-1.0, 1.0, size=2)
+            phi = np.stack([p1 * ens.states[:-1, :, 0], p2 * ens.states[:-1, :, 1]])
 
-        def driver(i, xx, y, z):
-            if tanh_step[0] != i:
-                tanh_step[:] = i, b * np.tanh(z[..., 0])
-            return a * np.sin(y) + tanh_step[1] + phi[:, i]
+            tanh_step = [None, None]  # (step, b * tanh(z0)): z is fixed within a step
 
-        # Both members of the pair share the ensemble, so they sweep in lockstep.
-        xi = np.stack([xi1, xi2])
-        pair = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, xi, basis)
-        rep = stability_check(pair, xi, phi, C_L, slack=tol["stability_slack"])
-        n_pass += int(rep.passed)
-        rows.append([k, rep.lhs, rep.rhs, rep.beta0, int(rep.passed)])
+            def driver(i, xx, y, z):
+                if tanh_step[0] != i:
+                    tanh_step[:] = i, b * np.tanh(z[..., 0])
+                return a * np.sin(y) + tanh_step[1] + phi[:, i]
 
+            # Both members of the pair share the ensemble, so they sweep in lockstep.
+            xi = np.stack([xi1, xi2])
+            pair = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, xi, basis)
+            rep = stability_check(pair, xi, phi, C_L, slack=tol["stability_slack"])
+            yield [k, rep.lhs, rep.rhs, rep.beta0, int(rep.passed)]
+
+    rows = fork_map(instances, n_inst)
+    n_pass = sum(row[-1] for row in rows)
     _write_csv(os.path.join(out_dir, "stability.csv"),
                ["instance", "lhs", "rhs", "beta0", "pass"], rows)
     metrics = {

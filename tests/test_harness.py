@@ -651,6 +651,21 @@ def test_cli_summary_reports_peak_rss_outside_metrics(tmp_path, capsys):
     assert "rss" not in (out / "metrics.json").read_text()
 
 
+@pytest.mark.parametrize("self_kib, children_kib", [(40 * 1024, 60 * 1024), (60 * 1024, 40 * 1024)])
+def test_cli_peak_rss_is_that_of_the_largest_process(tmp_path, capsys, monkeypatch, self_kib, children_kib):
+    """peak_rss= is the larger of this process's peak and that of its largest
+    reaped child, a fork_map worker."""
+    import resource
+    from types import SimpleNamespace
+
+    kib = {resource.RUSAGE_SELF: self_kib, resource.RUSAGE_CHILDREN: children_kib}
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=kib[who]))
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: oracle-circle\nmc:\n  n_paths: 256\n")
+    assert cli_main(["run", str(f), "--out", str(tmp_path / "o")]) == 0
+    assert "peak_rss=60.0MB)" in capsys.readouterr().out.splitlines()[0]
+
+
 def test_cli_print_defaults(capsys):
     assert cli_main(["run", "--print-defaults"]) == 0
     assert "oracle-circle" in capsys.readouterr().out
