@@ -52,6 +52,7 @@ from .dynamics import (
     constant_policy,
     euler_step,
     float_texts,
+    fork_map,
     grid_argmin,
     simulate,
     write_csv_layers,
@@ -371,6 +372,12 @@ def value_function(
     return ValueField(grid=grid, mesh=mesh, u=u, argmin_control=argmin)
 
 
+# A dpp_residual_check call forks its probes out to fork_map workers when its
+# work, n_paths x controls x the window steps summed over the probes, reaches
+# this many path-steps; below it a fork round costs more than it saves.
+_FORK_MIN_PATH_STEPS = 2**17
+
+
 def dpp_residual_check(
     prob: ControlProblem,
     vf: ValueField,
@@ -390,6 +397,11 @@ def dpp_residual_check(
     ``value_function``, so a NaN window value gives a NaN residual.  Each
     probe (i, j) must lie in [0, n_steps) x [0, n_nodes), so that its window
     has at least one step.
+
+    Each probe's residual depends only on (i, j) and its seed, derived from
+    ``fresh_seed``, so at ``_FORK_MIN_PATH_STEPS`` and above the probes run
+    in ``fork_map`` workers, which only read ``vf``; the residuals are those
+    of the serial loop, in probe order.
     """
     if not 1 <= delta_steps <= vf.grid.n_steps:
         raise ValueError("delta_steps out of range")
@@ -400,25 +412,34 @@ def dpp_residual_check(
             )
     basis = basis or RegressionBasis()
     controls = prob.controls.grid()
-    residuals = []
-    for k, (i, j) in enumerate(probes):
-        i_end = min(i + delta_steps, vf.grid.n_steps)
-        window = vf.grid.window(i, i_end)
-        x0 = vf.mesh.nodes[j]
-        noise = BrownianGrid(
-            grid=window,
-            d=prob.d,
-            n_paths=n_paths,
-            seed=rng.derive_seed(fresh_seed, i, j),
-            antithetic=True,
-        )
-        values = np.empty(len(controls))
-        for c, v in enumerate(controls):
-            ens = simulate(prob.manifold, prob.fields, x0, constant_policy(v), noise)
-            eta = vf.mesh.interpolate(vf.u[i_end], ens.states[-1])
-            values[c] = semigroup(ens, prob.driver, basis, eta, picard_iters)
-        best, _ = grid_argmin(values)
-        residuals.append(abs(vf.u[i, j] - best))
+    n_steps = vf.grid.n_steps
+
+    def probe_residuals(ks):
+        for k in ks:
+            i, j = probes[k]
+            i_end = min(i + delta_steps, n_steps)
+            window = vf.grid.window(i, i_end)
+            x0 = vf.mesh.nodes[j]
+            noise = BrownianGrid(
+                grid=window,
+                d=prob.d,
+                n_paths=n_paths,
+                seed=rng.derive_seed(fresh_seed, i, j),
+                antithetic=True,
+            )
+            values = np.empty(len(controls))
+            for c, v in enumerate(controls):
+                ens = simulate(prob.manifold, prob.fields, x0, constant_policy(v), noise)
+                eta = vf.mesh.interpolate(vf.u[i_end], ens.states[-1])
+                values[c] = semigroup(ens, prob.driver, basis, eta, picard_iters)
+            best, _ = grid_argmin(values)
+            yield abs(vf.u[i, j] - best)
+
+    path_steps = n_paths * len(controls) * sum(min(i + delta_steps, n_steps) - i for i, _ in probes)
+    if path_steps >= _FORK_MIN_PATH_STEPS:
+        residuals = fork_map(probe_residuals, len(probes))
+    else:
+        residuals = list(probe_residuals(range(len(probes))))
     residuals = np.asarray(residuals)
     return DppReport(
         residuals=residuals,

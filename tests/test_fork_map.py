@@ -1,8 +1,9 @@
-"""dynamics.fork_map and its two callers: the flow check's path blocks and the
-stability instances of `estimates` give the same results, byte for byte, for
-any number of worker processes."""
+"""dynamics.fork_map and its callers: the flow check's path blocks, the
+stability instances of `estimates` and the dpp-check probe windows give the
+same results, byte for byte, for any number of worker processes."""
 
 import contextlib
+import json
 import os
 import signal
 import sys
@@ -10,12 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from geodp import dynamics
+from geodp import dynamics, rng, value
 from geodp.cli import main as cli_main
 from geodp.config import ExperimentConfig
 from geodp.dynamics import fork_map
-from geodp.errors import ConfigError, WorkerLost
-from geodp.harness import run
+from geodp.errors import ComparisonViolated, ConfigError, WorkerLost
+from geodp.harness import _probe_points, run
 
 from test_dynamics import _flow_case
 
@@ -202,3 +203,108 @@ def test_estimates_overflow_exits_3_with_singular_projection(cpus, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("run error: SingularProjection: ") and "non-finite" in err
     _assert_no_child_left()
+
+
+# dpp-check problems, each with its number of grid controls.
+DPP = {
+    "circle": (1, {"mesh": {"n_theta": 32}}),
+    "sphere2": (2, {"manifold": "sphere2", "fields": ["zero", "rot_x"], "driver": {"id": "smooth"},
+                    "control_set": {"lower": [0, 0.5], "upper": [0, 1], "grid_points_per_axis": 2},
+                    "mesh": {"n_lat": 6, "n_lon": 8}}),
+    "torus2": (1, {"manifold": "torus2", "fields": ["zero", "rot1", "rot2"],
+                   "control_set": {"lower": [0, 1, 1], "upper": [0, 1, 1]},
+                   "mesh": {"n1": 8, "n2": 8}}),
+}
+
+
+def _dpp_config(name, delta_steps, path_steps):
+    """DPP[name] on 16 steps with 4 probes, whose call at delta_steps[0] does
+    ``path_steps`` path-steps: n_paths x controls x 4 windows of that many steps."""
+    n_controls, problem = DPP[name]
+    n_paths = path_steps // (n_controls * 4 * delta_steps[0])
+    return ExperimentConfig.from_dict(dict(
+        problem, experiment="dpp-check", time={"n_steps": 16},
+        dpp={"delta_steps": delta_steps, "n_probes": 4, "n_paths": n_paths},
+    ))
+
+
+@pytest.mark.parametrize("name", sorted(DPP))
+def test_dpp_check_reports_are_identical_at_one_and_two_cpus(cpus, tmp_path, name):
+    """The delta-1 call at the fork floor and the delta-4 call above it: every
+    report file is the same on one CPU, where nothing forks, and on two, where
+    each call forks twice."""
+    cfg = _dpp_config(name, [1, 4], value._FORK_MIN_PATH_STEPS)
+    files = {}
+    for k in (1, 2):
+        forks = cpus(k)
+        out = tmp_path / f"cpus{k}"
+        run(cfg, out_dir=str(out))
+        assert len(forks) == (0 if k == 1 else 4)
+        files[k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert sorted(files[1]) == ["csv_schema.txt", "dpp_residuals.csv", "metrics.json", "value_field.csv"]
+    assert len(files[1]["dpp_residuals.csv"].splitlines()) == 1 + 2 * 4
+    assert files[1] == files[2]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("below, n_forks", [(0, 2), (32, 0)])
+def test_dpp_check_forks_from_the_floor_up(cpus, tmp_path, below, n_forks):
+    """On two CPUs, sphere2's delta-4 call forks at the floor and not one path
+    (32 path-steps) below it; its delta-1 call, a quarter of it, never forks."""
+    forks = cpus(2)
+    run(_dpp_config("sphere2", [4, 1], value._FORK_MIN_PATH_STEPS - below), out_dir=str(tmp_path))
+    assert len(forks) == n_forks
+    _assert_no_child_left()
+
+
+def test_dpp_check_fails_on_a_nan_window_value_from_a_worker(cpus, tmp_path, monkeypatch):
+    """test_harness's NaN window test above the fork floor, on two CPUs: the
+    first delta-1 probe, picked by its noise seed (each worker has its own
+    copy of any counter), makes its delta's maximum residual and the run's
+    NaN, and the run FAILs, although every other residual is small."""
+    cfg = _dpp_config("circle", [1, 4], value._FORK_MIN_PATH_STEPS)
+    i, j = _probe_points(16, 32, 4, 4)[0]
+    nan_seed = rng.derive_seed(rng.derive_seed(cfg["seed"], 7, 1), i, j)
+    semigroup = value.semigroup
+
+    def nan_at_first_probe(ens, *a, **k):
+        return np.nan if ens.noise.seed == nan_seed else semigroup(ens, *a, **k)
+
+    monkeypatch.setattr(value, "semigroup", nan_at_first_probe)
+    forks = cpus(2)
+    rep = run(cfg, out_dir=str(tmp_path))
+    assert len(forks) == 4
+    m = rep.metrics
+    assert np.isnan(m["max_residual_delta_1"]) and np.isnan(m["max_residual"])
+    assert m["max_residual_delta_4"] <= cfg["tolerances"]["dpp_max_residual"]
+    assert not rep.passed
+    assert json.loads((tmp_path / "metrics.json").read_text())["pass"] is False
+    _assert_no_child_left()
+
+
+def test_a_probe_window_error_reaches_the_cli_as_on_one_cpu(cpus, tmp_path, capsys, monkeypatch):
+    """semigroup raises ComparisonViolated on the last delta-1 probe, which the
+    second worker runs: on one CPU and on two the CLI exits 3 with the same
+    ``run error:`` line."""
+    f = tmp_path / "c.yaml"
+    f.write_text("experiment: dpp-check\ntime: {n_steps: 16}\nmesh: {n_theta: 32}\n"
+                 f"dpp: {{n_probes: 4, n_paths: {value._FORK_MIN_PATH_STEPS // 4}}}\n")
+    i, j = _probe_points(16, 32, 4, 4)[-1]
+    bad_seed = rng.derive_seed(rng.derive_seed(ExperimentConfig.from_yaml(str(f))["seed"], 7, 1), i, j)
+    semigroup = value.semigroup
+
+    def fail_at_last_probe(ens, *a, **k):
+        if ens.noise.seed == bad_seed:
+            raise ComparisonViolated(3, 17, 0.5, 0.25)
+        return semigroup(ens, *a, **k)
+
+    monkeypatch.setattr(value, "semigroup", fail_at_last_probe)
+    outcomes = {}
+    for k in (1, 2):
+        forks = cpus(k)
+        code = cli_main(["run", str(f), "--out", str(tmp_path / f"cpus{k}")])
+        outcomes[k] = (code, capsys.readouterr().err)
+        assert len(forks) == (0 if k == 1 else 2)
+        _assert_no_child_left()
+    assert outcomes[1] == outcomes[2] == (
+        3, "run error: ComparisonViolated: comparison violated at step=3, path=17: 0.5 > 0.25\n")
