@@ -26,7 +26,7 @@ import pickle
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -262,7 +262,9 @@ def simulate(
 _IN_WORKER = False
 
 
-def fork_map(units: Callable[[range], Iterator], n: int) -> list:
+def fork_map(
+    units: Callable[[range], Iterator], n: int, meanwhile: Optional[Callable[[], None]] = None
+) -> list:
     """``list(units(range(n)))``, with the units shared out over forked
     worker processes.
 
@@ -279,9 +281,17 @@ def fork_map(units: Callable[[range], Iterator], n: int) -> list:
     The results are those of the serial loop, in index order, and the error
     raised is that of the lowest failing index.  With one worker, off Linux
     and inside a worker, the units run serially in this process.
+
+    ``meanwhile()``, if given, is the parent's own work: it runs once the
+    workers are forked, while they run, and an error it raises is raised
+    after every worker is reaped.  When the units run serially it runs
+    before them, so a failing unit leaves the same effects of ``meanwhile``
+    at any worker count.
     """
     n_workers = 1 if _IN_WORKER or sys.platform != "linux" else min(n, len(os.sched_getaffinity(0)))
     if n_workers <= 1:
+        if meanwhile is not None:
+            meanwhile()
         return list(units(range(n)))
     workers, replies = [], []
     try:
@@ -297,6 +307,8 @@ def fork_map(units: Callable[[range], Iterator], n: int) -> list:
             finally:
                 os.close(wfd)
             workers.append((pid, r))
+        if meanwhile is not None:
+            meanwhile()
         for _, r in workers:
             with open(r, "rb", closefd=False) as fh:
                 replies.append(fh.read())

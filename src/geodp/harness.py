@@ -156,25 +156,24 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
     vf = value_function(prob, grid, mesh, picard_iters=int(cfg["mc"]["picard_iters"]))
     deltas = [int(d) for d in cfg["dpp"]["delta_steps"]]
     probes = _probe_points(grid.n_steps, mesh.n_nodes, max(deltas), int(cfg["dpp"]["n_probes"]))
+    # The parent writes the value table while the probe windows run.
+    reports = dpp_residual_check(
+        prob, vf, deltas, probes,
+        fresh_seeds=[rng.derive_seed(int(cfg["seed"]), 7, ds) for ds in deltas],
+        n_paths=int(cfg["dpp"]["n_paths"]),
+        basis=_basis(cfg),
+        picard_iters=int(cfg["mc"]["picard_iters"]),
+        tolerance=tol["dpp_max_residual"],
+        meanwhile=lambda: export_value_field(vf, os.path.join(out_dir, "value_field.csv")),
+    )
     rows = []
     metrics = {}
-    reports = []
-    for ds in deltas:
-        rep = dpp_residual_check(
-            prob, vf, ds, probes,
-            fresh_seed=rng.derive_seed(int(cfg["seed"]), 7, ds),
-            n_paths=int(cfg["dpp"]["n_paths"]),
-            basis=_basis(cfg),
-            picard_iters=int(cfg["mc"]["picard_iters"]),
-            tolerance=tol["dpp_max_residual"],
-        )
-        reports.append(rep)
+    for ds, rep in zip(deltas, reports):
         metrics[f"max_residual_delta_{ds}"] = rep.max_residual
         for (i, j), r in zip(rep.probes, rep.residuals):
             rows.append([ds, i, j, float(r)])
     # np.max, not max: a NaN residual of any delta is the run's maximum.
     metrics["max_residual"] = float(np.max([rep.max_residual for rep in reports]))
-    export_value_field(vf, os.path.join(out_dir, "value_field.csv"))
     _write_csv(os.path.join(out_dir, "dpp_residuals.csv"),
                ["delta_steps", "time_index", "node_index", "residual"], rows)
     return metrics, all(rep.passed for rep in reports)

@@ -94,22 +94,34 @@ def normal_increments(
     With ``antithetic=True`` the paths are antithetic in pairs: absolute path
     2k+1 is the negation of absolute path 2k, whatever the offset's parity.
     Each increment is still a pure function of (seed, step, path, component).
+    Each pair k is hashed once, as ``standard_normal(seed, step, k, comp) *
+    sqrt(dt)``, and written to its even path and negated to its odd one; IEEE
+    rounding is symmetric in sign, so the odd path is bit for bit the negated
+    draw times sqrt(dt).
     """
     out = np.empty((n_steps, n_paths, d))
     comps = np.arange(d, dtype=np.uint64)
-    paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)[:, None]
+    first, n_hashed = path_offset, n_paths
     if antithetic:
-        sign = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)
-        paths = paths >> np.uint64(1)
+        # Column c holds absolute path path_offset + c, which is pair
+        # (path_offset + c) >> 1: the even paths start at column `even` and
+        # take the pairs from `even` on, the odd ones take them from 0 on.
+        first, even = path_offset >> 1, path_offset & 1
+        n_hashed = ((path_offset + n_paths + 1) >> 1) - first
+    paths = np.arange(first, first + n_hashed, dtype=np.uint64)[:, None]
     sqrt_dt = np.sqrt(dt)
-    rows = max(1, _BLOCK_NORMALS // max(n_paths * d, 1))
+    rows = max(1, _BLOCK_NORMALS // max(n_hashed * d, 1))
     for s0 in range(0, n_steps, rows):
         s1 = min(s0 + rows, n_steps)
         steps = np.arange(s0, s1, dtype=np.uint64)[:, None, None]
         z = standard_normal(seed, steps, paths, comps)
         if antithetic:
-            z = z * sign
-        np.multiply(z, sqrt_dt, out=out[s0:s1])
+            z *= sqrt_dt
+            out[s0:s1, even::2] = z[:, even:]
+            odd_paths = out[s0:s1, 1 - even :: 2]
+            np.negative(z[:, : odd_paths.shape[1]], out=odd_paths)
+        else:
+            np.multiply(z, sqrt_dt, out=out[s0:s1])
     return out
 
 

@@ -372,39 +372,48 @@ def value_function(
     return ValueField(grid=grid, mesh=mesh, u=u, argmin_control=argmin)
 
 
-# A dpp_residual_check call forks its probes out to fork_map workers when its
-# work, n_paths x controls x the window steps summed over the probes, reaches
-# this many path-steps; below it a fork round costs more than it saves.
+# A dpp_residual_check call forks its windows out to fork_map workers when its
+# work, n_paths x controls x the window steps summed over every delta and
+# probe, reaches this many path-steps; below it a fork round costs more than
+# it saves.
 _FORK_MIN_PATH_STEPS = 2**17
 
 
 def dpp_residual_check(
     prob: ControlProblem,
     vf: ValueField,
-    delta_steps: int,
+    delta_steps: Sequence[int],
     probes: Sequence[Tuple[int, int]],
-    fresh_seed: int,
+    fresh_seeds: Sequence[int],
     n_paths: int = 4096,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
     tolerance: float = 2e-2,
-) -> DppReport:
-    """Recompute u at probe (time, node) pairs through a delta-step window.
+    meanwhile: Optional[Callable[[], None]] = None,
+) -> List[DppReport]:
+    """Recompute u at probe (time, node) pairs through a window of each
+    length in ``delta_steps``; one report per delta, in order.
 
     The window minimization searches constant-per-window controls on the
-    finite control grid, with fresh noise, and compares against the stored
-    value layer.  The minimum over the grid is ``grid_argmin``'s, as in
-    ``value_function``, so a NaN window value gives a NaN residual.  Each
-    probe (i, j) must lie in [0, n_steps) x [0, n_nodes), so that its window
-    has at least one step.
+    finite control grid, with fresh noise seeded from the delta's entry of
+    ``fresh_seeds``, and compares against the stored value layer.  The
+    minimum over the grid is ``grid_argmin``'s, as in ``value_function``, so
+    a NaN window value gives a NaN residual.  Each probe (i, j) must lie in
+    [0, n_steps) x [0, n_nodes), so that its window has at least one step.
 
-    Each probe's residual depends only on (i, j) and its seed, derived from
-    ``fresh_seed``, so at ``_FORK_MIN_PATH_STEPS`` and above the probes run
-    in ``fork_map`` workers, which only read ``vf``; the residuals are those
-    of the serial loop, in probe order.
+    The windows run delta by delta, each over every probe, and each residual
+    depends only on its delta's seed and its (i, j); so at
+    ``_FORK_MIN_PATH_STEPS`` and above all of them run in one ``fork_map``
+    round, whose workers only read ``vf``.  The residuals, and the error
+    raised if a window fails, are those of the serial loop.  ``meanwhile``
+    is handed to ``fork_map``: it runs in this process while the workers
+    run, or before the windows when they run here.
     """
-    if not 1 <= delta_steps <= vf.grid.n_steps:
-        raise ValueError("delta_steps out of range")
+    if len(fresh_seeds) != len(delta_steps):
+        raise ValueError("need one fresh seed per delta")
+    for ds in delta_steps:
+        if not 1 <= ds <= vf.grid.n_steps:
+            raise ValueError("delta_steps out of range")
     for i, j in probes:
         if not (0 <= i < vf.grid.n_steps and 0 <= j < vf.mesh.n_nodes):
             raise ValueError(
@@ -413,18 +422,20 @@ def dpp_residual_check(
     basis = basis or RegressionBasis()
     controls = prob.controls.grid()
     n_steps = vf.grid.n_steps
+    n_probes = len(probes)
 
-    def probe_residuals(ks):
+    def window_residuals(ks):
         for k in ks:
-            i, j = probes[k]
-            i_end = min(i + delta_steps, n_steps)
+            delta, probe = divmod(k, n_probes)
+            i, j = probes[probe]
+            i_end = min(i + delta_steps[delta], n_steps)
             window = vf.grid.window(i, i_end)
             x0 = vf.mesh.nodes[j]
             noise = BrownianGrid(
                 grid=window,
                 d=prob.d,
                 n_paths=n_paths,
-                seed=rng.derive_seed(fresh_seed, i, j),
+                seed=rng.derive_seed(fresh_seeds[delta], i, j),
                 antithetic=True,
             )
             values = np.empty(len(controls))
@@ -435,18 +446,25 @@ def dpp_residual_check(
             best, _ = grid_argmin(values)
             yield abs(vf.u[i, j] - best)
 
-    path_steps = n_paths * len(controls) * sum(min(i + delta_steps, n_steps) - i for i, _ in probes)
-    if path_steps >= _FORK_MIN_PATH_STEPS:
-        residuals = fork_map(probe_residuals, len(probes))
-    else:
-        residuals = list(probe_residuals(range(len(probes))))
-    residuals = np.asarray(residuals)
-    return DppReport(
-        residuals=residuals,
-        probes=list(probes),
-        max_residual=float(np.max(residuals)) if len(residuals) else 0.0,
-        tolerance=tolerance,
+    n_windows = len(delta_steps) * n_probes
+    path_steps = n_paths * len(controls) * sum(
+        min(i + ds, n_steps) - i for ds in delta_steps for i, _ in probes
     )
+    if path_steps >= _FORK_MIN_PATH_STEPS:
+        residuals = fork_map(window_residuals, n_windows, meanwhile)
+    else:
+        if meanwhile is not None:
+            meanwhile()
+        residuals = list(window_residuals(range(n_windows)))
+    return [
+        DppReport(
+            residuals=r,
+            probes=list(probes),
+            max_residual=float(np.max(r)) if n_probes else 0.0,
+            tolerance=tolerance,
+        )
+        for r in np.asarray(residuals).reshape(len(delta_steps), n_probes)
+    ]
 
 
 @dataclass(frozen=True)

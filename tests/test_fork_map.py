@@ -5,6 +5,7 @@ same results, byte for byte, for any number of worker processes."""
 import contextlib
 import json
 import os
+import select
 import signal
 import sys
 
@@ -218,41 +219,53 @@ DPP = {
 
 
 def _dpp_config(name, delta_steps, path_steps):
-    """DPP[name] on 16 steps with 4 probes, whose call at delta_steps[0] does
-    ``path_steps`` path-steps: n_paths x controls x 4 windows of that many steps."""
+    """DPP[name] on 16 steps with 4 probes, whose windows do ``path_steps``
+    path-steps in all (rounded down to a whole path): n_paths x controls x 4
+    probes x the steps of delta_steps summed.  No window is cut short, since
+    the probes' last time index is 16 - max(delta_steps) - 1."""
     n_controls, problem = DPP[name]
-    n_paths = path_steps // (n_controls * 4 * delta_steps[0])
+    n_paths = path_steps // (n_controls * 4 * sum(delta_steps))
     return ExperimentConfig.from_dict(dict(
         problem, experiment="dpp-check", time={"n_steps": 16},
         dpp={"delta_steps": delta_steps, "n_probes": 4, "n_paths": n_paths},
     ))
 
 
-@pytest.mark.parametrize("name", sorted(DPP))
-def test_dpp_check_reports_are_identical_at_one_and_two_cpus(cpus, tmp_path, name):
-    """The delta-1 call at the fork floor and the delta-4 call above it: every
-    report file is the same on one CPU, where nothing forks, and on two, where
-    each call forks twice."""
-    cfg = _dpp_config(name, [1, 4], value._FORK_MIN_PATH_STEPS)
+def _dpp_reports_at_one_and_two_cpus(cpus, tmp_path, cfg):
+    """Run cfg on one CPU, where nothing forks, and on two, where all of its
+    windows run in one round of two forks; the report files of each run."""
     files = {}
     for k in (1, 2):
         forks = cpus(k)
         out = tmp_path / f"cpus{k}"
         run(cfg, out_dir=str(out))
-        assert len(forks) == (0 if k == 1 else 4)
+        assert len(forks) == (0 if k == 1 else 2)
         files[k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert sorted(files[1]) == ["csv_schema.txt", "dpp_residuals.csv", "metrics.json", "value_field.csv"]
-    assert len(files[1]["dpp_residuals.csv"].splitlines()) == 1 + 2 * 4
-    assert files[1] == files[2]
-    _assert_no_child_left()
+        _assert_no_child_left()
+    return files[1], files[2]
+
+
+@pytest.mark.parametrize("name", sorted(DPP))
+def test_dpp_check_reports_are_identical_at_one_and_two_cpus(cpus, tmp_path, name):
+    """The delta-1 windows at the fork floor and the delta-4 windows above it:
+    every report file is the same on one CPU and on two."""
+    cfg = _dpp_config(name, [1, 4], 5 * value._FORK_MIN_PATH_STEPS)
+    one, two = _dpp_reports_at_one_and_two_cpus(cpus, tmp_path, cfg)
+    assert sorted(one) == ["csv_schema.txt", "dpp_residuals.csv", "metrics.json", "value_field.csv"]
+    assert len(one["dpp_residuals.csv"].splitlines()) == 1 + 2 * 4
+    assert one == two
 
 
 @pytest.mark.parametrize("below, n_forks", [(0, 2), (32, 0)])
 def test_dpp_check_forks_from_the_floor_up(cpus, tmp_path, below, n_forks):
-    """On two CPUs, sphere2's delta-4 call forks at the floor and not one path
-    (32 path-steps) below it; its delta-1 call, a quarter of it, never forks."""
+    """On two CPUs, sphere2's windows at deltas 1 and 3 fork at the floor,
+    summed over both deltas (4096 paths x 2 controls x 4 probes x 4 steps),
+    and not one path (32 path-steps) below it, although neither delta's
+    windows alone reach it."""
     forks = cpus(2)
-    run(_dpp_config("sphere2", [4, 1], value._FORK_MIN_PATH_STEPS - below), out_dir=str(tmp_path))
+    cfg = _dpp_config("sphere2", [1, 3], value._FORK_MIN_PATH_STEPS - below)
+    assert cfg["dpp"]["n_paths"] * 2 * 4 * 4 == value._FORK_MIN_PATH_STEPS - below
+    run(cfg, out_dir=str(tmp_path))
     assert len(forks) == n_forks
     _assert_no_child_left()
 
@@ -262,7 +275,7 @@ def test_dpp_check_fails_on_a_nan_window_value_from_a_worker(cpus, tmp_path, mon
     first delta-1 probe, picked by its noise seed (each worker has its own
     copy of any counter), makes its delta's maximum residual and the run's
     NaN, and the run FAILs, although every other residual is small."""
-    cfg = _dpp_config("circle", [1, 4], value._FORK_MIN_PATH_STEPS)
+    cfg = _dpp_config("circle", [1, 4], 5 * value._FORK_MIN_PATH_STEPS)
     i, j = _probe_points(16, 32, 4, 4)[0]
     nan_seed = rng.derive_seed(rng.derive_seed(cfg["seed"], 7, 1), i, j)
     semigroup = value.semigroup
@@ -273,7 +286,7 @@ def test_dpp_check_fails_on_a_nan_window_value_from_a_worker(cpus, tmp_path, mon
     monkeypatch.setattr(value, "semigroup", nan_at_first_probe)
     forks = cpus(2)
     rep = run(cfg, out_dir=str(tmp_path))
-    assert len(forks) == 4
+    assert len(forks) == 2
     m = rep.metrics
     assert np.isnan(m["max_residual_delta_1"]) and np.isnan(m["max_residual"])
     assert m["max_residual_delta_4"] <= cfg["tolerances"]["dpp_max_residual"]
@@ -308,3 +321,126 @@ def test_a_probe_window_error_reaches_the_cli_as_on_one_cpu(cpus, tmp_path, caps
         _assert_no_child_left()
     assert outcomes[1] == outcomes[2] == (
         3, "run error: ComparisonViolated: comparison violated at step=3, path=17: 0.5 > 0.25\n")
+
+
+@pytest.mark.parametrize("name", sorted(DPP))
+def test_dpp_check_at_three_deltas_forks_once(cpus, tmp_path, name):
+    """``delta_steps: [1, 2, 4]`` above the floor: the 12 windows of the three
+    deltas run in one round, which forks W = 2 workers on two CPUs, and every
+    report file is the one-CPU run's."""
+    cfg = _dpp_config(name, [1, 2, 4], 2 * value._FORK_MIN_PATH_STEPS)
+    one, two = _dpp_reports_at_one_and_two_cpus(cpus, tmp_path, cfg)
+    assert len(one["dpp_residuals.csv"].splitlines()) == 1 + 3 * 4
+    assert one == two
+
+
+def _fail_windows(monkeypatch, cfg, windows):
+    """Make semigroup raise ComparisonViolated(step=delta, path=probe index)
+    in each (delta, probe index) window of ``windows`` of a circle ``cfg``
+    (16 steps, 32 nodes), told apart by its noise seed, and run the other
+    windows as usual."""
+    probes = _probe_points(16, 32, max(cfg["dpp"]["delta_steps"]), 4)
+    bad = {rng.derive_seed(rng.derive_seed(cfg["seed"], 7, ds), *probes[p]): (ds, p) for ds, p in windows}
+    semigroup = value.semigroup
+
+    def failing(ens, *a, **k):
+        if ens.noise.seed in bad:
+            raise ComparisonViolated(*bad[ens.noise.seed], 0.5, 0.25)
+        return semigroup(ens, *a, **k)
+
+    monkeypatch.setattr(value, "semigroup", failing)
+
+
+@pytest.mark.parametrize("windows, first", [
+    ([(2, 0), (1, 3)], (1, 3)),  # windows 4 (worker 0) and 3 (worker 1)
+    ([(2, 0), (4, 1)], (2, 0)),  # windows 4 (worker 0) and 9 (worker 1)
+    ([(4, 3), (4, 2)], (4, 2)),  # windows 11 (worker 1) and 10 (worker 0)
+])
+def test_a_failing_window_raises_the_error_of_the_first_in_serial_order(
+    cpus, tmp_path, monkeypatch, windows, first
+):
+    """Windows run delta by delta, each over every probe: on one CPU and on
+    two, the error raised is that of the failing (delta, probe) a serial run
+    reaches first, whichever worker ran it."""
+    cfg = _dpp_config("circle", [1, 2, 4], 2 * value._FORK_MIN_PATH_STEPS)
+    _fail_windows(monkeypatch, cfg, windows)
+    for k in (1, 2):
+        forks = cpus(k)
+        with _deadline(), pytest.raises(ComparisonViolated) as info:
+            run(cfg, out_dir=str(tmp_path / f"cpus{k}"))
+        assert (info.value.step, info.value.path) == first
+        assert len(forks) == (0 if k == 1 else 2)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("path_steps", [2 * value._FORK_MIN_PATH_STEPS, value._FORK_MIN_PATH_STEPS // 8])
+def test_a_failed_dpp_check_leaves_the_same_files_at_one_and_two_cpus(
+    cpus, tmp_path, monkeypatch, path_steps
+):
+    """Above the floor the parent writes value_field.csv while the workers
+    run, and below it (or on one CPU) before the windows: a run whose window
+    fails leaves value_field.csv, byte for byte the same, and nothing else."""
+    cfg = _dpp_config("circle", [1, 2, 4], path_steps)
+    _fail_windows(monkeypatch, cfg, [(2, 1)])
+    files = {}
+    for k in (1, 2):
+        forks = cpus(k)
+        out = tmp_path / f"cpus{k}"
+        with _deadline(), pytest.raises(ComparisonViolated):
+            run(cfg, out_dir=str(out))
+        assert len(forks) == (2 if k == 2 and path_steps >= value._FORK_MIN_PATH_STEPS else 0)
+        files[k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        _assert_no_child_left()
+    assert sorted(files[1]) == ["value_field.csv"]
+    assert files[1] == files[2]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_meanwhile_runs_once_in_this_process_while_the_workers_run(cpus, k):
+    """On two CPUs ``meanwhile`` runs after both workers are forked and before
+    their results are read: each worker's first unit waits for a byte that
+    only ``meanwhile`` writes.  On one CPU it runs before the first unit.
+    Either way it runs once, here."""
+    forks = cpus(k)
+    ran, calls = [], []
+    r, w = os.pipe()
+
+    def units(ks):
+        for n, i in enumerate(ks):
+            ran.append(i)  # a worker's list is its own copy
+            got_byte = n > 0 or (select.select([r], [], [], 10)[0] and os.read(r, 1) == b"x")
+            yield i, bool(got_byte)
+
+    def meanwhile():
+        calls.append((os.getpid(), len(forks), list(ran)))
+        os.write(w, b"x" * k)
+
+    try:
+        got = fork_map(units, 4, meanwhile)
+    finally:
+        os.close(r)
+        os.close(w)
+    assert got == [(i, True) for i in range(4)]
+    assert calls == [(os.getpid(), 0 if k == 1 else 2, [])]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_meanwhile_that_raises_leaves_no_child(cpus, k):
+    """The error of ``meanwhile`` is raised after every worker is reaped; on
+    one CPU no unit runs."""
+    forks = cpus(k)
+    ran = []
+
+    def units(ks):
+        for i in ks:
+            ran.append(i)
+            yield i
+
+    def meanwhile():
+        raise ConfigError("meanwhile", "bad")
+
+    with _deadline(), pytest.raises(ConfigError, match="meanwhile"):
+        fork_map(units, 4, meanwhile)
+    assert len(forks) == (0 if k == 1 else 2) and ran == []
+    _assert_no_child_left()

@@ -162,3 +162,46 @@ def test_blocked_increments_at_the_block_size(n_steps, n_paths, d, path_offset, 
     got = rng.normal_increments(11, n_steps, n_paths, d, 0.01, antithetic=antithetic, path_offset=path_offset)
     want = _reference_increments(11, n_steps, n_paths, d, 0.01, antithetic, path_offset)
     np.testing.assert_array_equal(got, want)
+
+
+def _antithetic_reference(seed, n_steps, n_paths, d, dt, path_offset):
+    """standard_normal(seed, step, path >> 1, comp) * (+1 on even, -1 on odd
+    absolute paths) * sqrt(dt), for every (step, path, comp)."""
+    paths = np.arange(path_offset, path_offset + n_paths, dtype=np.uint64)
+    z = rng.standard_normal(
+        seed,
+        np.arange(n_steps, dtype=np.uint64)[:, None, None],
+        (paths >> np.uint64(1))[None, :, None],
+        np.arange(d, dtype=np.uint64)[None, None, :],
+    )
+    sign = np.where(paths % np.uint64(2) == 0, 1.0, -1.0)[None, :, None]
+    return z * sign * np.sqrt(dt)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 7, 4096, 4097])
+@pytest.mark.parametrize("path_offset", [0, 1, 2, 5])
+def test_antithetic_pairs_hashed_once_equal_the_signed_draws(path_offset, n_paths):
+    """Each pair is hashed once and written to its two paths: element by
+    element, the signed draw of its pair, for either parity of the offset, an
+    odd path count, d = 1-3 and step counts that cross a block boundary (9
+    steps at the default block size reach the 8 or 7 steps per block of 2048
+    or 2049 pairs; a 4-normal block crosses on every step)."""
+    for d in (1, 2, 3):
+        want = _antithetic_reference(77, 9, n_paths, d, 0.02, path_offset)
+        for block in (rng._BLOCK_NORMALS, 4):
+            with mock.patch.object(rng, "_BLOCK_NORMALS", block):
+                got = rng.normal_increments(77, 9, n_paths, d, 0.02, antithetic=True, path_offset=path_offset)
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("p0, p1", [(1, 2), (3, 10), (5, 4097)])
+def test_antithetic_block_at_an_odd_start(p0, p1):
+    """``BrownianGrid.block(p0, p1)`` at an odd p0 starts on the odd path of a
+    pair: its increments are the full grid's columns [p0, p1) bit for bit."""
+    from geodp.dynamics import BrownianGrid, TimeGrid
+
+    noise = BrownianGrid(grid=TimeGrid(0.0, 1.0, 9), d=2, n_paths=4097, seed=5, antithetic=True)
+    block = noise.block(p0, p1).increments
+    np.testing.assert_array_equal(block, noise.increments[:, p0:p1])
+    np.testing.assert_array_equal(block, _antithetic_reference(5, 9, 4097, 2, 1.0 / 9, 0)[:, p0:p1])

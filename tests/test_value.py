@@ -192,8 +192,8 @@ def test_dpp_residual_small_on_suite():
     mesh = CircleMesh(128)
     vf = value_function(prob, grid, mesh)
     probes = [(i, j) for i in (0, 20, 40, 59) for j in (0, 32, 64, 96)]
-    for ds in (1, 4):
-        rep = dpp_residual_check(prob, vf, ds, probes, fresh_seed=99, n_paths=4096)
+    reps = dpp_residual_check(prob, vf, [1, 4], probes, fresh_seeds=[99, 99], n_paths=4096)
+    for ds, rep in zip((1, 4), reps):
         assert rep.passed, f"delta={ds}: max residual {rep.max_residual}"
 
 
@@ -213,7 +213,7 @@ def test_dpp_residual_nan_window_value_is_not_passed_over(monkeypatch, nan_contr
         return np.nan if v[1] == sigma_nan else 0.25
 
     monkeypatch.setattr(value, "semigroup", semigroup)
-    rep = dpp_residual_check(prob, vf, 2, [(0, 0), (3, 5)], fresh_seed=1, n_paths=64)
+    rep, = dpp_residual_check(prob, vf, [2], [(0, 0), (3, 5)], fresh_seeds=[1], n_paths=64)
     assert np.all(np.isnan(rep.residuals))
     assert np.isnan(rep.max_residual) and not rep.passed
 
@@ -225,7 +225,7 @@ def test_dpp_residual_rejects_a_probe_outside_the_table(probe):
     prob = circle_problem()
     vf = value_function(prob, TimeGrid(0.0, 0.5, 8), CircleMesh(16))
     with pytest.raises(ValueError, match="outside"):
-        dpp_residual_check(prob, vf, 1, [(0, 0), probe], fresh_seed=1, n_paths=64)
+        dpp_residual_check(prob, vf, [1], [(0, 0), probe], fresh_seeds=[1], n_paths=64)
 
 
 def test_continuity_moduli_decay():
