@@ -216,6 +216,8 @@ class ExperimentConfig:
                 raise ConfigError(
                     "dpp.delta_steps", f"need at least one entry, each in [1, n_steps = {tm['n_steps']}]"
                 )
+            if len(set(deltas)) != len(deltas):
+                raise ConfigError("dpp.delta_steps", f"each delta may appear once, got {deltas}")
         meshes = [("mesh", r["mesh"])]
         if r["experiment"] == "convergence-table":
             if len(r["ladder"]) < 3:
@@ -246,6 +248,26 @@ class ExperimentConfig:
                 m.project(np.asarray(r["x0"], dtype=float))
             except SingularProjection as e:
                 raise ConfigError("x0", f"cannot be projected onto {m.name}: {e}") from e
+        if r["experiment"] in ("oracle-circle", "convergence-table"):
+            self._check_heat_problem()
+
+    def _check_heat_problem(self) -> None:
+        """oracle-circle and convergence-table compare against the closed form
+        of ``harness._heat_reference``: zero driver, coord or constant terminal
+        and no drift (v_0 A_0 = 0) under the first grid control, which for
+        convergence-table is the only one."""
+        what = self.raw["experiment"]
+        if self.raw["driver"]["id"] != "zero":
+            raise ConfigError("driver.id", f"{what} requires the zero driver")
+        if self.raw["terminal"]["id"] not in ("coord", "constant"):
+            raise ConfigError("terminal.id", f"{what} requires a coord or constant terminal")
+        prob = self.build_problem()
+        controls = prob.controls.grid()
+        if np.any(controls[0][0] * prob.fields[0].A != 0.0):
+            drift = f"'{prob.fields[0].id}' at v0 = {float(controls[0][0])!r}"
+            raise ConfigError("fields", f"{what} requires zero drift, got {drift}")
+        if what == "convergence-table" and len(controls) != 1:
+            raise ConfigError("control_set", "convergence-table requires a singleton control grid")
 
     # -- builders ------------------------------------------------------------
 

@@ -3,6 +3,7 @@ stability instances of `estimates` and the dpp-check probe windows give the
 same results, byte for byte, for any number of worker processes."""
 
 import contextlib
+import csv
 import json
 import os
 import select
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from geodp import dynamics, rng, value
+from geodp.bsde import RegressionBasis
 from geodp.cli import main as cli_main
 from geodp.config import ExperimentConfig
 from geodp.dynamics import fork_map
@@ -332,6 +334,42 @@ def test_dpp_check_at_three_deltas_forks_once(cpus, tmp_path, name):
     one, two = _dpp_reports_at_one_and_two_cpus(cpus, tmp_path, cfg)
     assert len(one["dpp_residuals.csv"].splitlines()) == 1 + 3 * 4
     assert one == two
+
+
+def test_sphere_dpp_probes_move_and_read_their_window_seeds(cpus, tmp_path):
+    """rot_z alone on a 6x8 sphere2 mesh vanishes at the poles, where a window
+    moves no path and its residual is roundoff whatever its noise: no probe
+    sits there.  On two CPUs, above the fork floor, each residual is the one
+    its window gives on the noise seeded by its delta and (i, j), bit for bit,
+    so a worker that drew other noise fails the test."""
+    n_paths = 4096
+    cfg = ExperimentConfig.from_dict(dict(
+        DPP["sphere2"][1], fields=["zero", "rot_z"], experiment="dpp-check", time={"n_steps": 16},
+        dpp={"delta_steps": [1, 4], "n_probes": 4, "n_paths": n_paths},
+    ))
+    forks = cpus(2)
+    run(cfg, out_dir=str(tmp_path))
+    assert len(forks) == 2
+    _assert_no_child_left()
+    prob, grid, mesh = cfg.build_problem(), cfg.build_grid(), cfg.build_mesh()
+    vf = value.value_function(prob, grid, mesh, picard_iters=3)
+    with open(tmp_path / "dpp_residuals.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * 4
+    for row in rows:
+        ds, i, j = (int(row[k]) for k in ("delta_steps", "time_index", "node_index"))
+        assert abs(mesh.nodes[j, 2]) < 1.0
+        noise = dynamics.BrownianGrid(
+            grid=grid.window(i, i + ds), d=prob.d, n_paths=n_paths,
+            seed=rng.derive_seed(rng.derive_seed(cfg["seed"], 7, ds), i, j), antithetic=True,
+        )
+        values = []
+        for v in prob.controls.grid():
+            ens = dynamics.simulate(prob.manifold, prob.fields, mesh.nodes[j], dynamics.constant_policy(v), noise)
+            eta = mesh.interpolate(vf.u[i + ds], ens.states[-1])
+            values.append(value.semigroup(ens, prob.driver, RegressionBasis(degree=2), eta, 3))
+        residual = float(row["residual"])
+        assert residual == abs(vf.u[i, j] - min(values)) and residual > 1e-10
 
 
 def _fail_windows(monkeypatch, cfg, windows):

@@ -233,11 +233,10 @@ def test_agreement_hjb_field_lines_up_with_value_field(tmp_path):
     assert 0.0 < diff <= rep.metrics["sup_diff_level_0"]
 
 
-def test_oracle_requires_zero_driver(tmp_path):
+def test_oracle_requires_zero_driver():
     cfg_raw = dict(experiment="oracle-circle", driver={"id": "constant"})
-    cfg = ExperimentConfig.from_dict(cfg_raw)
     with pytest.raises(ConfigError):
-        run(cfg, out_dir=str(tmp_path))
+        ExperimentConfig.from_dict(cfg_raw)
 
 
 @pytest.mark.parametrize(
@@ -332,6 +331,29 @@ def test_cli_dump_paths_outside_oracle_circle_is_a_config_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert "config error" in err and "dump_paths" in err and experiment in err
     assert not out.exists()
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # A repeated delta would run each of its windows twice.
+        ("{experiment: dpp-check, dpp: {delta_steps: [4, 4]}}\n", "dpp.delta_steps"),
+        # The heat rules of oracle-circle and convergence-table are checked at load.
+        ("{experiment: oracle-circle, driver: {id: smooth}}\n", "driver.id"),
+        ("{experiment: convergence-table, driver: {id: linear_y}}\n", "driver.id"),
+        ("{experiment: convergence-table, fields: [rot, rot], control_set: {lower: [1, 1], upper: [1, 1]}}\n",
+         "fields"),
+        ("{experiment: convergence-table, control_set: {lower: [0, 0.5], upper: [0, 1], "
+         "grid_points_per_axis: 2}}\n", "control_set"),
+    ],
+)
+def test_cli_config_errors_exit_2_before_the_out_directory_is_made(tmp_path, capsys, text, key):
+    f = tmp_path / "c.yaml"
+    f.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main(["run", str(f), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config field '{key}': ")
+    assert not out.exists()
+
 
 def test_cli_value_table_dt_bound_is_a_config_error(tmp_path, capsys):
     """dt = 0.2 would stop value_function; validation rejects it first."""
@@ -429,7 +451,8 @@ def test_circle_heat_reference_is_the_former_formula_bit_for_bit():
     v = [0.0, 0.7, 1.3]
     cfg = _cfg(fields=["zero", "rot", "rot"], control_set={"lower": v, "upper": v},
                time={"t0": 0.25, "T": 1.5})
-    prob, v = harness._heat_problem(cfg, "oracle-circle")
+    prob = cfg.build_problem()
+    v = prob.controls.grid()[0]
     x = cfg.build_mesh().nodes
     sigma2 = float(np.sum(np.asarray(v[1:]) ** 2))
     former = x[..., 0] * np.exp(-sigma2 * (1.5 - 0.25) / 2.0)
@@ -496,10 +519,9 @@ def test_convergence_table_reads_the_field_scale(tmp_path):
 def test_heat_experiments_reject_a_drift(tmp_path, experiment):
     """The closed form holds without drift; v_0 A_0 != 0 is a config error on
     fields, not a FAIL against the wrong reference."""
-    cfg = _cfg(experiment=experiment, fields=["rot", "rot"],
-               control_set={"lower": [1.0, 1.0], "upper": [1.0, 1.0]})
     with pytest.raises(ConfigError) as exc:
-        run(cfg, out_dir=str(tmp_path))
+        _cfg(experiment=experiment, fields=["rot", "rot"],
+             control_set={"lower": [1.0, 1.0], "upper": [1.0, 1.0]})
     assert exc.value.field == "fields"
     # A drift field at v_0 = 0 moves nothing.
     cfg = _cfg(experiment=experiment, fields=["rot", "rot"], mc={"n_paths": 2048})
