@@ -134,6 +134,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         r = self.raw
         _check_types(r, DEFAULTS, "")
+        for section in ("driver", "terminal"):  # stripped, as the catalog strips them
+            r[section]["id"] = r[section]["id"].strip()
         if r["x0"] is not None:
             _check_types(r["x0"], [0.0], "x0")
         for key, sizes in [("mesh", r["mesh"])] + [
@@ -168,7 +170,7 @@ class ExperimentConfig:
         except ParameterError as e:
             raise ConfigError(f"terminal.params.{e.name}", str(e)) from e
         index = r["terminal"]["params"]["index"]
-        if r["terminal"]["id"].strip() == "coord" and not 0 <= index < m.ambient_dim:
+        if r["terminal"]["id"] == "coord" and not 0 <= index < m.ambient_dim:
             raise ConfigError(
                 "terminal.params.index", f"must be in [0, {m.ambient_dim}) on {m.name}, got {index}"
             )
@@ -180,6 +182,10 @@ class ExperimentConfig:
             self._control_set()
         except (TypeError, ValueError) as e:
             raise ConfigError("control_set", str(e)) from e
+        if d == 0 and r["driver"]["id"] == "smooth":
+            raise ConfigError("driver.id", "the smooth driver reads z_0: it needs a diffusion field")
+        if d == 0 and r["experiment"] == "estimates":
+            raise ConfigError("fields", "estimates needs a diffusion field: its driver reads z_0")
         tm = r["time"]
         if not tm["t0"] < tm["T"]:
             raise ConfigError("time", "need t0 < T")

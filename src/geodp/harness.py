@@ -93,6 +93,15 @@ def _heat_reference(cfg: ExperimentConfig, prob, grid: TimeGrid, v, x):
     return float(params.get("scale", 1.0)) * x[..., i] * decay
 
 
+def _hjb_on_cfl_grid(cfg: ExperimentConfig, prob, mesh, n_out: int):
+    """``solve_hjb`` on the fewest steps that meet the CFL guard and are a
+    multiple of ``n_out``, keeping the n_out + 1 layers of its n_out steps."""
+    cfl_limit, grid = cfg["tolerances"]["cfl_limit"], cfg.build_grid()
+    n_hjb = hjb_steps_for_cfl(prob, grid.t0, grid.T, mesh, cfl_limit=cfl_limit, multiple_of=n_out)
+    hgrid = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_hjb)
+    return solve_hjb(prob, hgrid, mesh, cfl_limit=cfl_limit, stride=n_hjb // n_out)
+
+
 def _exp_oracle_circle(cfg, out_dir, dump_paths):
     prob = cfg.build_problem()
     v = prob.controls.grid()[0]
@@ -191,15 +200,11 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
     mesh = cfg.build_mesh()
     n_steps = int(tm["n_steps"])
     for level in range(levels):
+        if level:
+            mesh, n_steps = mesh.refine(), 2 * n_steps
         grid = TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=n_steps)
         vf = value_function(prob, grid, mesh, picard_iters=int(cfg["mc"]["picard_iters"]))
-        n_hjb = hjb_steps_for_cfl(
-            prob, grid.t0, grid.T, mesh,
-            cfl_limit=tol["cfl_limit"],
-            multiple_of=grid.n_steps,
-        )
-        hgrid = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_hjb)
-        hf = solve_hjb(prob, hgrid, mesh, cfl_limit=tol["cfl_limit"], stride=n_hjb // grid.n_steps)
+        hf = _hjb_on_cfl_grid(cfg, prob, mesh, n_steps)
         sup = float(np.max(np.abs(vf.u - hf.u)))
         level_tol = tol["agreement_sup"] / (2**level)
         metrics[f"sup_diff_level_{level}"] = sup
@@ -208,8 +213,6 @@ def _exp_solver_agreement(cfg, out_dir, dump_paths):
         if level == 0:
             export_value_field(vf, os.path.join(out_dir, "value_field.csv"))
             export_hjb_field(hf, os.path.join(out_dir, "hjb_field.csv"))
-        mesh = mesh.refine()
-        n_steps *= 2
     return metrics, passed
 
 
@@ -321,16 +324,13 @@ def _exp_hypotheses(cfg, out_dir, dump_paths):
 def _exp_convergence_table(cfg, out_dir, dump_paths):
     prob = cfg.build_problem()
     v = prob.controls.grid()[0]
-    tm = cfg["time"]
     tol = cfg["tolerances"]
     rows = []
     errors = []
-    for level, sizes in enumerate(cfg["ladder"]):
+    for sizes in cfg["ladder"]:
         mesh = cfg.build_mesh(sizes)
-        n_hjb = hjb_steps_for_cfl(prob, float(tm["t0"]), float(tm["T"]), mesh, cfl_limit=tol["cfl_limit"])
-        grid = TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=n_hjb)
-        hf = solve_hjb(prob, grid, mesh, cfl_limit=tol["cfl_limit"], stride=n_hjb)
-        errors.append(float(np.max(np.abs(hf.u[0] - _heat_reference(cfg, prob, grid, v, mesh.nodes)))))
+        hf = _hjb_on_cfl_grid(cfg, prob, mesh, 1)
+        errors.append(float(np.max(np.abs(hf.u[0] - _heat_reference(cfg, prob, hf.grid, v, mesh.nodes)))))
     passed = True
     for level, err in enumerate(errors):
         if level == 0 or err <= _ROUNDOFF:

@@ -8,8 +8,8 @@ integral curve: with x(+-) = flow_step(x, +-h),
 
 and the time stepping is explicit with a CFL guard, which keeps the update a
 positively weighted average (a monotone scheme) for diffusion-dominated
-control sets.  Each step minimizes the Hamiltonian of every grid control at
-every node as one array, and the solver keeps only every ``stride``-th layer.
+control sets.  Its backward loop is ``value.backward_induction``; each step
+minimizes the Hamiltonian of every grid control at every node as one array.
 
 The module also carries the pointwise Hamiltonian built from a smooth test
 function probe, the state-frozen backward ODE that realizes the inf over
@@ -28,7 +28,7 @@ from .dynamics import BrownianGrid, ControlSet, Policy, TimeGrid, constant_polic
 from .errors import CflViolated
 from .geometry import VectorField, flow_step, rk4_step
 from .problem import ControlProblem
-from .value import ManifoldMesh, ValueField, export_value_field
+from .value import ManifoldMesh, ValueField, backward_induction, export_value_field
 
 _T_FD = 1e-6  # time finite-difference step for probes without registered dt
 _DIR_FD = 1e-4  # flow-parameter step for probe derivatives without closed forms
@@ -165,23 +165,18 @@ def solve_hjb(
     cfl_limit: float = 0.4,
     stride: int = 1,
 ) -> HjbField:
-    """Explicit backward sweep with flow-aligned stencils.
-
-    Only every ``stride``-th layer is kept: u at HJB steps 0, stride, ...,
-    n_steps and the minimizing control at steps 0, stride, ..., n_steps -
-    stride, on the output grid ``TimeGrid(t0, T, n_steps // stride)``.  A
+    """Explicit backward sweep with flow-aligned stencils, run by
+    ``value.backward_induction``, which keeps every ``stride``-th layer.  A
     caller that compares against a coarser value table passes the ratio of
     the step counts; one that reads only t0 passes ``grid.n_steps``.
 
-    Stencil points are precomputed once (the fields take no time), and so
-    are their stencil gathers: the plus and minus points of the fields
-    are stacked into one (2, fields, n_nodes, ambient) array and handed to
-    ``mesh.gather`` once, so each time step is a single gather of u.  Each
-    step evaluates the Hamiltonian of all k grid controls at all nodes as one
-    (k, n_nodes) array, with one driver call on y (n_nodes,), z (k, n_nodes,
-    d) and v (k, n_nodes, d+1), and minimizes it with one ``grid_argmin``;
-    the differences and the Hamiltonian are computed in buffers made once,
-    and the minimizing controls are looked up only on kept layers.
+    The stencil points are the plus and minus points of the fields, stacked
+    into one (2, fields, n_nodes, ambient) array, so each time step is a
+    single gather of u.  Each step evaluates the Hamiltonian of all k grid
+    controls at all nodes as one (k, n_nodes) array, with one driver call on
+    y (n_nodes,), z (k, n_nodes, d) and v (k, n_nodes, d+1), and minimizes it
+    with one ``grid_argmin``; the differences and the Hamiltonian are
+    computed in buffers made once.
 
     Zero drift: when the drift field's matrix is zero, only the d diffusion
     fields are gathered and the drift term starts the Hamiltonian as
@@ -191,11 +186,9 @@ def solve_hjb(
     central difference is v_0 * (+0.0) bit for bit.  The rule reads only the
     drift matrix; nonzero drift keeps the full d+1 field stencil.
 
-    Raises ValueError unless stride divides n_steps, and CflViolated when
-    dt * max_v sum_a v_a^2 > cfl_limit * h^2.
+    Raises CflViolated when dt * max_v sum_a v_a^2 > cfl_limit * h^2, and
+    ValueError unless stride divides n_steps.
     """
-    if stride < 1 or grid.n_steps % stride:
-        raise ValueError(f"stride {stride} does not divide n_steps = {grid.n_steps}")
     h = mesh.spacing()
     cfl_ratio = grid.dt * _max_diffusion_load(prob) / h**2
     if cfl_ratio > cfl_limit:
@@ -214,16 +207,13 @@ def solve_hjb(
     # A zero drift's central difference is exactly +0.0 (see above): gather only the rest.
     zero_drift = not np.any(prob.fields[0].A)
     moving = prob.fields[1:] if zero_drift else prob.fields
-    stencil = mesh.gather(
-        np.array([[flow_step(m, V, nodes, s) for V in moving] for s in (h, -h)])
-        .reshape(2, len(moving), *nodes.shape)
-    )
+    flows = [[flow_step(m, V, nodes, s) for V in moving] for s in (h, -h)]
+    points = np.array(flows).reshape(2, len(moving), *nodes.shape)
     first = len(moving) - prob.d  # row of the first diffusion field in the stencil
     # Per-control coefficients, one row per control: v_0, 1/2 v_a^2 and v_a.
     v0 = controls[:, :1]  # (k, 1)
     half_v2 = [0.5 * controls[:, a : a + 1] ** 2 for a in range(1, prob.d + 1)]  # d of (k, 1)
     v_diff = controls[:, None, 1:]  # (k, 1, d)
-    vv = np.broadcast_to(controls[:, None, :], (k, n, controls.shape[1]))
     ham0 = v0 * 0.0  # (k, 1): v_0 times the zero drift's central difference
 
     # Per-step buffers: differences, Hamiltonian and its per-field term.  z
@@ -234,13 +224,7 @@ def solve_hjb(
     ham = np.empty((k, n))
     term = np.empty((k, n))
 
-    n_out = grid.n_steps // stride
-    u = np.empty((n_out + 1, n))
-    u[n_out] = prob.terminal(nodes)
-    un = u[n_out].copy()
-    argmin = np.empty((n_out, n, controls.shape[1]))
-
-    for i in range(grid.n_steps - 1, -1, -1):
+    def layer(i, stencil, un, vv):
         up, um = stencil(un)  # each (len(moving), n_nodes)
         np.divide(np.subtract(up, um, out=d1), 2.0 * h, out=d1)
         np.subtract(up[first:], 2.0 * un, out=d2)
@@ -252,17 +236,10 @@ def solve_hjb(
         np.add(acc, prob.driver(times[i + 1], nodes, un, z, vv), out=ham)
         best, rows = grid_argmin(ham)
         un += dt * best
-        if i % stride == 0:
-            u[i // stride] = un
-            argmin[i // stride] = controls[rows]
+        return un, rows
 
-    return HjbField(
-        grid=TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_out),
-        mesh=mesh,
-        u=u,
-        cfl_ratio=cfl_ratio,
-        argmin_control=argmin,
-    )
+    vf = backward_induction(prob, grid, mesh, points, layer, stride)
+    return HjbField(**vars(vf), cfl_ratio=cfl_ratio)
 
 
 def hjb_steps_for_cfl(
@@ -274,13 +251,9 @@ def hjb_steps_for_cfl(
     multiple_of: int = 1,
 ) -> int:
     """Smallest step count satisfying the CFL guard, rounded up to a multiple."""
-    h = mesh.spacing()
-    diff_load = _max_diffusion_load(prob)
-    n = int(np.ceil((T - t0) * diff_load / (cfl_limit * h**2))) if diff_load > 0 else 1
-    n = max(n, 1)
-    if multiple_of > 1:
-        n = int(np.ceil(n / multiple_of)) * multiple_of
-    return n
+    load = _max_diffusion_load(prob)
+    n = max(int(np.ceil((T - t0) * load / (cfl_limit * mesh.spacing() ** 2))), 1)
+    return int(np.ceil(n / multiple_of)) * multiple_of
 
 
 def frozen_ode_solve(

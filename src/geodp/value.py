@@ -30,9 +30,9 @@ indices and weights are built once for a point set, and the returned function
 maps nodal values to interpolated values with one take of the cell corners
 and one lerp per axis.  ``interpolate(values, points)`` is
 ``gather(points)(values)``.
-Because the rule's points are fixed and the Euler step takes no time,
-``value_function`` builds one gather for all grid controls before its time
-loop, and steps every control of a layer as one array.
+``backward_induction`` is the recursion shared with ``hjb.solve_hjb``: both
+are controlled-Markov-chain schemes (Kushner & Dupuis 2001, ch. 5) that differ
+only in their fixed off-node points and in the layer that combines u there.
 """
 
 from __future__ import annotations
@@ -316,6 +316,35 @@ def gauss_hermite_rule(d: int) -> Tuple[np.ndarray, np.ndarray]:
     return _GH3_POINTS[idx], np.prod(_GH3_WEIGHTS[idx], axis=1)
 
 
+def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
+                       points: np.ndarray, layer: Callable, stride: int = 1) -> ValueField:
+    """The dynamic-programming recursion, from the terminal layer back to
+    step 0.  ``layer(i, g, u, vv)`` maps u at step i + 1, which it may update
+    in place, to (u at step i, the ``grid_argmin`` rows of its minimizing
+    controls), with ``g`` = ``mesh.gather(points)`` and ``vv`` the control
+    grid broadcast to (k, n_nodes, d+1).  Every ``stride``-th layer is kept
+    (copied), on ``TimeGrid(t0, T, n_steps // stride)``; ValueError unless
+    stride divides n_steps.
+    """
+    if stride < 1 or grid.n_steps % stride:
+        raise ValueError(f"stride {stride} does not divide n_steps = {grid.n_steps}")
+    controls = prob.controls.grid()
+    vv = np.broadcast_to(controls[:, None, :], (len(controls), mesh.n_nodes, controls.shape[1]))
+    n_out = grid.n_steps // stride
+    u = np.empty((n_out + 1, mesh.n_nodes))
+    u[n_out] = prob.terminal(mesh.nodes)
+    argmin = np.empty((n_out,) + vv.shape[1:])
+    g = mesh.gather(points)
+    u_i = u[n_out].copy()
+    for i in range(grid.n_steps - 1, -1, -1):
+        u_i, rows = layer(i, g, u_i, vv)
+        if i % stride == 0:
+            u[i // stride] = u_i
+            argmin[i // stride] = controls[rows]
+    out = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_out)
+    return ValueField(grid=out, mesh=mesh, u=u, argmin_control=argmin)
+
+
 def value_function(
     prob: ControlProblem,
     grid: TimeGrid,
@@ -338,38 +367,28 @@ def value_function(
     sqrt_dt = np.sqrt(dt)
     times = grid.times
     xi, w = gauss_hermite_rule(prob.d)
-    dW = xi * sqrt_dt
-    u = np.empty((grid.n_steps + 1, mesh.n_nodes))
-    u[grid.n_steps] = prob.terminal(nodes)
-    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
 
-    # One-step states from every node under every rule point and every grid
-    # control, charted once: the points are fixed and the Euler step takes
-    # no time.  The (control, node, rule point) triples are the columns of
-    # one coordinate-major step, and their values are gathered as one
-    # (k, n_nodes, 3^d) array per layer.
+    # One-step states from every node under every rule point and grid control:
+    # the (control, node, rule point) triples are the columns of one
+    # coordinate-major step, gathered as one (k, n_nodes, 3^d) array per layer.
     k = controls.shape[0]
     n_rule = xi.shape[0]
     X = np.tile(np.repeat(nodes.T, n_rule, axis=1), k)
     V = np.repeat(controls.T, mesh.n_nodes * n_rule, axis=1)
-    dW_cols = np.tile(dW.T, k * mesh.n_nodes)
-    at_next = mesh.gather(
-        np.ascontiguousarray(
-            euler_step(prob.manifold, prob.fields, dt, X, V, dW_cols).T
-        ).reshape(k, mesh.n_nodes, n_rule, -1)
-    )
-    vv = np.broadcast_to(controls[:, None, :], (k, mesh.n_nodes, controls.shape[1]))
-    for i in range(grid.n_steps - 1, -1, -1):
-        u_next = at_next(u[i + 1])  # (k, n_nodes, 3^d)
+    dW_cols = np.tile((xi * sqrt_dt).T, k * mesh.n_nodes)
+    X1 = euler_step(prob.manifold, prob.fields, dt, X, V, dW_cols)
+    points = np.ascontiguousarray(X1.T).reshape(k, mesh.n_nodes, n_rule, -1)
+
+    def layer(i, at_next, u, vv):
+        u_next = at_next(u)  # (k, n_nodes, 3^d)
         y_bar = u_next @ w
         Z = (u_next * w) @ xi / sqrt_dt
         y = y_bar
         for _ in range(picard_iters):
             y = y_bar + dt * prob.driver(times[i], nodes, y, Z, vv)
-        u[i], rows = grid_argmin(y)
-        argmin[i] = controls[rows]
+        return grid_argmin(y)
 
-    return ValueField(grid=grid, mesh=mesh, u=u, argmin_control=argmin)
+    return backward_induction(prob, grid, mesh, points, layer)
 
 
 # A dpp_residual_check call forks its windows out to fork_map workers when its

@@ -1,23 +1,31 @@
 import ast
+import contextlib
 import csv
 import filecmp
+import io
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geodp import harness
 from geodp.cli import main as cli_main
 from geodp.config import EXPERIMENTS, ExperimentConfig, print_defaults
-from geodp.errors import ConfigError, SingularProjection
+from geodp.errors import ConfigError, GeodpError, SingularProjection
+from geodp.geometry import get_manifold
 from geodp.harness import run
 from geodp.hjb import hjb_steps_for_cfl
+from geodp.value import _MESH_SIZES
+
+from conftest import CATALOG
 
 
 def _cfg(**over):
@@ -120,6 +128,10 @@ def test_defaults_validate_and_print():
         ({"experiment": "estimates", "tolerances": {"stability_slack": -0.01}}, "tolerances.stability_slack"),
         ({"tolerances": {"h2_threshold": -1e-8}}, "tolerances.h2_threshold"),
         ({"mu": -1.0}, "mu"),
+        ({"fields": ["zero"], "control_set": {"lower": [0.0], "upper": [0.0]},
+          "experiment": "dpp-check", "driver": {"id": "smooth"}}, "driver.id"),
+        ({"fields": ["rot"], "control_set": {"lower": [1.0], "upper": [1.0]},
+          "experiment": "estimates"}, "fields"),
     ],
 )
 def test_config_validation_errors(override, field):
@@ -339,6 +351,7 @@ def test_cli_dump_paths_outside_oracle_circle_is_a_config_error(tmp_path, capsys
         ("{experiment: dpp-check, dpp: {delta_steps: [4, 4]}}\n", "dpp.delta_steps"),
         # The heat rules of oracle-circle and convergence-table are checked at load.
         ("{experiment: oracle-circle, driver: {id: smooth}}\n", "driver.id"),
+        ("{experiment: oracle-circle, driver: {id: ' smooth '}}\n", "driver.id"),
         ("{experiment: convergence-table, driver: {id: linear_y}}\n", "driver.id"),
         ("{experiment: convergence-table, fields: [rot, rot], control_set: {lower: [1, 1], upper: [1, 1]}}\n",
          "fields"),
@@ -443,6 +456,30 @@ def test_oracle_passes_with_a_constant_terminal(tmp_path):
     assert rep.metrics["mc_se"] == 0.0 and rep.metrics["reference"] == 2.0
     assert 0.0 < rep.metrics["abs_error"] <= 1e-10
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "experiment, section, padded",
+    [
+        ("oracle-circle", "terminal", " constant"),
+        ("oracle-circle", "driver", "zero "),
+        ("convergence-table", "terminal", "\tconstant "),
+    ],
+)
+def test_padded_ids_run_as_the_stripped_ids(tmp_path, experiment, section, padded):
+    """The catalog strips ids, and so does validation: the heat rules and the
+    reference see the id the catalog resolves, and the reports are those of
+    the unpadded id byte for byte."""
+    for name, did in (("padded", padded), ("plain", padded.strip())):
+        f = tmp_path / f"{name}.yaml"
+        f.write_text(json.dumps({"experiment": experiment, section: {"id": did},
+                                 "mc": {"n_paths": 512}}))
+        assert cli_main(["run", str(f), "--out", str(tmp_path / name)]) == 0
+    files = sorted(os.listdir(tmp_path / "plain"))
+    assert sorted(os.listdir(tmp_path / "padded")) == files
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "plain", tmp_path / "padded", files,
+                                               shallow=False)
+    assert match == files and not mismatch and not errors
 
 
 def test_circle_heat_reference_is_the_former_formula_bit_for_bit():
@@ -749,3 +786,65 @@ def test_no_geodp_function_has_an_unread_parameter():
                     unread += [(path.name, prefix + fn.name, p) for p in _unread_parameters(fn)
                                if (path.name, prefix + fn.name, p) not in allowed]
     assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# Robustness: random small configs end in a documented exit code
+# ---------------------------------------------------------------------------
+
+
+def _error_classes(cls=GeodpError):
+    return {cls.__name__}.union(*(_error_classes(c) for c in cls.__subclasses__()))
+
+
+@st.composite
+def _small_configs(draw):
+    """A random small config over every experiment, manifold, catalog field,
+    driver and terminal: 1-16 steps, 2-256 paths, 3-16 nodes per mesh axis.
+    Many of them are config errors, which is one of the outcomes tested."""
+    manifold = draw(st.sampled_from(sorted(CATALOG)))
+    m = get_manifold(manifold)
+    fields = draw(st.lists(st.sampled_from(CATALOG[manifold]), min_size=1, max_size=3))
+    bound = st.sampled_from([0.0, 0.5, 1.0])
+    lower = draw(st.lists(bound, min_size=len(fields), max_size=len(fields)))
+    keys = list(_MESH_SIZES[m.factor_dims])
+    axis = st.integers(3, 16)
+    ladder = [sorted(draw(axis) for _ in range(3)) for _ in keys]
+    paths = st.integers(2, 256)
+    return {
+        "experiment": draw(st.sampled_from(EXPERIMENTS)),
+        "manifold": manifold,
+        "fields": fields,
+        "driver": {"id": draw(st.sampled_from(["zero", "constant", "linear_y", "smooth"]))},
+        "terminal": {"id": draw(st.sampled_from(["coord", "constant"])),
+                     "params": {"index": draw(st.integers(0, m.ambient_dim))}},
+        "control_set": {"lower": lower, "upper": [lo + draw(bound) for lo in lower],
+                        "grid_points_per_axis": draw(st.integers(1, 2))},
+        "time": {"T": draw(st.sampled_from([0.1, 0.5, 1.0])), "n_steps": draw(st.integers(1, 16))},
+        "mesh": {k: draw(axis) for k in keys},
+        "ladder": [{k: sizes[level] for k, sizes in zip(keys, ladder)} for level in range(3)],
+        "mc": {"n_paths": draw(paths), "picard_iters": draw(st.integers(1, 3))},
+        "dpp": {"delta_steps": draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True)),
+                "n_probes": draw(st.integers(1, 4)), "n_paths": draw(paths)},
+        "agreement": {"levels": draw(st.integers(1, 2))},
+        "estimates": {"n_instances": draw(st.integers(1, 3))},
+        "seed": draw(st.integers(0, 2**31 - 1)),
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(cfg=_small_configs())
+def test_cli_random_small_configs_end_in_a_documented_exit(cfg):
+    """Exit 0 (PASS), 1 (FAIL) or 2 (config error), or exit 3 naming a
+    toolkit error.  A builtin exception at exit 3 is a crash."""
+    with tempfile.TemporaryDirectory() as d:
+        f = os.path.join(d, "c.yaml")
+        with open(f, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli_main(["run", f, "--out", os.path.join(d, "o")])
+    assert rc in (0, 1, 2, 3)
+    if rc == 3:
+        name = re.match(r"run error: (\w+):", err.getvalue()).group(1)
+        assert name in _error_classes(), err.getvalue()
