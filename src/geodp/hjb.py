@@ -6,10 +6,20 @@ integral curve: with x(+-) = flow_step(x, +-h),
     (V u)(x)  ~ [u(x+) - u(x-)] / (2h)
     (VVu)(x)  ~ [u(x+) - 2 u(x) + u(x-)] / h^2
 
-and the time stepping is explicit with a CFL guard, which keeps the update a
-positively weighted average (a monotone scheme) for diffusion-dominated
-control sets.  Its backward loop is ``value.backward_induction``; each step
-minimizes the Hamiltonian of every grid control at every node as one array.
+so one explicit step under a grid control v is a controlled Markov chain on
+the mesh (Kushner & Dupuis 2001, ch. 5): with u(x+-) read off the cell corners
+of x(+-) by multilinear weights,
+
+    y_v = (1 - dt sum_a v_a^2 / h^2) u + sum_a dt v_a^2 / (2h^2) (u_a+ + u_a-)
+          + dt v_0 / (2h) (u_0+ - u_0-) + dt f(t, x, u, z_v, v),
+    z_v,a = v_a (u_a+ - u_a-) / (2h),
+
+and the new layer is min_v y_v.  ``transition_weights`` builds these weights
+once per solve, per (control, row, node); their rows sum to 1, so the scheme
+is monotone exactly when every weight is >= 0 (Barles & Souganidis 1991).
+The CFL guard keeps the node's weight >= 1 - cfl_limit; a drift's corner
+weights are negative, which ``HjbField.min_weight`` reports.  The backward
+loop is ``value.backward_induction``.
 
 The module also carries the pointwise Hamiltonian built from a smooth test
 function probe, the state-frozen backward ODE that realizes the inf over
@@ -147,15 +157,76 @@ def hamiltonian_F0(
 @dataclass(frozen=True)
 class HjbField(ValueField):
     """A value field on the output grid (HJB step = time index * stride) with
-    the CFL ratio its steps ran at."""
+    the CFL ratio its steps ran at and the smallest y-weight of its step over
+    controls, rows and nodes: the step is monotone when it is >= 0."""
 
     cfl_ratio: float
+    min_weight: float
 
 
 def _max_diffusion_load(prob: ControlProblem) -> float:
     """max_v sum_a v_a^2 over the control grid: the CFL-relevant diffusion load."""
     controls = prob.controls.grid()
     return float(np.max(np.sum(controls[:, 1:] ** 2, axis=1)))
+
+
+def transition_weights(
+    prob: ControlProblem, mesh: ManifoldMesh, dt: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[int]]:
+    """The explicit HJB step on the mesh as transition weights.
+
+    Returns (index, wy, wz, z_fields).  With h = ``mesh.spacing()`` and
+    x(+-) = flow_step(x, +-h) along each field whose matrix is nonzero (the
+    live fields, drift first):
+
+    - index (rows, n_nodes): the node itself, then for each live field the
+      2^axes cell corners of its plus point and then of its minus point, with
+      the live diffusion fields' rows last;
+    - wy (k, rows, n_nodes): the weight of each row for each grid control v,
+      the corner's multilinear weight times its coefficient: dt v_0 / (2h)
+      for the drift's plus corners and its negative for the minus corners,
+      dt v_a^2 / (2h^2) for both of diffusion field a's; the node's weight
+      is 1 - dt sum_a v_a^2 / h^2 over the live diffusion fields, so each
+      (control, node) sums to 1 up to rounding;
+    - wz (live diffusion fields, 2 * 2^axes, n_nodes): +-corner weight / (2h)
+      over each live diffusion field's own rows, the last rows of index;
+    - z_fields: the live diffusion fields' columns of z (field a is column
+      a - 1).
+
+    A zero field has no rows: its flow points are the node itself, so its
+    differences vanish.
+    """
+    h = mesh.spacing()
+    nodes = mesh.nodes
+    n = mesh.n_nodes
+    controls = prob.controls.grid()
+    k = controls.shape[0]
+    live = [a for a, V in enumerate(prob.fields) if np.any(V.A)]
+    points = [flow_step(prob.manifold, prob.fields[a], nodes, s) for a in live for s in (h, -h)]
+    corner, w = mesh.corners(np.reshape(points, (len(points),) + nodes.shape))
+    corner, w = corner.swapaxes(0, 1), w.swapaxes(0, 1)  # (2 live, 2^axes, n_nodes)
+    n_points, n_corners = w.shape[:2]
+    node = np.ones(k)
+    coef = np.empty((k, n_points))
+    for j, a in enumerate(live):
+        if a == 0:
+            c = controls[:, 0] * (dt / (2.0 * h))
+            coef[:, 2 * j], coef[:, 2 * j + 1] = c, -c
+        else:
+            c = controls[:, a] ** 2 * (dt / (2.0 * h**2))
+            coef[:, 2 * j] = coef[:, 2 * j + 1] = c
+            node = node - 2.0 * c
+    wy = np.concatenate(
+        [np.broadcast_to(node[:, None, None], (k, 1, n)),
+         (coef[:, :, None, None] * w).reshape(k, n_points * n_corners, n)],
+        axis=1,
+    )
+    z_fields = [a - 1 for a in live if a > 0]
+    n_z = len(z_fields)
+    w_diff = w[n_points - 2 * n_z:].reshape(n_z, 2, n_corners, n)
+    wz = (w_diff * np.array([1.0, -1.0])[:, None, None] / (2.0 * h)).reshape(n_z, 2 * n_corners, n)
+    index = np.concatenate([np.arange(n)[None], corner.reshape(n_points * n_corners, n)])
+    return index, wy, wz, z_fields
 
 
 def solve_hjb(
@@ -170,21 +241,14 @@ def solve_hjb(
     caller that compares against a coarser value table passes the ratio of
     the step counts; one that reads only t0 passes ``grid.n_steps``.
 
-    The stencil points are the plus and minus points of the fields, stacked
-    into one (2, fields, n_nodes, ambient) array, so each time step is a
-    single gather of u.  Each step evaluates the Hamiltonian of all k grid
-    controls at all nodes as one (k, n_nodes) array, with one driver call on
-    y (n_nodes,), z (k, n_nodes, d) and v (k, n_nodes, d+1), and minimizes it
-    with one ``grid_argmin``; the differences and the Hamiltonian are
-    computed in buffers made once.
-
-    Zero drift: when the drift field's matrix is zero, only the d diffusion
-    fields are gathered and the drift term starts the Hamiltonian as
-    v_0 * (+0.0).  This is exact, not an approximation: the zero field's plus
-    and minus stencil points are one and the same point, so for finite u
-    their gathered values are equal, u(x+) - u(x-) is +0.0, and v_0 times its
-    central difference is v_0 * (+0.0) bit for bit.  The rule reads only the
-    drift matrix; nonzero drift keeps the full d+1 field stencil.
+    The stencil is built once per solve by ``transition_weights``.  Each step
+    takes u at the stencil rows into one buffer (``take`` in ``clip`` mode,
+    which writes into ``out`` without buffering), forms every control's
+    weighted row sum y with one einsum over (k, rows, n_nodes) and each
+    diffusion field's z with one einsum over the view of its rows, makes one
+    driver call on y = u (n_nodes,), z (k, n_nodes, d) and v (k, n_nodes,
+    d+1), adds dt times the driver to y and takes the minimum over the
+    controls with one ``grid_argmin``.
 
     Raises CflViolated when dt * max_v sum_a v_a^2 > cfl_limit * h^2, and
     ValueError unless stride divides n_steps.
@@ -196,50 +260,28 @@ def solve_hjb(
             f"dt*max|v_diff|^2/h^2 = {cfl_ratio:.3g} > {cfl_limit}"
         )
 
-    m = prob.manifold
     nodes = mesh.nodes
-    n = mesh.n_nodes
     dt = grid.dt
     times = grid.times
-    controls = prob.controls.grid()
-    k = controls.shape[0]
+    index, wy, wz, z_fields = transition_weights(prob, mesh, dt)
+    v_diff = prob.controls.grid()[:, None, 1:]  # (k, 1, d)
+    U = np.empty(index.shape)
+    Uz = U[U.shape[0] - wz.shape[0] * wz.shape[1]:].reshape(wz.shape)
+    zsum = np.zeros((prob.d, mesh.n_nodes))  # z / v_a per field; a zero field's row stays 0
+    every_z = len(z_fields) == prob.d
 
-    # A zero drift's central difference is exactly +0.0 (see above): gather only the rest.
-    zero_drift = not np.any(prob.fields[0].A)
-    moving = prob.fields[1:] if zero_drift else prob.fields
-    flows = [[flow_step(m, V, nodes, s) for V in moving] for s in (h, -h)]
-    points = np.array(flows).reshape(2, len(moving), *nodes.shape)
-    first = len(moving) - prob.d  # row of the first diffusion field in the stencil
-    # Per-control coefficients, one row per control: v_0, 1/2 v_a^2 and v_a.
-    v0 = controls[:, :1]  # (k, 1)
-    half_v2 = [0.5 * controls[:, a : a + 1] ** 2 for a in range(1, prob.d + 1)]  # d of (k, 1)
-    v_diff = controls[:, None, 1:]  # (k, 1, d)
-    ham0 = v0 * 0.0  # (k, 1): v_0 times the zero drift's central difference
+    def layer(i, un, vv):
+        un.take(index, mode="clip", out=U)
+        y = np.einsum("kmn,mn->kn", wy, U)
+        if every_z:
+            np.einsum("amn,amn->an", wz, Uz, out=zsum)
+        else:
+            zsum[z_fields] = np.einsum("amn,amn->an", wz, Uz)
+        y += dt * prob.driver(times[i + 1], nodes, un, v_diff * zsum.T, vv)
+        return grid_argmin(y)
 
-    # Per-step buffers: differences, Hamiltonian and its per-field term.  z
-    # is left to numpy, which lays it out like d1.T; written into a C-ordered
-    # (k, n_nodes, d) buffer it made the 28^2 torus step 15% slower.
-    d1 = np.empty((len(moving), n))
-    d2 = np.empty((prob.d, n))
-    ham = np.empty((k, n))
-    term = np.empty((k, n))
-
-    def layer(i, stencil, un, vv):
-        up, um = stencil(un)  # each (len(moving), n_nodes)
-        np.divide(np.subtract(up, um, out=d1), 2.0 * h, out=d1)
-        np.subtract(up[first:], 2.0 * un, out=d2)
-        np.divide(np.add(d2, um[first:], out=d2), h**2, out=d2)
-        acc = ham0 if zero_drift else np.multiply(v0, d1[0], out=ham)
-        for c, d2_a in zip(half_v2, d2):
-            acc = np.add(acc, np.multiply(c, d2_a, out=term), out=ham)
-        z = v_diff * d1[first:].T  # (k, n_nodes, d)
-        np.add(acc, prob.driver(times[i + 1], nodes, un, z, vv), out=ham)
-        best, rows = grid_argmin(ham)
-        un += dt * best
-        return un, rows
-
-    vf = backward_induction(prob, grid, mesh, points, layer, stride)
-    return HjbField(**vars(vf), cfl_ratio=cfl_ratio)
+    vf = backward_induction(prob, grid, mesh, layer, stride)
+    return HjbField(**vars(vf), cfl_ratio=cfl_ratio, min_weight=float(wy.min()))
 
 
 def hjb_steps_for_cfl(

@@ -29,10 +29,13 @@ A mesh exposes its interpolation as ``gather(points)``: chart, cell corner
 indices and weights are built once for a point set, and the returned function
 maps nodal values to interpolated values with one take of the cell corners
 and one lerp per axis.  ``interpolate(values, points)`` is
-``gather(points)(values)``.
+``gather(points)(values)``.  ``corners(points)`` gives the same cells as
+explicit (corner node index, multilinear weight) arrays, for a scheme that
+folds them into its own weights.
 ``backward_induction`` is the recursion shared with ``hjb.solve_hjb``: both
 are controlled-Markov-chain schemes (Kushner & Dupuis 2001, ch. 5) that differ
-only in their fixed off-node points and in the layer that combines u there.
+only in the layer that combines u at their fixed off-node points, with a
+combiner each builds once.
 """
 
 from __future__ import annotations
@@ -168,28 +171,34 @@ class ManifoldMesh:
             flat = flat * coords.shape[0] + index(*itertools.islice(it, len(axes)))
         return flat
 
-    def gather(self, points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Interpolation at fixed on-manifold points, as a function of nodal values.
-
-        The chart, the 2^axes corner node indices of each point's cell (one
-        flat-index array with the corner axes first) and the (1 - w, w)
-        weights per axis are computed here once; the returned function only
-        takes nodal values and combines them, so a caller that interpolates
-        many value arrays at the same points (the HJB stencil) pays for the
-        geometry once.  ``apply`` is one take and then one lerp per axis, from
-        the last axis to the first: on two axes (1 - w1)((1 - w2) u00 +
-        w2 u01) + w1((1 - w2) u10 + w2 u11).
-        """
+    def _cells(self, points: np.ndarray):
+        """Chart the points and find their cells: the flat node index of the
+        2^axes corners of each point's cell, one array with the corner axes
+        first, and the weight of the upper node along each axis."""
         ch = self.manifold.chart(points)
         n_axes = len(self.axes)
-        ends, lerps = [], []
+        ends, ws = [], []
         for a, axis in enumerate(self.axes):
             lo, w = axis.cell(ch[..., a])
             corner_axis = (1,) * a + (2,) + (1,) * (n_axes - 1 - a)
             ends.append(np.stack([lo, axis.next(lo)]).reshape(corner_axis + lo.shape))
-            lead = (slice(None),) * a
-            lerps.append((1.0 - w, w, lead + (0,), lead + (1,)))
-        corners = self._node_index(ends)
+            ws.append(w)
+        return self._node_index(ends), ws
+
+    def gather(self, points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """Interpolation at fixed on-manifold points, as a function of nodal values.
+
+        The chart, the cell corner node indices and the (1 - w, w) weights
+        per axis are computed here once; the returned function only takes
+        nodal values and combines them, so a caller that interpolates many
+        value arrays at the same points pays for the geometry once.
+        ``apply`` is one take and then one lerp per axis, from the last axis
+        to the first: on two axes (1 - w1)((1 - w2) u00 + w2 u01) +
+        w1((1 - w2) u10 + w2 u11).
+        """
+        corners, ws = self._cells(points)
+        lerps = [(1.0 - w, w, (slice(None),) * a + (0,), (slice(None),) * a + (1,))
+                 for a, w in enumerate(ws)]
         lerps.reverse()
 
         def apply(values):
@@ -199,6 +208,25 @@ class ManifoldMesh:
             return u
 
         return apply
+
+    def corners(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The cell corners of fixed on-manifold points as explicit weights.
+
+        Returns (index, weight), each of shape (2^axes,) + points.shape[:-1]:
+        the flat node index of each corner of each point's cell and its
+        multilinear weight, the product over the axes of 1 - w or w.  The
+        weights are nonnegative and sum to 1 over the corners of a point up
+        to rounding, and sum(weight * values[index], axis=0) interpolates
+        ``values`` as ``gather`` does (rounded differently).
+        """
+        index, ws = self._cells(points)
+        n_axes = len(ws)
+        weight = 1.0
+        for a, w in enumerate(ws):
+            corner_axis = (1,) * a + (2,) + (1,) * (n_axes - 1 - a)
+            weight = weight * np.stack([1.0 - w, w]).reshape(corner_axis + w.shape)
+        shape = (2**n_axes,) + np.shape(points)[:-1]
+        return index.reshape(shape), weight.reshape(shape)
 
     def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Interpolate nodal values at arbitrary on-manifold points."""
@@ -317,14 +345,14 @@ def gauss_hermite_rule(d: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
-                       points: np.ndarray, layer: Callable, stride: int = 1) -> ValueField:
+                       layer: Callable, stride: int = 1) -> ValueField:
     """The dynamic-programming recursion, from the terminal layer back to
-    step 0.  ``layer(i, g, u, vv)`` maps u at step i + 1, which it may update
-    in place, to (u at step i, the ``grid_argmin`` rows of its minimizing
-    controls), with ``g`` = ``mesh.gather(points)`` and ``vv`` the control
-    grid broadcast to (k, n_nodes, d+1).  Every ``stride``-th layer is kept
-    (copied), on ``TimeGrid(t0, T, n_steps // stride)``; ValueError unless
-    stride divides n_steps.
+    step 0.  ``layer(i, u, vv)`` maps u at step i + 1 to (u at step i, the
+    ``grid_argmin`` rows of its minimizing controls), with ``vv`` the control
+    grid broadcast to (k, n_nodes, d+1); a layer brings its own combiner of u
+    at the scheme's fixed off-node points, built once.  Every ``stride``-th
+    layer is kept (copied), on ``TimeGrid(t0, T, n_steps // stride)``;
+    ValueError unless stride divides n_steps.
     """
     if stride < 1 or grid.n_steps % stride:
         raise ValueError(f"stride {stride} does not divide n_steps = {grid.n_steps}")
@@ -334,10 +362,9 @@ def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
     u = np.empty((n_out + 1, mesh.n_nodes))
     u[n_out] = prob.terminal(mesh.nodes)
     argmin = np.empty((n_out,) + vv.shape[1:])
-    g = mesh.gather(points)
-    u_i = u[n_out].copy()
+    u_i = u[n_out]
     for i in range(grid.n_steps - 1, -1, -1):
-        u_i, rows = layer(i, g, u_i, vv)
+        u_i, rows = layer(i, u_i, vv)
         if i % stride == 0:
             u[i // stride] = u_i
             argmin[i // stride] = controls[rows]
@@ -377,9 +404,9 @@ def value_function(
     V = np.repeat(controls.T, mesh.n_nodes * n_rule, axis=1)
     dW_cols = np.tile((xi * sqrt_dt).T, k * mesh.n_nodes)
     X1 = euler_step(prob.manifold, prob.fields, dt, X, V, dW_cols)
-    points = np.ascontiguousarray(X1.T).reshape(k, mesh.n_nodes, n_rule, -1)
+    at_next = mesh.gather(np.ascontiguousarray(X1.T).reshape(k, mesh.n_nodes, n_rule, -1))
 
-    def layer(i, at_next, u, vv):
+    def layer(i, u, vv):
         u_next = at_next(u)  # (k, n_nodes, 3^d)
         y_bar = u_next @ w
         Z = (u_next * w) @ xi / sqrt_dt
@@ -388,7 +415,7 @@ def value_function(
             y = y_bar + dt * prob.driver(times[i], nodes, y, Z, vv)
         return grid_argmin(y)
 
-    return backward_induction(prob, grid, mesh, points, layer)
+    return backward_induction(prob, grid, mesh, layer)
 
 
 # A dpp_residual_check call forks its windows out to fork_map workers when its

@@ -2,9 +2,11 @@
 
 The reference formulas below are the per-call mesh interpolation written out
 directly (chart, cell, weights and combination in one expression).  The
-gathers must reproduce them bit for bit; ``solve_hjb`` must reproduce a sweep
-that interpolates every stencil point set afresh at every step and takes the
-controls one at a time, and keep every stride-th layer of it;
+gathers must reproduce them bit for bit, and the cell-corner weights up to
+rounding.  ``solve_hjb`` must reproduce a sweep that rebuilds its transition
+weights at every step, takes the controls one at a time and sums the
+weighted rows in order, and keep every stride-th layer of it; it must also
+stay within rounding of the former difference-form sweep.
 ``value_function`` must reproduce one that rebuilds and interpolates its
 one-step states on every layer.  Both references minimize with their own
 strict-< scan over the controls, not with ``grid_argmin``.  ``value_function``
@@ -12,15 +14,18 @@ must also reproduce its former loop over the grid controls, which stepped one
 control at a time, bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geodp import rng as geodp_rng
 from geodp.bsde import Driver
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import ControlSet, TimeGrid, euler_step, grid_argmin
 from geodp.geometry import flow_step, get_field, get_manifold
-from geodp.hjb import hjb_steps_for_cfl, solve_hjb
+from geodp.hjb import hjb_steps_for_cfl, solve_hjb, transition_weights
 from geodp.problem import ControlProblem
 from geodp.value import (
     CircleMesh,
@@ -219,6 +224,23 @@ def test_gather_is_bit_identical_to_reference_formula(name):
         np.testing.assert_allclose(apply_flat(vals)[: mesh.n_nodes], vals, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_corners_interpolate_as_the_reference_formula(name):
+    make, points_for = MESHES[name]
+    mesh = make()
+    rng = np.random.default_rng(12)
+    pts = points_for(mesh, rng)
+    stacked = pts[: (pts.shape[0] // 6) * 6].reshape(2, 3, -1, pts.shape[-1])
+    for p in (pts, stacked):
+        index, weight = mesh.corners(p)
+        assert index.shape == weight.shape == (2 ** len(mesh.axes),) + p.shape[:-1]
+        assert np.all((0 <= index) & (index < mesh.n_nodes)) and np.all(weight >= 0.0)
+        assert np.max(np.abs(weight.sum(axis=0) - 1.0)) <= 1e-15
+        vals = rng.normal(size=mesh.n_nodes)
+        ref = _ref_interpolate(mesh, vals, p)
+        assert np.max(np.abs(np.sum(weight * vals[index], axis=0) - ref)) <= 1e-14
+
+
 @pytest.mark.parametrize("sizes", [(3,), (24,), (400,), (6, 9), (9, 6), (28, 28)])
 def test_periodic_mesh_matches_the_former_circle_and_torus_meshes(sizes):
     mesh = (CircleMesh if len(sizes) == 1 else TorusMesh)(*sizes)
@@ -250,12 +272,12 @@ def test_sphere_mesh_matches_the_former_sphere_mesh(sizes):
 def test_interpolate_is_defined_once_on_the_base_mesh():
     for cls in (CircleMesh, SphereMesh, TorusMesh):
         assert issubclass(cls, ManifoldMesh)
-        assert "gather" not in cls.__dict__ and "interpolate" not in cls.__dict__
-    assert "gather" in ManifoldMesh.__dict__ and "interpolate" in ManifoldMesh.__dict__
+        assert not {"gather", "corners", "interpolate"} & set(cls.__dict__)
+    assert {"gather", "corners", "interpolate"} <= set(ManifoldMesh.__dict__)
 
 
 # ---------------------------------------------------------------------------
-# solve_hjb against a per-step, per-stencil interpolation sweep
+# solve_hjb against a per-step, per-control weight sweep
 # ---------------------------------------------------------------------------
 
 
@@ -320,8 +342,10 @@ def _ref_stencil_hamiltonian(prob, t, nodes, un, d1, d2, v):
     return ham + prob.driver(t, nodes, un, z, vv)
 
 
-def _reference_solve_hjb(prob, grid, mesh):
-    """The sweep with 2(d+1) fresh interpolations per step, one control at a time."""
+def _difference_form_solve_hjb(prob, grid, mesh):
+    """The former difference-form sweep: 2(d+1) fresh interpolations per
+    step, central differences, and the Hamiltonian one control at a time,
+    with u + dt * (its minimum) as the new layer."""
     h = mesh.spacing()
     nodes = mesh.nodes
     controls = prob.controls.grid()
@@ -329,33 +353,163 @@ def _reference_solve_hjb(prob, grid, mesh):
     minus = [flow_step(prob.manifold, V, nodes, -h) for V in prob.fields]
     u = np.empty((grid.n_steps + 1, mesh.n_nodes))
     u[grid.n_steps] = prob.terminal(nodes)
-    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
     for i in range(grid.n_steps - 1, -1, -1):
         un = u[i + 1]
         up = [_ref_interpolate(mesh, un, p) for p in plus]
         um = [_ref_interpolate(mesh, un, p) for p in minus]
         d1 = [(up[a] - um[a]) / (2.0 * h) for a in range(prob.d + 1)]
         d2 = [None] + [(up[a] - 2.0 * un + um[a]) / h**2 for a in range(1, prob.d + 1)]
-        best, argmin[i] = _ref_grid_argmin(
+        best, _ = _ref_grid_argmin(
             controls,
             [_ref_stencil_hamiltonian(prob, grid.times[i + 1], nodes, un, d1, d2, v)
              for v in controls],
         )
         u[i] = un + grid.dt * best
+    return u
+
+
+def _reference_solve_hjb(prob, grid, mesh):
+    """The weight form rebuilt at every step for one control at a time: the
+    node's weight 1 - dt sum_a v_a^2 / h^2, then, field by field (drift
+    first, zero fields left out), the cell corners of the plus and then of
+    the minus flow point, each weighted dt v_0 / (2h) (minus: its negative)
+    or dt v_a^2 / (2h^2) times the corner weight; y sums the weighted rows in
+    order from 0.0, and z_a = v_a times the corners' sum with weights
+    +-corner weight / (2h)."""
+    h = mesh.spacing()
+    dt = grid.dt
+    nodes = mesh.nodes
+    controls = prob.controls.grid()
+    live = [a for a, V in enumerate(prob.fields) if np.any(V.A)]
+    u = np.empty((grid.n_steps + 1, mesh.n_nodes))
+    u[grid.n_steps] = prob.terminal(nodes)
+    argmin = np.empty((grid.n_steps, mesh.n_nodes, controls.shape[1]))
+    for i in range(grid.n_steps - 1, -1, -1):
+        un = u[i + 1]
+        values = []
+        for v in controls:
+            corners = {
+                (a, s): mesh.corners(flow_step(prob.manifold, prob.fields[a], nodes, s * h))
+                for a in live for s in (1.0, -1.0)
+            }
+            node_weight = 1.0
+            for a in live:
+                if a > 0:
+                    node_weight = node_weight - 2.0 * (v[a] ** 2 * (dt / (2.0 * h**2)))
+            y = 0.0 + node_weight * un
+            z = np.zeros((mesh.n_nodes, prob.d))
+            for a in live:
+                for s in (1.0, -1.0):
+                    if a == 0:
+                        coef = s * (v[0] * (dt / (2.0 * h)))
+                    else:
+                        coef = v[a] ** 2 * (dt / (2.0 * h**2))
+                    index, weight = corners[a, s]
+                    for c in range(index.shape[0]):
+                        y = y + (coef * weight[c]) * un[index[c]]
+                if a > 0:
+                    g = 0.0
+                    for s in (1.0, -1.0):
+                        index, weight = corners[a, s]
+                        for c in range(index.shape[0]):
+                            g = g + (s * weight[c] / (2.0 * h)) * un[index[c]]
+                    z[:, a - 1] = v[a] * g
+            vv = np.broadcast_to(v, (mesh.n_nodes, v.shape[0]))
+            values.append(y + dt * prob.driver(grid.times[i + 1], nodes, un, z, vv))
+        u[i], argmin[i] = _ref_grid_argmin(controls, values)
     return u, argmin
+
+
+def _cfl_grid(prob, mesh, T=0.5):
+    return TimeGrid(0.0, T, hjb_steps_for_cfl(prob, 0.0, T, mesh))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_solve_hjb_matches_per_step_interpolation(name):
     make_prob, make_mesh = CASES[name]
     prob, mesh = make_prob(), make_mesh()
-    n = hjb_steps_for_cfl(prob, 0.0, 0.5, mesh)
-    grid = TimeGrid(0.0, 0.5, n)
+    grid = _cfl_grid(prob, mesh)
     hf = solve_hjb(prob, grid, mesh)
     u, argmin = _reference_solve_hjb(prob, grid, mesh)
     assert np.array_equal(hf.u, u)
     assert np.array_equal(hf.argmin_control, argmin)
     assert len(np.unique(argmin.reshape(-1, argmin.shape[-1]), axis=0)) > 1
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solve_hjb_is_the_difference_form_up_to_rounding(name):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    grid = _cfl_grid(prob, mesh)
+    hf = solve_hjb(prob, grid, mesh)
+    assert np.max(np.abs(hf.u - _difference_form_solve_hjb(prob, grid, mesh))) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_transition_weights_of_each_control_and_node_sum_to_one(name):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    index, wy, wz, z_fields = transition_weights(prob, mesh, _cfl_grid(prob, mesh).dt)
+    k = prob.controls.grid().shape[0]
+    assert index.shape == wy.shape[1:] and wy.shape[0] == k
+    assert np.all((0 <= index) & (index < mesh.n_nodes))
+    assert np.max(np.abs(wy.sum(axis=1) - 1.0)) <= 1e-14
+    # z-weights: each diffusion field's plus and minus corners, +-1 / (2h) in all
+    assert wz.shape[0] == len(z_fields)
+    np.testing.assert_allclose(wz.sum(axis=1), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_solve_hjb_shifts_with_the_terminal_under_the_zero_driver(name):
+    make_prob, make_mesh = CASES[name]
+    prob = replace(make_prob(), driver=get_driver("zero", None))
+    mesh = make_mesh()
+    shifted = replace(prob, terminal=lambda x: prob.terminal(x) + 0.75)
+    grid = _cfl_grid(prob, mesh)
+    u, u_shifted = solve_hjb(prob, grid, mesh).u, solve_hjb(shifted, grid, mesh).u
+    assert np.max(np.abs(u_shifted - (u + 0.75))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["circle-drift", "circle-zero-diffusion", "sphere"])
+def test_min_weight_is_negative_with_a_drift(name):
+    make_prob, make_mesh = CASES[name]
+    prob, mesh = make_prob(), make_mesh()
+    assert solve_hjb(prob, _cfl_grid(prob, mesh), mesh).min_weight < 0.0
+
+
+# The 64-node circle under [rot, rot] on its fewest CFL steps over [0, 1]:
+# the drift's central difference outweighs the diffusion (3 steps, then 1).
+@pytest.mark.parametrize("v, expected", [([1.0, 0.1], -1.6977), ([1.0, 0.0], -5.0930)])
+def test_min_weight_of_a_drift_dominated_circle(v, expected):
+    prob = _problem("circle", ["rot", "rot"], v, v, 1)
+    mesh = CircleMesh(64)
+    hf = solve_hjb(prob, _cfl_grid(prob, mesh, T=1.0), mesh)
+    assert hf.min_weight == pytest.approx(expected, abs=1e-4)
+
+
+_DIFFUSIONS = {
+    "circle": (["rot", "scale:0.5:rot", "zero"], lambda n: CircleMesh(n[0])),
+    "sphere2": (["rot_x", "rot_y", "rot_z", "zero"], lambda n: SphereMesh(n[0], n[1])),
+    "torus2": (["rot1", "rot2", "const_angle:0.3", "zero"], lambda n: TorusMesh(n[0], n[1])),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_min_weight_is_nonnegative_without_drift_within_the_cfl_guard(data):
+    manifold = data.draw(st.sampled_from(sorted(_DIFFUSIONS)))
+    catalog, make_mesh = _DIFFUSIONS[manifold]
+    diffusions = data.draw(st.lists(st.sampled_from(catalog), min_size=1, max_size=3))
+    lower = [0.0] + [data.draw(st.floats(-2.0, 2.0)) for _ in diffusions]
+    upper = [0.0] + [lo + data.draw(st.floats(0.0, 2.0)) for lo in lower[1:]]
+    prob = _problem(manifold, ["zero"] + diffusions, lower, upper,
+                    data.draw(st.integers(1, 3)))
+    mesh = make_mesh([data.draw(st.integers(3, 12)) for _ in range(2)])
+    cfl_limit = data.draw(st.floats(0.2, 1.0))
+    T = data.draw(st.floats(0.01, 0.2))
+    n = hjb_steps_for_cfl(prob, 0.0, T, mesh, cfl_limit=cfl_limit)
+    hf = solve_hjb(prob, TimeGrid(0.0, T, n), mesh, cfl_limit=cfl_limit, stride=n)
+    assert hf.min_weight >= 0.0
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -379,7 +533,7 @@ def test_solve_hjb_stride_must_divide_n_steps(stride):
 
 
 def _count_mesh_calls(monkeypatch, mesh):
-    calls = {"interpolate": 0, "gather": 0}
+    calls = {"interpolate": 0, "gather": 0, "corners": 0}
     cls = type(mesh)
     for attr in list(calls):
         orig = getattr(cls, attr)
@@ -399,7 +553,7 @@ def test_solve_hjb_gathers_once(monkeypatch, name, n_steps):
     prob, mesh = make_prob(), make_mesh()
     calls = _count_mesh_calls(monkeypatch, mesh)
     solve_hjb(prob, TimeGrid(0.0, 1e-3 * n_steps, n_steps), mesh)
-    assert calls == {"interpolate": 0, "gather": 1}
+    assert calls == {"interpolate": 0, "gather": 0, "corners": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +618,7 @@ def test_value_function_gathers_once_per_control(monkeypatch, name, n_steps):
     value_function(prob, TimeGrid(0.0, 0.05 * n_steps, n_steps), mesh)
     assert prob.controls.grid().shape[0] >= 2
     # One gather for the one-step states of all grid controls together.
-    assert calls == {"interpolate": 0, "gather": 1, "normal_increments": 0}
+    assert calls == {"interpolate": 0, "gather": 1, "corners": 0, "normal_increments": 0}
 
 
 # ---------------------------------------------------------------------------
