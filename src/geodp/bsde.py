@@ -38,7 +38,14 @@ _SV_CUTOFF = 1e-12
 
 @dataclass(frozen=True)
 class Driver:
-    """Generator f(t, x, y, z, v); must be vectorized over paths."""
+    """Generator f(t, x, y, z, v); must be vectorized over paths.
+
+    ``lipschitz_K`` and ``bound_K0`` are bounds that the solvers rely on, not
+    only labels: f is K-Lipschitz in (x, y, z, v) (hypothesis A1) and
+    |f(t, x, 0, 0, v)| <= K0 (hypothesis A2), so |f| <= K0 + K(|y| + |z|).
+    K = K0 = 0 therefore means f = 0 everywhere (``vanishes``), and the grid
+    solvers then leave the driver out of their steps.
+    """
 
     f: Callable[[float, np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     lipschitz_K: float
@@ -46,6 +53,11 @@ class Driver:
 
     def __call__(self, t, x, y, z, v):
         return self.f(t, x, y, z, v)
+
+    @property
+    def vanishes(self) -> bool:
+        """f = 0 identically, by its declared bounds K = K0 = 0."""
+        return self.lipschitz_K == 0 and self.bound_K0 == 0
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,11 @@ def simulate(
 # True in a fork_map worker, where a nested fork_map runs serially.
 _IN_WORKER = False
 
+# The most workers one fork_map call forks, however many CPUs it may use: each
+# worker holds its own private memory (9-22 MB for an `estimates` stability
+# instance), so a 50-CPU host would otherwise fork 50 of them.
+_MAX_WORKERS = 8
+
 
 def fork_map(
     units: Callable[[range], Iterator], n: int, meanwhile: Optional[Callable[[], None]] = None
@@ -274,8 +279,10 @@ def fork_map(
     loop does; a function called once per index frees them all on return,
     and glibc then gives the heap back and faults it in again for every unit.
 
-    On Linux there are W = min(n, usable CPUs) workers.  Worker w runs
-    ``units(range(w, n, W))``, sends back through a pipe one pickle of its
+    On Linux there are W = min(n, usable CPUs, ``_MAX_WORKERS``) workers.
+    Only 2-CPU hosts have been measured, where the cap does not bind; wall
+    time on wider hosts, and whether 8 suits them, is unmeasured.  Worker w
+    runs ``units(range(w, n, W))``, sends back through a pipe one pickle of its
     results and of the error that stopped it, if any, and leaves with
     ``os._exit``.  The parent reaps every worker before it returns or raises.
     The results are those of the serial loop, in index order, and the error
@@ -288,7 +295,8 @@ def fork_map(
     before them, so a failing unit leaves the same effects of ``meanwhile``
     at any worker count.
     """
-    n_workers = 1 if _IN_WORKER or sys.platform != "linux" else min(n, len(os.sched_getaffinity(0)))
+    n_workers = (1 if _IN_WORKER or sys.platform != "linux"
+                 else min(n, len(os.sched_getaffinity(0)), _MAX_WORKERS))
     if n_workers <= 1:
         if meanwhile is not None:
             meanwhile()

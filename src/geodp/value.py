@@ -382,6 +382,14 @@ def value_function(
 ) -> ValueField:
     """Backward induction over the control grid on the mesh.
 
+    Each layer gathers u at the one-step states of every (control, node,
+    rule point), averages them into y_bar with the rule weights and runs
+    ``picard_iters`` Picard iterations of y = y_bar + dt f(t_i, x, y, Z, v).
+    When the driver vanishes (K = K0 = 0, ``Driver.vanishes``) the layer is
+    ``grid_argmin(y_bar)``, with no Z and no Picard loop.  The bytes are the
+    same, because y_bar + 0.0 only turns -0.0 into 0.0, and the matmul's
+    sums start from 0.0.
+
     ``n_sub`` is ignored.  Its only reader is the benchmark's span tracer
     (``benchmark/spans.py``), which counts value evaluations from it by name;
     it goes when the tracer stops reading it.
@@ -409,6 +417,8 @@ def value_function(
     def layer(i, u, vv):
         u_next = at_next(u)  # (k, n_nodes, 3^d)
         y_bar = u_next @ w
+        if prob.driver.vanishes:
+            return grid_argmin(y_bar)
         Z = (u_next * w) @ xi / sqrt_dt
         y = y_bar
         for _ in range(picard_iters):

@@ -3,6 +3,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from geodp.bsde import (
     BsdeSolution,
@@ -456,3 +458,37 @@ def test_backward_sweep_equals_former_sweep(name, degree, B):
         np.testing.assert_array_equal(sol.y_at_t0, ref.y_at_t0)
         assert type(sol.y_at_t0) is type(ref.y_at_t0)
         assert sol.picard_residual == ref.picard_residual
+
+
+# The driver catalog: each id with its parameter names.
+_CATALOG_DRIVERS = {"zero": (), "constant": ("c",), "linear_y": ("beta", "c"),
+                    "smooth": ("c", "b", "beta")}
+
+
+def test_zero_is_the_only_catalog_driver_that_vanishes():
+    assert [did for did in sorted(_CATALOG_DRIVERS) if get_driver(did).vanishes] == ["zero"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_catalog_drivers_keep_their_declared_bounds(data):
+    """For random parameters and inputs, |f| <= K0 + K(|y| + |z|) and
+    |f(y, z) - f(y', z')| <= K(|y - y'| + |z - z'|), up to rounding: the
+    grid solvers drop a driver whose K and K0 are both 0."""
+    did = data.draw(st.sampled_from(sorted(_CATALOG_DRIVERS)))
+    f = get_driver(did, {p: data.draw(st.floats(-10.0, 10.0)) for p in _CATALOG_DRIVERS[did]})
+    n, n_x, d = (data.draw(st.integers(1, k)) for k in (8, 4, 3))
+    finite = st.floats(-1e3, 1e3)
+    t = data.draw(finite)
+    x = data.draw(arrays(float, (n, n_x + 1), elements=finite))
+    y, y2 = (data.draw(arrays(float, n, elements=finite)) for _ in range(2))
+    z, z2 = (data.draw(arrays(float, (n, d), elements=finite)) for _ in range(2))
+    v = data.draw(arrays(float, (n, d + 1), elements=finite))
+    f1, f2 = f(t, x, y, z, v), f(t, x, y2, z2, v)
+    rounding = 1e-12 * (1.0 + np.abs(f1) + np.abs(f2))
+    K, K0 = f.lipschitz_K, f.bound_K0
+    assert f1.shape == (n,)
+    assert np.all(np.abs(f1) <= K0 + K * (np.abs(y) + np.linalg.norm(z, axis=1)) + rounding)
+    assert np.all(np.abs(f1 - f2) <= K * (np.abs(y - y2) + np.linalg.norm(z - z2, axis=1)) + rounding)
+    if f.vanishes:
+        assert not np.any(f1) and not np.any(f2)

@@ -85,6 +85,17 @@ def test_results_come_back_in_index_order(cpus, n):
     _assert_no_child_left()
 
 
+def test_a_wide_host_forks_at_most_the_worker_cap(cpus):
+    """64 usable CPUs and 16 units: _MAX_WORKERS workers, worker w taking
+    units w, w + 8.  Even with no cap, 16 units fork at most 16 processes."""
+    forks = cpus(64)
+    got = fork_map(lambda ks: (os.getpid() for _ in ks), 16)
+    assert dynamics._MAX_WORKERS == 8
+    assert len(set(got)) == len(forks) == 8 and os.getpid() not in got
+    assert got == got[:8] * 2
+    _assert_no_child_left()
+
+
 def test_one_cpu_runs_serially_in_this_process(cpus):
     forks = cpus(1)
     assert fork_map(lambda ks: (os.getpid() for _ in ks), 5) == [os.getpid()] * 5

@@ -694,3 +694,53 @@ def test_value_function_matches_the_per_control_loop(manifold, k):
     u, argmin = _per_control_value_function(prob, grid, mesh)
     assert np.array_equal(vf.u, u)
     assert np.array_equal(vf.argmin_control, argmin)
+
+
+# ---------------------------------------------------------------------------
+# Both grid solvers under catalog drivers, byte for byte
+# ---------------------------------------------------------------------------
+#
+# Under the zero driver each solver keeps only its transition average; the
+# references still add dt * f.  The bytes must agree, so that the sign of a
+# zero counts: y + dt * 0.0 turns -0.0 into 0.0, and the einsum and matmul
+# sums start from 0.0, so only the terminal layer can hold -0.0.  The
+# constant and linear_y drivers keep the general step.
+
+
+def _assert_both_solvers_are_their_references(prob, mesh):
+    grid = _cfl_grid(prob, mesh)
+    hf = solve_hjb(prob, grid, mesh)
+    u, argmin = _reference_solve_hjb(prob, grid, mesh)
+    assert hf.u.tobytes() == u.tobytes()
+    assert hf.argmin_control.tobytes() == argmin.tobytes()
+    grid = TimeGrid(0.0, 0.5, 8)
+    vf = value_function(prob, grid, mesh)
+    u, argmin = _reference_value_function(prob, grid, mesh)
+    assert vf.u.tobytes() == u.tobytes()
+    assert vf.argmin_control.tobytes() == argmin.tobytes()
+
+
+@pytest.mark.parametrize("driver", ["zero", "constant", "linear_y"])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_grid_solvers_under_catalog_drivers_are_their_references_byte_for_byte(name, driver):
+    make_prob, make_mesh = CASES[name]
+    prob = replace(make_prob(), driver=get_driver(driver, None))
+    assert prob.driver.vanishes == (driver == "zero")
+    _assert_both_solvers_are_their_references(prob, make_mesh())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_grid_solvers_under_the_zero_driver_keep_a_negative_zero_terminal(name):
+    """Phi = -x_index for every ambient coordinate: some terminal nodes hold
+    -0.0 (sin 0 on each circle factor).  Without a moving field
+    (circle-drift-only) each step averages u at the node alone."""
+    make_prob, make_mesh = CASES[name]
+    base, mesh = make_prob(), make_mesh()
+    negative_zeros = 0
+    for index in range(base.manifold.ambient_dim):
+        prob = replace(base, driver=get_driver("zero", None),
+                       terminal=get_terminal("coord", {"index": index, "scale": -1.0}))
+        phi = prob.terminal(mesh.nodes)
+        negative_zeros += np.count_nonzero((phi == 0.0) & np.signbit(phi))
+        _assert_both_solvers_are_their_references(prob, mesh)
+    assert negative_zeros > 0
