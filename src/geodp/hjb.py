@@ -19,7 +19,9 @@ once per solve, per (control, row, node); their rows sum to 1, so the scheme
 is monotone exactly when every weight is >= 0 (Barles & Souganidis 1991).
 The CFL guard keeps the node's weight >= 1 - cfl_limit; a drift's corner
 weights are negative, which ``HjbField.min_weight`` reports.  The backward
-loop is ``value.backward_induction``.
+loop is ``value.backward_induction``.  With the zero driver and one control
+the step is linear, u_i = P u_{i+1}, and ``kernel_power`` composes P^s so
+that one layer runs s steps.
 
 The module also carries the pointwise Hamiltonian built from a smooth test
 function probe, the state-frozen backward ODE that realizes the inf over
@@ -157,11 +159,14 @@ def hamiltonian_F0(
 @dataclass(frozen=True)
 class HjbField(ValueField):
     """A value field on the output grid (HJB step = time index * stride) with
-    the CFL ratio its steps ran at and the smallest y-weight of its step over
-    controls, rows and nodes: the step is monotone when it is >= 0."""
+    the CFL ratio its steps ran at, the smallest y-weight of its step over
+    controls, rows and nodes (the step is monotone when it is >= 0) and the
+    step count s of the composed kernel its linear layers ran (1 when it
+    composed none)."""
 
     cfl_ratio: float
     min_weight: float
+    kernel_steps: int
 
 
 def _max_diffusion_load(prob: ControlProblem) -> float:
@@ -229,6 +234,91 @@ def transition_weights(
     return index, wy, wz, z_fields
 
 
+# One take and one einsum over up to this many elements cost about their fixed
+# per-call overhead (about 5 us against 1-2.5 ns an element on a 2-CPU x86
+# host, one BLAS thread); past it a layer is bound by its elements.
+_KERNEL_ELEMENTS = 8192
+
+
+def kernel_steps_for(rows: int, n_nodes: int, n_steps: int, stride: int) -> int:
+    """The step count s of the composed kernel a linear solve runs.
+
+    s doubles from 1 while 2s <= stride and the 2s-step kernel stays small.
+    Its row count is estimated from the sizes alone, before anything is
+    composed, as min(2s (rows - 1) + 1, n_nodes): each step reaches at most
+    rows - 1 more nodes along a line.  Its rows times n_nodes must stay
+    within ``_KERNEL_ELEMENTS``, so that one layer of it is still bound by
+    the per-call overhead it shares among 2s steps, and its rows squared
+    within n_steps, since composing it sorts about rows^2 entries per node
+    once per solve.  A one-step kernel that is already element-bound keeps
+    s = 1 and nothing is composed.
+    """
+    s = 1
+    while 2 * s <= stride:
+        est = min(2 * s * (rows - 1) + 1, n_nodes)
+        if est * n_nodes > _KERNEL_ELEMENTS or est**2 > n_steps:
+            break
+        s *= 2
+    return s
+
+
+def _compose(a: Tuple[np.ndarray, np.ndarray], b: Tuple[np.ndarray, np.ndarray]):
+    """The kernel of step a after step b, u -> a(b(u)), each a pair (index,
+    weight) of shape (rows, n_nodes): node j reaches ib[q, ia[r, j]] with
+    weight wa[r, j] wb[q, ia[r, j]].  Equal targets of a node are summed in
+    the order of (q, r), and every node is padded to the same row count
+    with (node, 0.0)."""
+    (ia, wa), (ib, wb) = a, b
+    n = ia.shape[1]
+    target = ib[:, ia].reshape(-1, n).T  # (n_nodes, rb * ra)
+    weight = (wb[:, ia] * wa).reshape(-1, n).T
+    order = np.argsort(target, axis=1, kind="stable")
+    target = np.take_along_axis(target, order, axis=1)
+    weight = np.take_along_axis(weight, order, axis=1)
+    first = np.ones(target.shape, dtype=bool)
+    np.not_equal(target[:, 1:], target[:, :-1], out=first[:, 1:])
+    row = np.cumsum(first, axis=1) - 1  # each entry's row in the composed kernel
+    rows = int(row[:, -1].max()) + 1
+    flat = (row + rows * np.arange(n)[:, None]).ravel()
+    index = np.repeat(np.arange(n), rows)
+    index[flat] = target.ravel()
+    w = np.bincount(flat, weight.ravel(), minlength=n * rows)
+    return index.reshape(n, rows).T.copy(), w.reshape(n, rows).T.copy()
+
+
+def kernel_power(index: np.ndarray, weight: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The s-step kernel P^s of the one-step kernel P = (index, weight), each
+    of shape (rows, n_nodes), where (P u)[j] = sum_r weight[r, j] u[index[r,
+    j]]: P^s u is s steps of P (Chapman-Kolmogorov).  Built by binary
+    powering, P^(2m) = P^m P^m, from compositions that sum equal targets per
+    node and pad every node to the same row count with (node, 0.0).  Rows
+    that sum to 1 and weights >= 0 carry over up to rounding."""
+    power, out = (index, weight), None
+    while True:
+        if s & 1:
+            out = power if out is None else _compose(out, power)
+        s >>= 1
+        if not s:
+            return out
+        power = _compose(power, power)
+
+
+def _linear_layer(kernels: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> Callable:
+    """The layer of a linear HJB step: u at step i + n taken at the n-step
+    kernel's rows (``take`` in ``clip`` mode into one buffer per kernel) and
+    summed with its weights by one einsum.  There is one control, so the
+    minimizing rows are all 0."""
+    runs = {n: (index, weight[None], np.empty(index.shape)) for n, (index, weight) in kernels.items()}
+    rows = np.zeros(kernels[1][0].shape[1], dtype=np.intp)
+
+    def layer(i, un, vv, n):
+        index, weight, U = runs[n]
+        un.take(index, mode="clip", out=U)
+        return np.einsum("kmn,mn->kn", weight, U)[0], rows
+
+    return layer
+
+
 def solve_hjb(
     prob: ControlProblem,
     grid: TimeGrid,
@@ -254,6 +344,15 @@ def solve_hjb(
     no y + dt * 0.  The bytes are the same, because y + 0.0 only turns -0.0
     into 0.0, and the einsum's sums start from 0.0.
 
+    With a vanishing driver and one grid control the step is linear and the
+    same at every step, u_i = P u_{i+1}, so s steps are one step of the
+    s-step kernel P^s.  Then s comes from the sizes (``kernel_steps_for``),
+    ``kernel_power`` composes P^s once per solve when s > 1, and each kept
+    window of ``stride`` steps runs as stride % s one-step layers followed
+    by stride // s s-step layers, each one ``take`` and one einsum, with no
+    ``grid_argmin``.  With s = 1 the bytes are those of the step above; with
+    s > 1 they move by rounding only.
+
     Raises CflViolated when dt * max_v sum_a v_a^2 > cfl_limit * h^2, and
     ValueError unless stride divides n_steps.
     """
@@ -268,26 +367,34 @@ def solve_hjb(
     dt = grid.dt
     times = grid.times
     index, wy, wz, z_fields = transition_weights(prob, mesh, dt)
-    v_diff = prob.controls.grid()[:, None, 1:]  # (k, 1, d)
-    U = np.empty(index.shape)
-    Uz = U[U.shape[0] - wz.shape[0] * wz.shape[1]:].reshape(wz.shape)
-    zsum = np.zeros((prob.d, mesh.n_nodes))  # z / v_a per field; a zero field's row stays 0
-    every_z = len(z_fields) == prob.d
+    s = 1
+    if prob.driver.vanishes and wy.shape[0] == 1:
+        s = kernel_steps_for(index.shape[0], mesh.n_nodes, grid.n_steps, stride)
+        kernels = {1: (index, wy[0])}
+        if s > 1:
+            kernels[s] = kernel_power(index, wy[0], s)
+        layer = _linear_layer(kernels)
+    else:
+        v_diff = prob.controls.grid()[:, None, 1:]  # (k, 1, d)
+        U = np.empty(index.shape)
+        Uz = U[U.shape[0] - wz.shape[0] * wz.shape[1]:].reshape(wz.shape)
+        zsum = np.zeros((prob.d, mesh.n_nodes))  # z / v_a per field; a zero field's row stays 0
+        every_z = len(z_fields) == prob.d
 
-    def layer(i, un, vv):
-        un.take(index, mode="clip", out=U)
-        y = np.einsum("kmn,mn->kn", wy, U)
-        if prob.driver.vanishes:
+        def layer(i, un, vv, n):  # n = 1: only the linear layer passes s
+            un.take(index, mode="clip", out=U)
+            y = np.einsum("kmn,mn->kn", wy, U)
+            if prob.driver.vanishes:
+                return grid_argmin(y)
+            if every_z:
+                np.einsum("amn,amn->an", wz, Uz, out=zsum)
+            else:
+                zsum[z_fields] = np.einsum("amn,amn->an", wz, Uz)
+            y += dt * prob.driver(times[i + 1], nodes, un, v_diff * zsum.T, vv)
             return grid_argmin(y)
-        if every_z:
-            np.einsum("amn,amn->an", wz, Uz, out=zsum)
-        else:
-            zsum[z_fields] = np.einsum("amn,amn->an", wz, Uz)
-        y += dt * prob.driver(times[i + 1], nodes, un, v_diff * zsum.T, vv)
-        return grid_argmin(y)
 
-    vf = backward_induction(prob, grid, mesh, layer, stride)
-    return HjbField(**vars(vf), cfl_ratio=cfl_ratio, min_weight=float(wy.min()))
+    vf = backward_induction(prob, grid, mesh, layer, stride, s)
+    return HjbField(**vars(vf), cfl_ratio=cfl_ratio, min_weight=float(wy.min()), kernel_steps=s)
 
 
 def hjb_steps_for_cfl(

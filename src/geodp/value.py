@@ -345,14 +345,19 @@ def gauss_hermite_rule(d: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
-                       layer: Callable, stride: int = 1) -> ValueField:
+                       layer: Callable, stride: int = 1, s: int = 1) -> ValueField:
     """The dynamic-programming recursion, from the terminal layer back to
-    step 0.  ``layer(i, u, vv)`` maps u at step i + 1 to (u at step i, the
-    ``grid_argmin`` rows of its minimizing controls), with ``vv`` the control
-    grid broadcast to (k, n_nodes, d+1); a layer brings its own combiner of u
-    at the scheme's fixed off-node points, built once.  Every ``stride``-th
-    layer is kept (copied), on ``TimeGrid(t0, T, n_steps // stride)``;
-    ValueError unless stride divides n_steps.
+    step 0.  ``layer(i, u, vv, n)`` maps u at step i + n to (u at step i,
+    the ``grid_argmin`` rows of its minimizing controls), with ``vv`` the
+    control grid broadcast to (k, n_nodes, d+1); a layer brings its own
+    combiner of u at the scheme's fixed off-node points, built once.  Every
+    ``stride``-th layer is kept (copied), on ``TimeGrid(t0, T, n_steps //
+    stride)``; ValueError unless stride divides n_steps.
+
+    n is 1 unless ``s`` > 1, which a scheme passes when its step is linear
+    and the same at every step, so that s steps are one step of its s-step
+    kernel: then each kept window of stride steps runs as stride % s layers
+    with n = 1 followed by stride // s layers with n = s.
     """
     if stride < 1 or grid.n_steps % stride:
         raise ValueError(f"stride {stride} does not divide n_steps = {grid.n_steps}")
@@ -363,11 +368,14 @@ def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
     u[n_out] = prob.terminal(mesh.nodes)
     argmin = np.empty((n_out,) + vv.shape[1:])
     u_i = u[n_out]
-    for i in range(grid.n_steps - 1, -1, -1):
-        u_i, rows = layer(i, u_i, vv)
-        if i % stride == 0:
-            u[i // stride] = u_i
-            argmin[i // stride] = controls[rows]
+    window = [1] * (stride % s) + [s] * (stride // s)
+    for w in range(n_out - 1, -1, -1):
+        i = (w + 1) * stride
+        for n in window:
+            i -= n
+            u_i, rows = layer(i, u_i, vv, n)
+        u[w] = u_i
+        argmin[w] = controls[rows]
     out = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_out)
     return ValueField(grid=out, mesh=mesh, u=u, argmin_control=argmin)
 
@@ -414,7 +422,7 @@ def value_function(
     X1 = euler_step(prob.manifold, prob.fields, dt, X, V, dW_cols)
     at_next = mesh.gather(np.ascontiguousarray(X1.T).reshape(k, mesh.n_nodes, n_rule, -1))
 
-    def layer(i, u, vv):
+    def layer(i, u, vv, n):  # n = 1: the table passes no s
         u_next = at_next(u)  # (k, n_nodes, 3^d)
         y_bar = u_next @ w
         if prob.driver.vanishes:

@@ -11,21 +11,26 @@ stay within rounding of the former difference-form sweep.
 one-step states on every layer.  Both references minimize with their own
 strict-< scan over the controls, not with ``grid_argmin``.  ``value_function``
 must also reproduce its former loop over the grid controls, which stepped one
-control at a time, bit for bit.
+control at a time, bit for bit.  With one control and the zero driver
+``solve_hjb`` runs composed s-step kernels, and must stay within rounding of
+the reference at any s.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geodp import rng as geodp_rng
+from geodp import hjb, rng as geodp_rng
 from geodp.bsde import Driver
 from geodp.catalog import get_driver, get_terminal
+from geodp.config import ExperimentConfig
 from geodp.dynamics import ControlSet, TimeGrid, euler_step, grid_argmin
 from geodp.geometry import flow_step, get_field, get_manifold
-from geodp.hjb import hjb_steps_for_cfl, solve_hjb, transition_weights
+from geodp.harness import _hjb_on_cfl_grid
+from geodp.hjb import hjb_steps_for_cfl, kernel_power, kernel_steps_for, solve_hjb, transition_weights
 from geodp.problem import ControlProblem
 from geodp.value import (
     CircleMesh,
@@ -744,3 +749,172 @@ def test_grid_solvers_under_the_zero_driver_keep_a_negative_zero_terminal(name):
         negative_zeros += np.count_nonzero((phi == 0.0) & np.signbit(phi))
         _assert_both_solvers_are_their_references(prob, mesh)
     assert negative_zeros > 0
+
+
+# ---------------------------------------------------------------------------
+# The linear step: one control under the zero driver, run as s-step kernels
+# ---------------------------------------------------------------------------
+
+
+def _linear(name):
+    """The one-control, zero-driver version of a CASES entry: its upper control."""
+    make_prob, make_mesh = CASES[name]
+    prob = make_prob()
+    one = ControlSet(prob.controls.upper, prob.controls.upper)
+    return replace(prob, driver=get_driver("zero", None), controls=one), make_mesh()
+
+
+_LINEAR_GRID = TimeGrid(0.0, 0.5, 70)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_linear_solve_hjb_is_the_reference_at_any_kernel_steps(monkeypatch, name):
+    prob, mesh = _linear(name)
+    u, argmin = _reference_solve_hjb(prob, _LINEAR_GRID, mesh)
+    for s in (2, 3, 4):
+        monkeypatch.setattr(hjb, "kernel_steps_for", lambda rows, n_nodes, n_steps, stride, s=s: s)
+        for stride in (7, 35):  # each window leaves a remainder of one-step layers
+            hf = solve_hjb(prob, _LINEAR_GRID, mesh, stride=stride)
+            assert stride % s and hf.kernel_steps == s
+            assert np.max(np.abs(hf.u - u[::stride])) <= 1e-12
+            assert np.array_equal(hf.argmin_control, argmin[::stride])
+
+
+@pytest.mark.parametrize("name", ["circle-drift", "circle-zero-diffusion", "sphere"])
+def test_linear_steps_with_a_drift_have_signed_weights(name):
+    prob, mesh = _linear(name)
+    assert solve_hjb(prob, _LINEAR_GRID, mesh, stride=7).min_weight < 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CASES)), s=st.integers(1, 16),
+       n_steps=st.integers(30, 120), seed=st.integers(0, 2**16))
+def test_kernel_power_is_s_one_step_layers(name, s, n_steps, seed):
+    prob, mesh = _linear(name)
+    index, wy, _, _ = transition_weights(prob, mesh, 0.5 / n_steps)
+    weight = wy[0]
+    index_s, weight_s = kernel_power(index, weight, s)
+    assert index_s.shape == weight_s.shape and index_s.shape[1] == mesh.n_nodes
+    assert np.all((0 <= index_s) & (index_s < mesh.n_nodes))
+    assert np.max(np.abs(weight_s.sum(axis=0) - 1.0)) <= s * 1e-15
+    if weight.min() >= 0.0:
+        assert weight_s.min() >= 0.0
+    u = np.random.default_rng(seed).normal(size=mesh.n_nodes)
+    stepped = u
+    for _ in range(s):
+        stepped = np.sum(weight * stepped[index], axis=0)
+    composed = np.sum(weight_s * u[index_s], axis=0)
+    assert np.max(np.abs(composed - stepped)) <= 1e-13 * s
+    eps = 0.75
+    assert np.max(np.abs(np.sum(weight_s * (u + eps)[index_s], axis=0) - (composed + eps))) <= 1e-13 * s
+
+
+def test_kernel_power_sums_equal_targets_and_pads_with_the_node():
+    # Node 0 splits between itself and node 1; node 1 stays, along two rows.
+    # In two steps node 0 reaches node 1 along three paths, summed into one
+    # row, and node 1 reaches itself alone, padded with (1, 0.0).
+    index = np.array([[0, 1], [1, 1]])
+    weight = np.array([[0.5, 0.25], [0.5, 0.75]])
+    index_2, weight_2 = kernel_power(index, weight, 2)
+    assert index_2.T.tolist() == [[0, 1], [1, 1]]
+    assert weight_2.T.tolist() == [[0.25, 0.75], [1.0, 0.0]]
+    index = np.array([[0, 1, 2], [1, 2, 0]])
+    weight = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]])
+    index_2, weight_2 = kernel_power(index, weight, 2)
+    # node j reaches j, j + 1 and j + 2 (mod 3) with 1/4, 1/2 and 1/4, in target order
+    assert index_2.T.tolist() == [[0, 1, 2]] * 3
+    assert weight_2.T.tolist() == [[0.25, 0.5, 0.25], [0.25, 0.25, 0.5], [0.5, 0.25, 0.25]]
+
+
+def test_the_linear_step_calls_no_grid_argmin(monkeypatch):
+    prob, mesh = _linear("circle")
+    monkeypatch.setattr(hjb, "grid_argmin", None)  # a call would raise TypeError
+    hf = solve_hjb(prob, _LINEAR_GRID, mesh, stride=35)
+    assert np.array_equal(hf.argmin_control, np.broadcast_to(prob.controls.upper, hf.argmin_control.shape))
+
+
+def _heat(manifold, fields, upper, sizes):
+    prob = _problem(manifold, fields, upper, upper, 1, driver=get_driver("zero", None))
+    return prob, {"sphere2": SphereMesh, "torus2": TorusMesh}[manifold](*sizes)
+
+
+def _one_step_sweep(prob, grid, mesh, stride):
+    """The one-step sweep: one take, one einsum and ``grid_argmin`` per step,
+    every stride-th layer kept."""
+    index, wy, _, _ = transition_weights(prob, mesh, grid.dt)
+    controls = prob.controls.grid()
+    U = np.empty(index.shape)
+    u = np.empty((grid.n_steps // stride + 1, mesh.n_nodes))
+    argmin = np.empty((grid.n_steps // stride, mesh.n_nodes, controls.shape[1]))
+    u_i = u[-1] = prob.terminal(mesh.nodes)
+    for i in range(grid.n_steps - 1, -1, -1):
+        u_i.take(index, mode="clip", out=U)
+        u_i, rows = grid_argmin(np.einsum("kmn,mn->kn", wy, U))
+        if i % stride == 0:
+            u[i // stride], argmin[i // stride] = u_i, controls[rows]
+    return u, argmin
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The heat kernels whose one-step gather is already element-bound: the CI
+# sphere2 ladder's finest level on its CFL steps (one window) and the
+# benchmark's 28^2 torus agreement (windows of 9 steps under 12 value steps).
+_ELEMENT_BOUND_HEAT = {
+    "sphere2-33x64": (("sphere2", ["zero", "rot_x", "rot_y", "rot_z"], [0.0, 1.0, 1.0, 1.0], (33, 64)), 1),
+    "torus2-28x28": (("torus2", ["zero", "rot1", "rot2"], [0.0, 1.0, 1.0], (28, 28)), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENT_BOUND_HEAT))
+def test_element_bound_heat_kernels_compose_nothing(monkeypatch, name):
+    problem, n_out = _ELEMENT_BOUND_HEAT[name]
+    prob, mesh = _heat(*problem)
+    n = hjb_steps_for_cfl(prob, 0.0, 1.0, mesh, multiple_of=n_out)
+    grid, stride = TimeGrid(0.0, 1.0, n), n // n_out
+    calls = []
+    power = hjb.kernel_power
+    monkeypatch.setattr(hjb, "kernel_power", lambda *a: calls.append(a) or power(*a))
+    hf = solve_hjb(prob, grid, mesh, stride=stride)
+    assert calls == [] and hf.kernel_steps == 1
+    u, argmin = _one_step_sweep(prob, grid, mesh, stride)
+    assert hf.u.tobytes() == u.tobytes()
+    assert hf.argmin_control.tobytes() == argmin.tobytes()
+    peak = _peak_bytes(lambda: solve_hjb(prob, grid, mesh, stride=stride))
+    assert peak <= 1.1 * _peak_bytes(lambda: _one_step_sweep(prob, grid, mesh, stride))
+
+
+def _cfl_field(experiment, sizes_list, **config):
+    cfg = ExperimentConfig.from_dict(dict(config, experiment=experiment))
+    prob = cfg.build_problem()
+    return [_hjb_on_cfl_grid(cfg, prob, cfg.build_mesh(sizes), n_out)
+            for sizes, n_out in sizes_list]
+
+
+def test_kernel_steps_of_the_benchmark_heat_problems():
+    ladder = [{"n_theta": 100}, {"n_theta": 200}, {"n_theta": 400}]
+    fields = _cfl_field("convergence-table", [(s, 1) for s in ladder], ladder=ladder)
+    assert [hf.kernel_steps for hf in fields] == [4, 8, 4]
+    assert [hf.grid.n_steps for hf in fields] == [1, 1, 1]
+    (torus,) = _cfl_field(
+        "solver-agreement", [({"n1": 28, "n2": 28}, 12)], manifold="torus2",
+        fields=["zero", "rot1", "rot2"], control_set={"lower": [0, 1, 1], "upper": [0, 1, 1]},
+        mesh={"n1": 28, "n2": 28}, time={"n_steps": 12})
+    assert torus.kernel_steps == 1
+
+
+@pytest.mark.parametrize("rows, n_nodes, n_steps, stride, s", [
+    (5, 100, 634, 634, 4), (5, 200, 2534, 2534, 8), (5, 400, 10133, 10133, 4),
+    (5, 128, 1088, 17, 4), (5, 256, 4224, 33, 4), (9, 128, 1088, 17, 2),
+    (5, 400, 10133, 3, 2), (5, 400, 10133, 1, 1), (5, 32, 65, 65, 1),
+    (17, 784, 108, 9, 1), (25, 1986, 779, 779, 1), (17, 256, 33, 33, 1),
+])
+def test_kernel_steps_follow_from_the_sizes(rows, n_nodes, n_steps, stride, s):
+    assert kernel_steps_for(rows, n_nodes, n_steps, stride) == s
