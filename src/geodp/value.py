@@ -25,13 +25,11 @@ and a periodic longitude axis, with each pole stored once.  ``CircleMesh``,
 ``SphereMesh`` and ``TorusMesh`` fix the manifold; ``make_mesh`` reads the
 sizes from a config mapping.
 
-A mesh exposes its interpolation as ``gather(points)``: chart, cell corner
-indices and weights are built once for a point set, and the returned function
-maps nodal values to interpolated values with one take of the cell corners
-and one lerp per axis.  ``interpolate(values, points)`` is
-``gather(points)(values)``.  ``corners(points)`` gives the same cells as
-explicit (corner node index, multilinear weight) arrays, for a scheme that
-folds them into its own weights.
+A mesh reads values off its nodes in one way, multilinear interpolation:
+``corners(points)`` gives each point's cell as explicit (corner node index,
+multilinear weight) arrays, and ``corner_sum`` adds the weighted corner values
+in corner order; ``interpolate`` is the two in a row.  ``value_function`` and
+``hjb.transition_weights`` find the corners of their fixed points once.
 ``backward_induction`` is the recursion shared with ``hjb.solve_hjb``: both
 are controlled-Markov-chain schemes (Kushner & Dupuis 2001, ch. 5) that differ
 only in the layer that combines u at their fixed off-node points, with a
@@ -136,6 +134,17 @@ def _sphere_mesh(n_lat: int, n_lon: int):
 _FACTOR_MESHES = {2: (_circle_mesh, 1), 3: (_sphere_mesh, 2)}
 
 
+def corner_sum(values: np.ndarray, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """sum_c weight[c] * values[index[c]] over the leading corner axis (one take,
+    one product), added in corner order; on one axis, the lerp (1 - w) u0 + w u1."""
+    u = np.asarray(values, dtype=float).take(index)
+    u *= weight
+    total = u[0] + u[1]
+    for c in range(2, len(u)):
+        total += u[c]
+    return total
+
+
 class ManifoldMesh:
     """Tensor product of one mesh per unit-sphere factor of ``manifold``.
 
@@ -171,66 +180,30 @@ class ManifoldMesh:
             flat = flat * coords.shape[0] + index(*itertools.islice(it, len(axes)))
         return flat
 
-    def _cells(self, points: np.ndarray):
-        """Chart the points and find their cells: the flat node index of the
-        2^axes corners of each point's cell, one array with the corner axes
-        first, and the weight of the upper node along each axis."""
-        ch = self.manifold.chart(points)
-        n_axes = len(self.axes)
-        ends, ws = [], []
-        for a, axis in enumerate(self.axes):
-            lo, w = axis.cell(ch[..., a])
-            corner_axis = (1,) * a + (2,) + (1,) * (n_axes - 1 - a)
-            ends.append(np.stack([lo, axis.next(lo)]).reshape(corner_axis + lo.shape))
-            ws.append(w)
-        return self._node_index(ends), ws
-
-    def gather(self, points: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Interpolation at fixed on-manifold points, as a function of nodal values.
-
-        The chart, the cell corner node indices and the (1 - w, w) weights
-        per axis are computed here once; the returned function only takes
-        nodal values and combines them, so a caller that interpolates many
-        value arrays at the same points pays for the geometry once.
-        ``apply`` is one take and then one lerp per axis, from the last axis
-        to the first: on two axes (1 - w1)((1 - w2) u00 + w2 u01) +
-        w1((1 - w2) u10 + w2 u11).
-        """
-        corners, ws = self._cells(points)
-        lerps = [(1.0 - w, w, (slice(None),) * a + (0,), (slice(None),) * a + (1,))
-                 for a, w in enumerate(ws)]
-        lerps.reverse()
-
-        def apply(values):
-            u = np.asarray(values, dtype=float).take(corners)
-            for w0, w1, lo, hi in lerps:
-                u = w0 * u[lo] + w1 * u[hi]
-            return u
-
-        return apply
-
     def corners(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The cell corners of fixed on-manifold points as explicit weights.
 
         Returns (index, weight), each of shape (2^axes,) + points.shape[:-1]:
         the flat node index of each corner of each point's cell and its
-        multilinear weight, the product over the axes of 1 - w or w.  The
-        weights are nonnegative and sum to 1 over the corners of a point up
-        to rounding, and sum(weight * values[index], axis=0) interpolates
-        ``values`` as ``gather`` does (rounded differently).
+        multilinear weight, the product over the axes of 1 - w or w, with w
+        the weight of the upper node along the axis.  The weights are
+        nonnegative and sum to 1 over the corners of a point up to rounding;
+        ``corner_sum`` interpolates nodal values with them.
         """
-        index, ws = self._cells(points)
-        n_axes = len(ws)
-        weight = 1.0
-        for a, w in enumerate(ws):
+        ch = self.manifold.chart(points)
+        n_axes = len(self.axes)
+        ends, weight = [], 1.0
+        for a, axis in enumerate(self.axes):
+            lo, w = axis.cell(ch[..., a])
             corner_axis = (1,) * a + (2,) + (1,) * (n_axes - 1 - a)
+            ends.append(np.stack([lo, axis.next(lo)]).reshape(corner_axis + lo.shape))
             weight = weight * np.stack([1.0 - w, w]).reshape(corner_axis + w.shape)
         shape = (2**n_axes,) + np.shape(points)[:-1]
-        return index.reshape(shape), weight.reshape(shape)
+        return self._node_index(ends).reshape(shape), weight.reshape(shape)
 
     def interpolate(self, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Interpolate nodal values at arbitrary on-manifold points."""
-        return self.gather(points)(values)
+        """Interpolate nodal values at on-manifold points: ``corner_sum`` over ``corners``."""
+        return corner_sum(values, *self.corners(points))
 
     def neighbor_pairs(self) -> List[Tuple[int, int]]:
         """Pairs of adjacent node indices (each pair once): every node with its
@@ -390,9 +363,10 @@ def value_function(
 ) -> ValueField:
     """Backward induction over the control grid on the mesh.
 
-    Each layer gathers u at the one-step states of every (control, node,
-    rule point), averages them into y_bar with the rule weights and runs
-    ``picard_iters`` Picard iterations of y = y_bar + dt f(t_i, x, y, Z, v).
+    Each layer sums u over the cell corners of the one-step states of every
+    (control, node, rule point), averages them into y_bar with the rule
+    weights and runs ``picard_iters`` Picard iterations of
+    y = y_bar + dt f(t_i, x, y, Z, v).
     When the driver vanishes (K = K0 = 0, ``Driver.vanishes``) the layer is
     ``grid_argmin(y_bar)``, with no Z and no Picard loop.  The bytes are the
     same, because y_bar + 0.0 only turns -0.0 into 0.0, and the matmul's
@@ -413,17 +387,17 @@ def value_function(
 
     # One-step states from every node under every rule point and grid control:
     # the (control, node, rule point) triples are the columns of one
-    # coordinate-major step, gathered as one (k, n_nodes, 3^d) array per layer.
+    # coordinate-major step, read as one (k, n_nodes, 3^d) array per layer.
     k = controls.shape[0]
     n_rule = xi.shape[0]
     X = np.tile(np.repeat(nodes.T, n_rule, axis=1), k)
     V = np.repeat(controls.T, mesh.n_nodes * n_rule, axis=1)
     dW_cols = np.tile((xi * sqrt_dt).T, k * mesh.n_nodes)
     X1 = euler_step(prob.manifold, prob.fields, dt, X, V, dW_cols)
-    at_next = mesh.gather(np.ascontiguousarray(X1.T).reshape(k, mesh.n_nodes, n_rule, -1))
+    at_next = mesh.corners(np.ascontiguousarray(X1.T).reshape(k, mesh.n_nodes, n_rule, -1))
 
     def layer(i, u, vv, n):  # n = 1: the table passes no s
-        u_next = at_next(u)  # (k, n_nodes, 3^d)
+        u_next = corner_sum(u, *at_next)  # (k, n_nodes, 3^d)
         y_bar = u_next @ w
         if prob.driver.vanishes:
             return grid_argmin(y_bar)

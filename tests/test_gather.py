@@ -1,9 +1,11 @@
-"""Precomputed interpolation gathers and the HJB and value sweeps built on them.
+"""The mesh's one interpolation, its cell corners, and the HJB and value
+sweeps built on them.
 
 The reference formulas below are the per-call mesh interpolation written out
-directly (chart, cell, weights and combination in one expression).  The
-gathers must reproduce them bit for bit, and the cell-corner weights up to
-rounding.  ``solve_hjb`` must reproduce a sweep that rebuilds its transition
+directly (chart, cell, weights and one lerp per axis in one expression).
+``interpolate`` must be the in-order sum over the cell corners bit for bit;
+that is the reference bit for bit on one-axis meshes, where the corner sum is
+the lerp, and within rounding on every mesh.  ``solve_hjb`` must reproduce a sweep that rebuilds its transition
 weights at every step, takes the controls one at a time and sums the
 weighted rows in order, and keep every stride-th layer of it; it must also
 stay within rounding of the former difference-form sweep.
@@ -37,6 +39,7 @@ from geodp.value import (
     ManifoldMesh,
     SphereMesh,
     TorusMesh,
+    corner_sum,
     gauss_hermite_rule,
     value_function,
 )
@@ -212,21 +215,33 @@ MESHES = {
 }
 
 
+def _in_order_corner_sum(mesh, values, points):
+    """weight[0] * u[index[0]] + weight[1] * u[index[1]] + ..., left to right."""
+    index, weight = mesh.corners(points)
+    total = weight[0] * values[index[0]]
+    for c in range(1, index.shape[0]):
+        total = total + weight[c] * values[index[c]]
+    return total
+
+
 @pytest.mark.parametrize("name", sorted(MESHES))
-def test_gather_is_bit_identical_to_reference_formula(name):
+def test_interpolate_is_the_in_order_corner_sum(name):
+    """Bit for bit; on one axis the corner sum is the lerp, so there it is
+    also the reference formula bit for bit (two-axis meshes: within rounding,
+    ``test_corners_interpolate_as_the_reference_formula``)."""
     make, points_for = MESHES[name]
     mesh = make()
     rng = np.random.default_rng(11)
     pts = points_for(mesh, rng)
     stacked = pts[: (pts.shape[0] // 6) * 6].reshape(2, 3, -1, pts.shape[-1])
-    apply_flat, apply_stacked = mesh.gather(pts), mesh.gather(stacked)
-    for _ in range(3):  # one gather serves many value arrays
+    for _ in range(3):
         vals = rng.normal(size=mesh.n_nodes)
-        ref = _ref_interpolate(mesh, vals, pts)
-        assert np.array_equal(apply_flat(vals), ref)
-        assert np.array_equal(mesh.interpolate(vals, pts), ref)
-        assert np.array_equal(apply_stacked(vals), _ref_interpolate(mesh, vals, stacked))
-        np.testing.assert_allclose(apply_flat(vals)[: mesh.n_nodes], vals, atol=1e-12)
+        for p in (pts, stacked, pts[0]):
+            got = mesh.interpolate(vals, p)
+            assert np.array_equal(got, _in_order_corner_sum(mesh, vals, p))
+            if len(mesh.axes) == 1:
+                assert np.array_equal(got, _ref_interpolate(mesh, vals, p))
+        np.testing.assert_allclose(mesh.interpolate(vals, pts)[: mesh.n_nodes], vals, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(MESHES))
@@ -277,8 +292,9 @@ def test_sphere_mesh_matches_the_former_sphere_mesh(sizes):
 def test_interpolate_is_defined_once_on_the_base_mesh():
     for cls in (CircleMesh, SphereMesh, TorusMesh):
         assert issubclass(cls, ManifoldMesh)
-        assert not {"gather", "corners", "interpolate"} & set(cls.__dict__)
-    assert {"gather", "corners", "interpolate"} <= set(ManifoldMesh.__dict__)
+        assert not {"corners", "interpolate"} & set(cls.__dict__)
+    assert {"corners", "interpolate"} <= set(ManifoldMesh.__dict__)
+    assert not {"gather", "_cells"} & set(dir(ManifoldMesh))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +554,7 @@ def test_solve_hjb_stride_must_divide_n_steps(stride):
 
 
 def _count_mesh_calls(monkeypatch, mesh):
-    calls = {"interpolate": 0, "gather": 0, "corners": 0}
+    calls = {"interpolate": 0, "corners": 0}
     cls = type(mesh)
     for attr in list(calls):
         orig = getattr(cls, attr)
@@ -558,7 +574,7 @@ def test_solve_hjb_gathers_once(monkeypatch, name, n_steps):
     prob, mesh = make_prob(), make_mesh()
     calls = _count_mesh_calls(monkeypatch, mesh)
     solve_hjb(prob, TimeGrid(0.0, 1e-3 * n_steps, n_steps), mesh)
-    assert calls == {"interpolate": 0, "gather": 0, "corners": 1}
+    assert calls == {"interpolate": 0, "corners": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -622,8 +638,8 @@ def test_value_function_gathers_once_per_control(monkeypatch, name, n_steps):
     monkeypatch.setattr(geodp_rng, "normal_increments", counted_normals)
     value_function(prob, TimeGrid(0.0, 0.05 * n_steps, n_steps), mesh)
     assert prob.controls.grid().shape[0] >= 2
-    # One gather for the one-step states of all grid controls together.
-    assert calls == {"interpolate": 0, "gather": 1, "corners": 0, "normal_increments": 0}
+    # One corners call for the one-step states of all grid controls together.
+    assert calls == {"interpolate": 0, "corners": 1, "normal_increments": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -632,8 +648,9 @@ def test_value_function_gathers_once_per_control(monkeypatch, name, n_steps):
 
 
 def _per_control_value_function(prob, grid, mesh, picard_iters=3):
-    """The former value_function: one gather, one Gauss-Hermite average and
-    one driver call per grid control, then ``grid_argmin`` of their values."""
+    """The former value_function: one set of cell corners, one corner sum,
+    one Gauss-Hermite average and one driver call per grid control, then
+    ``grid_argmin`` of their values."""
     controls = prob.controls.grid()
     nodes = mesh.nodes
     dt = grid.dt
@@ -647,7 +664,7 @@ def _per_control_value_function(prob, grid, mesh, picard_iters=3):
     X = np.repeat(nodes.T, n_rule, axis=1)
     dW_cols = np.tile(dW.T, mesh.n_nodes)
     at_next = [
-        mesh.gather(
+        mesh.corners(
             np.ascontiguousarray(
                 euler_step(prob.manifold, prob.fields, dt, X, v[:, None], dW_cols).T
             ).reshape(mesh.n_nodes, n_rule, -1)
@@ -656,8 +673,8 @@ def _per_control_value_function(prob, grid, mesh, picard_iters=3):
     ]
     values = np.empty((controls.shape[0], mesh.n_nodes))
     for i in range(grid.n_steps - 1, -1, -1):
-        for k, (v, gather) in enumerate(zip(controls, at_next)):
-            u_next = gather(u[i + 1])
+        for k, (v, (index, weight)) in enumerate(zip(controls, at_next)):
+            u_next = corner_sum(u[i + 1], index, weight)
             y_bar = u_next @ w
             Z = (u_next * w) @ xi / sqrt_dt
             vv = np.broadcast_to(v, (mesh.n_nodes, v.shape[0]))
