@@ -170,7 +170,7 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
     # The parent writes the value table while the probe windows run.
     reports = dpp_residual_check(
         prob, vf, deltas, probes,
-        fresh_seeds=[rng.derive_seed(int(cfg["seed"]), 7, ds) for ds in deltas],
+        seed=rng.derive_seed(int(cfg["seed"]), 7),
         n_paths=int(cfg["dpp"]["n_paths"]),
         basis=_basis(cfg),
         picard_iters=int(cfg["mc"]["picard_iters"]),

@@ -422,7 +422,7 @@ def frozen_ode_solve(
     """Backward RK4 integration of the state-frozen minimized Hamiltonian ODE.
 
     Integrates -y' = F0(s, x, y, 0) from y(t + delta) = 0 down to time t in
-    max(n_substeps, 32) steps.  The ODE of one constant control v is this ODE
+    n_substeps steps.  The ODE of one constant control v is this ODE
     over the one-point control set ``ControlSet(v, v)``, whose grid is v.
     """
     if delta <= 0:
@@ -432,7 +432,6 @@ def frozen_ode_solve(
     def g(s, y):
         return -hamiltonian_F0(prob, probe, s, x, y, zeros)[0]
 
-    n_substeps = max(n_substeps, 32)
     hstep = -delta / n_substeps
     s = t + delta
     y = 0.0

@@ -268,10 +268,19 @@ def make_mesh(m: ManifoldModel, sizes: Optional[dict] = None) -> ManifoldMesh:
 
 @dataclass(frozen=True)
 class ValueField:
+    """A value table ``u`` and, at each node of each layer but the last, the
+    ``grid_argmin`` row of the control grid ``controls`` that minimized it."""
+
     grid: TimeGrid
     mesh: ManifoldMesh
     u: np.ndarray  # (n_steps+1, n_nodes)
-    argmin_control: np.ndarray  # (n_steps, n_nodes, d+1)
+    controls: np.ndarray  # (k, d+1), the control grid
+    argmin_row: np.ndarray  # (n_steps, n_nodes), intp rows of controls
+
+    @property
+    def argmin_control(self) -> np.ndarray:
+        """The minimizing controls ``controls[argmin_row]``, built on each read."""
+        return self.controls[self.argmin_row]
 
 
 @dataclass(frozen=True)
@@ -324,8 +333,8 @@ def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
     the ``grid_argmin`` rows of its minimizing controls), with ``vv`` the
     control grid broadcast to (k, n_nodes, d+1); a layer brings its own
     combiner of u at the scheme's fixed off-node points, built once.  Every
-    ``stride``-th layer is kept (copied), on ``TimeGrid(t0, T, n_steps //
-    stride)``; ValueError unless stride divides n_steps.
+    ``stride``-th layer is kept, u and its rows copied, on ``TimeGrid(t0, T,
+    n_steps // stride)``; ValueError unless stride divides n_steps.
 
     n is 1 unless ``s`` > 1, which a scheme passes when its step is linear
     and the same at every step, so that s steps are one step of its s-step
@@ -339,7 +348,7 @@ def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
     n_out = grid.n_steps // stride
     u = np.empty((n_out + 1, mesh.n_nodes))
     u[n_out] = prob.terminal(mesh.nodes)
-    argmin = np.empty((n_out,) + vv.shape[1:])
+    argmin_row = np.empty((n_out, mesh.n_nodes), dtype=np.intp)
     u_i = u[n_out]
     window = [1] * (stride % s) + [s] * (stride // s)
     for w in range(n_out - 1, -1, -1):
@@ -348,9 +357,9 @@ def backward_induction(prob: ControlProblem, grid: TimeGrid, mesh: ManifoldMesh,
             i -= n
             u_i, rows = layer(i, u_i, vv, n)
         u[w] = u_i
-        argmin[w] = controls[rows]
+        argmin_row[w] = rows
     out = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_out)
-    return ValueField(grid=out, mesh=mesh, u=u, argmin_control=argmin)
+    return ValueField(grid=out, mesh=mesh, u=u, controls=controls, argmin_row=argmin_row)
 
 
 def value_function(
@@ -422,7 +431,7 @@ def dpp_residual_check(
     vf: ValueField,
     delta_steps: Sequence[int],
     probes: Sequence[Tuple[int, int]],
-    fresh_seeds: Sequence[int],
+    seed: int,
     n_paths: int = 4096,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
@@ -433,22 +442,20 @@ def dpp_residual_check(
     length in ``delta_steps``; one report per delta, in order.
 
     The window minimization searches constant-per-window controls on the
-    finite control grid, with fresh noise seeded from the delta's entry of
-    ``fresh_seeds``, and compares against the stored value layer.  The
-    minimum over the grid is ``grid_argmin``'s, as in ``value_function``, so
-    a NaN window value gives a NaN residual.  Each probe (i, j) must lie in
+    finite control grid, with fresh noise seeded from ``seed``, the delta and
+    the probe, and compares against the stored value layer.  The minimum
+    over the grid is ``grid_argmin``'s, as in ``value_function``, so a NaN
+    window value gives a NaN residual.  Each probe (i, j) must lie in
     [0, n_steps) x [0, n_nodes), so that its window has at least one step.
 
     The windows run delta by delta, each over every probe, and each residual
-    depends only on its delta's seed and its (i, j); so at
+    depends only on its delta and its (i, j); so at
     ``_FORK_MIN_PATH_STEPS`` and above all of them run in one ``fork_map``
     round, whose workers only read ``vf``.  The residuals, and the error
     raised if a window fails, are those of the serial loop.  ``meanwhile``
     is handed to ``fork_map``: it runs in this process while the workers
     run, or before the windows when they run here.
     """
-    if len(fresh_seeds) != len(delta_steps):
-        raise ValueError("need one fresh seed per delta")
     for ds in delta_steps:
         if not 1 <= ds <= vf.grid.n_steps:
             raise ValueError("delta_steps out of range")
@@ -473,7 +480,7 @@ def dpp_residual_check(
                 grid=window,
                 d=prob.d,
                 n_paths=n_paths,
-                seed=rng.derive_seed(fresh_seeds[delta], i, j),
+                seed=rng.derive_seed(seed, delta_steps[delta], i, j),
                 antithetic=True,
             )
             values = np.empty(len(controls))
@@ -533,30 +540,21 @@ def continuity_moduli(vf: ValueField) -> ContinuityModuli:
     return ContinuityModuli(space_modulus=space, time_modulus=time_mod)
 
 
-class _ControlTails(dict):
-    """The CSV tail of a float64 control row, ``",v0,...,vd"`` and the CRLF
-    line end, keyed by the row's bytes and formatted on its first lookup:
-    equal bytes are equal reprs, so each distinct row is formatted once."""
-
-    def __missing__(self, row: bytes) -> str:
-        text = self[row] = "," + ",".join(map(repr, np.frombuffer(row).tolist())) + "\r\n"
-        return text
-
-
 def export_value_field(vf: ValueField, path: str) -> None:
     """CSV dump: time index, node index, node coordinates, u, argmin control.
 
     The bytes are those of ``csv.writer`` with ``repr`` floats (CRLF line
     ends, empty control fields on the last layer).  A row is the pieces
     ``"{i},"``, the node's head ``"{j},{x0},...,"``, the u text and the
-    control tail: the heads are built once per export, the tails once per
-    distinct control row, each float text once per distinct value of the
+    control tail ``",v0,...,vd"`` with the line end: the heads are built
+    once per export, the tails once per grid control and read through each
+    layer's ``argmin_row``, each float text once per distinct value of the
     nodes or of a layer (``float_texts``), and each layer is written as one
     string.
     """
     nodes = vf.mesh.nodes
     n_nodes, n = nodes.shape
-    n_ctrl_layers, _, dctrl = vf.argmin_control.shape
+    dctrl = vf.controls.shape[1]
     header = (
         ["time_index", "node_index"]
         + [f"x{k}" for k in range(n)]
@@ -565,22 +563,15 @@ def export_value_field(vf: ValueField, path: str) -> None:
     )
     row = np.empty((n_nodes, 4), dtype=object)
     row[:, 1] = [f"{j},{','.join(x)}," for j, x in enumerate(float_texts(nodes).tolist())]
+    tails = np.array([f",{','.join(v)}\r\n" for v in float_texts(vf.controls).tolist()],
+                     dtype=object)
     no_ctrl = "," * dctrl + "\r\n"
-    # One bytes object per (layer, node): the row of its argmin control.
-    ctrl_rows = (
-        np.ascontiguousarray(vf.argmin_control, dtype=np.float64)
-        .view(np.dtype((np.void, 8 * dctrl)))[..., 0]
-    )
-    tails = _ControlTails()
 
     def layers():
         for i in range(vf.u.shape[0]):
             row[:, 0] = f"{i},"
             row[:, 2] = float_texts(vf.u[i])
-            if i < n_ctrl_layers:
-                row[:, 3] = list(map(tails.__getitem__, ctrl_rows[i].tolist()))
-            else:
-                row[:, 3] = no_ctrl
+            row[:, 3] = tails[vf.argmin_row[i]] if i < len(vf.argmin_row) else no_ctrl
             yield row
 
     write_csv_layers(path, header, layers())

@@ -94,7 +94,7 @@ def test_criterion_03_dpp_identity():
     vf = value_function(prob, grid, mesh)
     probes = [(i, j) for i in (0, 20, 40, 59) for j in (0, 32, 64, 96)]
     worst = 0.0
-    for rep in dpp_residual_check(prob, vf, [1, 4], probes, fresh_seeds=[777, 777], n_paths=4096):
+    for rep in dpp_residual_check(prob, vf, [1, 4], probes, seed=777, n_paths=4096):
         worst = max(worst, rep.max_residual)
     elapsed = time.perf_counter() - t0
     _verdict(

@@ -277,7 +277,6 @@ def _former_constant_control_ode(prob, probe, x, t, delta, v, n_substeps):
     def g(s, y):
         return -float(hamiltonian_F(prob, probe, s, x, y, zeros, v))
 
-    n_substeps = max(n_substeps, 32)
     hstep = -delta / n_substeps
     s = t + delta
     y = 0.0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -192,7 +193,7 @@ def test_dpp_residual_small_on_suite():
     mesh = CircleMesh(128)
     vf = value_function(prob, grid, mesh)
     probes = [(i, j) for i in (0, 20, 40, 59) for j in (0, 32, 64, 96)]
-    reps = dpp_residual_check(prob, vf, [1, 4], probes, fresh_seeds=[99, 99], n_paths=4096)
+    reps = dpp_residual_check(prob, vf, [1, 4], probes, seed=99, n_paths=4096)
     for ds, rep in zip((1, 4), reps):
         assert rep.passed, f"delta={ds}: max residual {rep.max_residual}"
 
@@ -213,7 +214,7 @@ def test_dpp_residual_nan_window_value_is_not_passed_over(monkeypatch, nan_contr
         return np.nan if v[1] == sigma_nan else 0.25
 
     monkeypatch.setattr(value, "semigroup", semigroup)
-    rep, = dpp_residual_check(prob, vf, [2], [(0, 0), (3, 5)], fresh_seeds=[1], n_paths=64)
+    rep, = dpp_residual_check(prob, vf, [2], [(0, 0), (3, 5)], seed=1, n_paths=64)
     assert np.all(np.isnan(rep.residuals))
     assert np.isnan(rep.max_residual) and not rep.passed
 
@@ -225,7 +226,7 @@ def test_dpp_residual_rejects_a_probe_outside_the_table(probe):
     prob = circle_problem()
     vf = value_function(prob, TimeGrid(0.0, 0.5, 8), CircleMesh(16))
     with pytest.raises(ValueError, match="outside"):
-        dpp_residual_check(prob, vf, [1], [(0, 0), probe], fresh_seeds=[1], n_paths=64)
+        dpp_residual_check(prob, vf, [1], [(0, 0), probe], seed=1, n_paths=64)
 
 
 def test_continuity_moduli_decay():
@@ -243,6 +244,54 @@ def test_continuity_moduli_decay():
     tc = list(mc.time_modulus.values())[0]
     tf = list(mf.time_modulus.values())[0]
     assert tf < tc
+
+
+def _four_control_torus():
+    """The torus2 heat problem over the control grid {0} x {0.5, 1}^2."""
+    return dataclasses.replace(
+        _heat_problem("torus2", ["zero", "rot1", "rot2"], [0, 1, 1]),
+        controls=ControlSet([0, 0.5, 0.5], [0, 1, 1], grid_points_per_axis=2),
+    )
+
+
+def _hjb_field(prob, mesh, n_steps):
+    """solve_hjb on a CFL-refined grid, keeping every stride-th layer (stride > 1)."""
+    from geodp.hjb import hjb_steps_for_cfl, solve_hjb
+
+    n_hjb = hjb_steps_for_cfl(prob, 0.0, 0.5, mesh, cfl_limit=0.4, multiple_of=2 * n_steps)
+    return solve_hjb(prob, TimeGrid(0.0, 0.5, n_hjb), mesh, cfl_limit=0.4,
+                     stride=n_hjb // n_steps)
+
+
+# Problem, mesh, and whether solve_hjb (True) or value_function (False) solves it.
+_ARGMIN_FIELDS = {
+    "table-circle": (circle_problem, lambda: CircleMesh(16), False),
+    "table-torus-4-controls": (_four_control_torus, lambda: TorusMesh(12, 10), False),
+    "hjb-general-circle": (circle_problem, lambda: CircleMesh(16), True),
+    "hjb-general-torus-4-controls": (_four_control_torus, lambda: TorusMesh(12, 10), True),
+    "hjb-linear-torus": (
+        lambda: _heat_problem("torus2", ["zero", "rot1", "rot2"], [0, 1, 1]),
+        lambda: TorusMesh(12, 10), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARGMIN_FIELDS))
+def test_fields_keep_the_minimizing_grid_rows(name):
+    """A field keeps the control grid and, per kept layer and node, the intp
+    row of the grid that minimized it; argmin_control reads the controls
+    through those rows."""
+    problem, grid_mesh, hjb = _ARGMIN_FIELDS[name]
+    prob, mesh, n_steps = problem(), grid_mesh(), 6
+    if hjb:
+        vf = _hjb_field(prob, mesh, n_steps)
+    else:
+        vf = value_function(prob, TimeGrid(0.0, 0.5, n_steps), mesh)
+    controls = prob.controls.grid()
+    assert np.array_equal(vf.controls, controls)
+    assert vf.argmin_row.dtype == np.intp
+    assert vf.argmin_row.shape == (n_steps, mesh.n_nodes)
+    assert 0 <= vf.argmin_row.min() and vf.argmin_row.max() < len(controls)
+    assert np.array_equal(vf.argmin_control, controls[vf.argmin_row])
 
 
 def test_export_value_field(tmp_path):
@@ -285,9 +334,9 @@ def test_export_value_field_matches_csv_writer_bytes(tmp_path):
     special = [-0.0, 1e16, 1e-05, 0.1 + 0.2, 1e-300, -2.5, 3.0]
     nodes = np.array([[-0.0, 1.0, 1e-300], [0.1 + 0.2, -1e16, 1e-05], [1.0, 0.0, -0.5]])
     u = np.array([special[:3], special[3:6], special[4:7], [0.0, -0.0, 1e16]])
-    argmin = np.array([[[-0.0, 1e-05], [1e16, 0.1 + 0.2], [1e-300, 0.5]]] * 3)
+    controls = np.array([[-0.0, 1e-05], [1e16, 0.1 + 0.2], [1e-300, 0.5]])
     vf = ValueField(grid=TimeGrid(0.0, 0.3, 3), mesh=types.SimpleNamespace(nodes=nodes),
-                    u=u, argmin_control=argmin)
+                    u=u, controls=controls, argmin_row=np.array([[0, 1, 2]] * 3))
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
     export_value_field(vf, str(fast))
     _csv_writer_export(vf, str(ref))
@@ -297,13 +346,13 @@ def test_export_value_field_matches_csv_writer_bytes(tmp_path):
 
 def test_export_formats_repeated_control_rows_like_csv_writer(tmp_path):
     """Control rows repeat across nodes and layers; -0.0 and 0.0 are distinct
-    rows with distinct text."""
+    grid controls with distinct text."""
     nodes = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.1 + 0.2], [0.0, 1.0]])
-    argmin = np.stack([rows, rows[::-1], rows[[1, 1, 1, 2]]])
+    controls = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.1 + 0.2]])
+    argmin_row = np.array([[0, 1, 2, 0], [0, 2, 1, 0], [1, 1, 1, 2]])
     u = np.arange(16.0).reshape(4, 4) / 7.0
     vf = ValueField(grid=TimeGrid(0.0, 0.3, 3), mesh=types.SimpleNamespace(nodes=nodes),
-                    u=u, argmin_control=argmin)
+                    u=u, controls=controls, argmin_row=argmin_row)
     fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
     export_value_field(vf, str(fast))
     _csv_writer_export(vf, str(ref))
@@ -344,11 +393,12 @@ def _assert_export_matches_references(vf, tmp_path):
     return fast.read_bytes()
 
 
-def _table(nodes, u, argmin):
+def _table(nodes, u, controls, argmin_row):
     u = np.asarray(u, dtype=float)
     return ValueField(grid=TimeGrid(0.0, 0.1 * (len(u) - 1), len(u) - 1),
                       mesh=types.SimpleNamespace(nodes=np.asarray(nodes, dtype=float)),
-                      u=u, argmin_control=np.asarray(argmin, dtype=float))
+                      u=u, controls=np.asarray(controls, dtype=float),
+                      argmin_row=np.asarray(argmin_row, dtype=np.intp))
 
 
 # Two quiet NaNs with payloads, a signalling NaN and a negative NaN: all are
@@ -356,36 +406,36 @@ def _table(nodes, u, argmin):
 _NANS = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0x7FF0000000000003,
                   0xFFF8000000000000], dtype=np.uint64).view(np.float64)
 _SQUARE = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
-_ONE_ROW = [[[0.0, 1.0]] * 4]
 
 
 @pytest.mark.parametrize(
-    "nodes, u, argmin",
+    "nodes, u, controls, argmin_row",
     [
-        (_SQUARE, [_NANS, [np.nan, 1.0, _NANS[1], -0.5]], _ONE_ROW),
+        (_SQUARE, [_NANS, [np.nan, 1.0, _NANS[1], -0.5]],
+         [[0.0, 1.0], [_NANS[0], 1.0], [0.0, _NANS[2]], [_NANS[3], _NANS[1]]], [[3, 1, 0, 2]]),
         (_SQUARE, [[np.inf, -np.inf, 1e308, np.inf], [-np.inf, 0.0, -np.inf, 5e-324]],
-         [[[np.inf, 1.0], [-np.inf, 1.0], [np.inf, 1.0], [0.0, np.nan]]]),
+         [[np.inf, 1.0], [-np.inf, 1.0], [0.0, np.nan]], [[0, 1, 0, 2]]),
         ([[-0.0, 1.0], [0.0, -1.0], [1.0, -0.0], [-1.0, 0.0]],
          [[0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 1.0]],
-         [[[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]]]),
-        (_SQUARE, [[0.1 + 0.2] * 4, [0.3] * 4, np.arange(4) / 3.0], [[[0.0, 1.0]] * 4] * 2),
+         [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0]], [[0, 1, 2, 3]]),
+        (_SQUARE, [[0.1 + 0.2] * 4, [0.3] * 4, np.arange(4) / 3.0], [[0.0, 1.0]], [[0] * 4] * 2),
         (np.linspace(-1.0, 1.0, 24).reshape(12, 2), np.random.default_rng(5).normal(size=(3, 12)),
-         np.random.default_rng(6).normal(size=(2, 12, 2))),
+         np.random.default_rng(6).normal(size=(24, 2)), np.arange(24).reshape(2, 12)),
         (_SQUARE * 2, np.arange(24.0).reshape(3, 8) % 5 / 7.0,
-         np.array([[0.0, 1.0, 0.5], [0.0, 0.5, 1.0], [0.0, 1.0, 1.0]])[
-             np.arange(16).reshape(2, 8) % 3]),
-        ([[0.6, 0.8]], [[0.25], [0.5], [1.0 / 3.0]], [[[0.0, 1.0, 2.0]], [[-0.0, 2.0, 1.0]]]),
+         [[0.0, 1.0, 0.5], [0.0, 0.5, 1.0], [0.0, 1.0, 1.0]], np.arange(16).reshape(2, 8) % 3),
+        ([[0.6, 0.8]], [[0.25], [0.5], [1.0 / 3.0]], [[0.0, 1.0, 2.0], [-0.0, 2.0, 1.0]],
+         [[0], [1]]),
     ],
     ids=["nan-payloads", "infinities", "signed-zeros", "all-repeat", "all-distinct",
          "k3-controls-d2", "single-node"],
 )
-def test_export_value_field_matches_both_references(tmp_path, nodes, u, argmin):
-    _assert_export_matches_references(_table(nodes, u, argmin), tmp_path)
+def test_export_value_field_matches_both_references(tmp_path, nodes, u, controls, argmin_row):
+    _assert_export_matches_references(_table(nodes, u, controls, argmin_row), tmp_path)
 
 
 def test_export_value_field_keeps_signed_zeros_and_special_values_apart(tmp_path):
     vf = _table([[-0.0, 1.0], [0.0, -1.0]], [[0.0, -0.0], [_NANS[3], -np.inf]],
-                [[[-0.0, 1.0], [0.0, 1.0]]])
+                [[-0.0, 1.0], [0.0, 1.0]], [[0, 1]])
     text = _assert_export_matches_references(vf, tmp_path).decode()
     assert text.splitlines()[1:] == [
         "0,0,-0.0,1.0,0.0,-0.0,1.0",
