@@ -15,7 +15,20 @@ class ParameterError(ValueError):
 
     def __init__(self, name: str, value):
         self.name = name
-        super().__init__(f"must be a finite number, got {value!r}")
+        super().__init__(_not_finite_text(value))
+
+
+def _not_finite_text(value) -> str:
+    """The error text for a value that is not a finite number.  PyYAML reads
+    a float with an exponent but no decimal point (1e-6) as a string."""
+    text = f"must be a finite number, got {value!r}"
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return text
+        text += "; YAML read it as a string (an exponent needs a decimal point: 1.0e-6, not 1e-6)"
+    return text
 
 
 def _is_finite_number(v) -> bool:

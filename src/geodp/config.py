@@ -10,12 +10,13 @@ from typing import Any, Dict, Optional
 import numpy as np
 import yaml
 
-from .catalog import ParameterError, _is_finite_number, get_driver, get_terminal
+from .bsde import _check_contraction
+from .catalog import ParameterError, _is_finite_number, _not_finite_text, get_driver, get_terminal
 from .dynamics import ControlSet, TimeGrid
-from .errors import ConfigError, SingularProjection
+from .errors import ConfigError, ContractionViolated, SingularProjection
 from .geometry import get_field, get_manifold
 from .problem import ControlProblem
-from .value import _MESH_SIZES, ManifoldMesh, make_mesh
+from .value import _MAX_DT, _MESH_SIZES, ManifoldMesh, make_mesh
 
 EXPERIMENTS = (
     "oracle-circle",
@@ -72,13 +73,13 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-# Accepted values, by the type of the default value: an int is accepted where
-# the default is a float, a bool never as a number, and NaN or an infinity
-# never where the default is a float.
+# The error text of a rejected value, by the type of the default value: an
+# int is accepted where the default is a float, a bool never as a number, and
+# NaN or an infinity never where the default is a float.
 _LEAF_TYPES = {
-    int: (_is_int, "an integer"),
-    float: (_is_finite_number, "a finite number"),
-    str: (lambda v: isinstance(v, str), "a string"),
+    int: (_is_int, lambda v: f"must be an integer, got {v!r}"),
+    float: (_is_finite_number, _not_finite_text),
+    str: (lambda v: isinstance(v, str), lambda v: f"must be a string, got {v!r}"),
 }
 
 
@@ -99,20 +100,23 @@ def _check_types(value, default, key: str) -> None:
         for i, v in enumerate(value):
             _check_types(v, default[0], f"{key}[{i}]")
     else:
-        accepts, what = _LEAF_TYPES[type(default)]
+        accepts, message = _LEAF_TYPES[type(default)]
         if not accepts(value):
-            raise ConfigError(key, f"must be {what}, got {value!r}")
+            raise ConfigError(key, message(value))
 
 
 @dataclass
 class ExperimentConfig:
+    """An experiment config, validated on construction (ConfigError names the
+    key at fault).  Validation builds the problem, time grid, mesh and x0 it
+    checks and keeps them; the builders return those same objects, which
+    callers only read.  No kept object reads ``raw["seed"]``."""
+
     raw: Dict[str, Any]
 
     @classmethod
     def from_dict(cls, data: Optional[dict]) -> "ExperimentConfig":
-        cfg = cls(raw=_deep_merge(DEFAULTS, data or {}))
-        cfg.validate()
-        return cfg
+        return cls(raw=_deep_merge(DEFAULTS, data or {}))
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentConfig":
@@ -131,16 +135,13 @@ class ExperimentConfig:
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         r = self.raw
         _check_types(r, DEFAULTS, "")
-        for section in ("driver", "terminal"):  # stripped, as the catalog strips them
-            r[section]["id"] = r[section]["id"].strip()
         if r["x0"] is not None:
             _check_types(r["x0"], [0.0], "x0")
-        for key, sizes in [("mesh", r["mesh"])] + [
-            (f"ladder[{k}]", s) for k, s in enumerate(r["ladder"])
-        ]:
+        meshes = [("mesh", r["mesh"])] + [(f"ladder[{k}]", s) for k, s in enumerate(r["ladder"])]
+        for key, sizes in meshes:
             for name, n in sizes.items():
                 if not _is_int(n):
                     raise ConfigError(f"{key}.{name}", f"mesh sizes must be integers, got {n!r}")
@@ -152,23 +153,20 @@ class ExperimentConfig:
             raise ConfigError("manifold", str(e)) from e
         if not r["fields"]:
             raise ConfigError("fields", "need at least a drift field id")
-        for fid in r["fields"]:
+        try:
+            fields = [get_field(m, fid) for fid in r["fields"]]
+        except (KeyError, ValueError) as e:
+            raise ConfigError("fields", str(e)) from e
+        built = []
+        for section, get in (("driver", get_driver), ("terminal", get_terminal)):
+            r[section]["id"] = r[section]["id"].strip()  # as the catalog strips it
             try:
-                get_field(m, fid)
-            except (KeyError, ValueError) as e:
-                raise ConfigError("fields", str(e)) from e
-        try:
-            driver = get_driver(r["driver"]["id"], r["driver"].get("params"))
-        except KeyError as e:
-            raise ConfigError("driver.id", str(e)) from e
-        except ParameterError as e:
-            raise ConfigError(f"driver.params.{e.name}", str(e)) from e
-        try:
-            get_terminal(r["terminal"]["id"], r["terminal"].get("params"))
-        except KeyError as e:
-            raise ConfigError("terminal.id", str(e)) from e
-        except ParameterError as e:
-            raise ConfigError(f"terminal.params.{e.name}", str(e)) from e
+                built.append(get(r[section]["id"], r[section].get("params")))
+            except KeyError as e:
+                raise ConfigError(f"{section}.id", str(e)) from e
+            except ParameterError as e:
+                raise ConfigError(f"{section}.params.{e.name}", str(e)) from e
+        driver, terminal = built
         index = r["terminal"]["params"]["index"]
         if r["terminal"]["id"] == "coord" and not 0 <= index < m.ambient_dim:
             raise ConfigError(
@@ -179,26 +177,28 @@ class ExperimentConfig:
         if len(cs["lower"]) != d + 1 or len(cs["upper"]) != d + 1:
             raise ConfigError("control_set", f"bounds must have length d+1 = {d + 1}")
         try:
-            self._control_set()
+            controls = ControlSet(cs["lower"], cs["upper"], cs["grid_points_per_axis"])
         except (TypeError, ValueError) as e:
             raise ConfigError("control_set", str(e)) from e
+        self._problem = ControlProblem(m, fields, driver, terminal, controls)
         if d == 0 and r["driver"]["id"] == "smooth":
             raise ConfigError("driver.id", "the smooth driver reads z_0: it needs a diffusion field")
         if d == 0 and r["experiment"] == "estimates":
             raise ConfigError("fields", "estimates needs a diffusion field: its driver reads z_0")
         tm = r["time"]
-        if not tm["t0"] < tm["T"]:
-            raise ConfigError("time", "need t0 < T")
         if tm["n_steps"] < 1:
             raise ConfigError("time.n_steps", "must be >= 1")
-        dt = (tm["T"] - tm["t0"]) / tm["n_steps"]
-        if driver.lipschitz_K * dt >= 1.0:
+        try:
+            grid = self._grid = TimeGrid(float(tm["t0"]), float(tm["T"]), int(tm["n_steps"]))
+        except ValueError as e:
+            raise ConfigError("time", str(e)) from e
+        try:
+            _check_contraction(driver, grid)
+        except ContractionViolated as e:
+            raise ConfigError("time.n_steps", f"driver {e}") from e
+        if r["experiment"] in ("dpp-check", "solver-agreement") and grid.dt > _MAX_DT:
             raise ConfigError(
-                "time.n_steps", f"driver K*dt = {driver.lipschitz_K * dt:.3g} >= 1"
-            )
-        if r["experiment"] in ("dpp-check", "solver-agreement") and dt > 0.1:
-            raise ConfigError(
-                "time.n_steps", f"dt = {dt:.3g} exceeds the value table's 0.1 bound"
+                "time.n_steps", f"dt = {grid.dt:.3g} exceeds the value table's {_MAX_DT} bound"
             )
         for key in ("mc.n_paths", "mc.picard_iters", "mc.basis_degree", "dpp.n_paths",
                     "dpp.n_probes", "estimates.n_instances", "agreement.levels"):
@@ -224,11 +224,10 @@ class ExperimentConfig:
                 )
             if len(set(deltas)) != len(deltas):
                 raise ConfigError("dpp.delta_steps", f"each delta may appear once, got {deltas}")
-        meshes = [("mesh", r["mesh"])]
-        if r["experiment"] == "convergence-table":
-            if len(r["ladder"]) < 3:
-                raise ConfigError("ladder", "need at least 3 levels")
-            meshes += [(f"ladder[{k}]", sizes) for k, sizes in enumerate(r["ladder"])]
+        if r["experiment"] != "convergence-table":
+            meshes = meshes[:1]  # only convergence-table reads the ladder
+        elif len(r["ladder"]) < 3:
+            raise ConfigError("ladder", "need at least 3 levels")
         keys = _MESH_SIZES[m.factor_dims]
         coarser = None
         for key, sizes in meshes:
@@ -238,20 +237,22 @@ class ExperimentConfig:
                     key, f"unknown mesh size keys {unknown} on {m.name}; its keys are {list(keys)}"
                 )
             try:
-                mesh = self.build_mesh(sizes)
+                mesh = make_mesh(m, sizes)
             except (TypeError, ValueError) as e:
                 raise ConfigError(key, str(e)) from e
-            if key.startswith("ladder"):
-                if coarser is not None and mesh.n_nodes <= coarser:
-                    raise ConfigError(
-                        key, f"a ladder must refine: {mesh.n_nodes} nodes after {coarser}"
-                    )
+            if key == "mesh":
+                self._mesh = mesh
+            elif coarser is not None and mesh.n_nodes <= coarser:
+                raise ConfigError(key, f"a ladder must refine: {mesh.n_nodes} nodes after {coarser}")
+            else:
                 coarser = mesh.n_nodes
-        if r["x0"] is not None:
+        if r["x0"] is None:
+            self._x0 = self._mesh.nodes[0].copy()
+        else:
             if len(r["x0"]) != m.ambient_dim:
                 raise ConfigError("x0", f"must have {m.ambient_dim} coordinates")
             try:
-                m.project(np.asarray(r["x0"], dtype=float))
+                self._x0 = m.project(np.asarray(r["x0"], dtype=float))
             except SingularProjection as e:
                 raise ConfigError("x0", f"cannot be projected onto {m.name}: {e}") from e
         if r["experiment"] in ("oracle-circle", "convergence-table"):
@@ -267,7 +268,7 @@ class ExperimentConfig:
             raise ConfigError("driver.id", f"{what} requires the zero driver")
         if self.raw["terminal"]["id"] not in ("coord", "constant"):
             raise ConfigError("terminal.id", f"{what} requires a coord or constant terminal")
-        prob = self.build_problem()
+        prob = self._problem
         controls = prob.controls.grid()
         if np.any(controls[0][0] * prob.fields[0].A != 0.0):
             drift = f"'{prob.fields[0].id}' at v0 = {float(controls[0][0])!r}"
@@ -278,37 +279,18 @@ class ExperimentConfig:
     # -- builders ------------------------------------------------------------
 
     def build_problem(self) -> ControlProblem:
-        r = self.raw
-        m = get_manifold(r["manifold"])
-        fields = [get_field(m, fid) for fid in r["fields"]]
-        driver = get_driver(r["driver"]["id"], r["driver"].get("params"))
-        terminal = get_terminal(r["terminal"]["id"], r["terminal"].get("params"))
-        return ControlProblem(
-            manifold=m, fields=fields, driver=driver, terminal=terminal,
-            controls=self._control_set(),
-        )
-
-    def _control_set(self) -> ControlSet:
-        cs = self.raw["control_set"]
-        return ControlSet(
-            lower=np.asarray(cs["lower"], dtype=float),
-            upper=np.asarray(cs["upper"], dtype=float),
-            grid_points_per_axis=int(cs["grid_points_per_axis"]),
-        )
+        return self._problem
 
     def build_grid(self) -> TimeGrid:
-        tm = self.raw["time"]
-        return TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=int(tm["n_steps"]))
+        return self._grid
 
     def build_mesh(self, sizes: Optional[dict] = None) -> ManifoldMesh:
-        m = get_manifold(self.raw["manifold"])
-        return make_mesh(m, self.raw["mesh"] if sizes is None else sizes)
+        """The validated mesh of ``mesh``; given ``sizes``, a new mesh of those sizes."""
+        return self._mesh if sizes is None else make_mesh(self._problem.manifold, sizes)
 
     def x0(self) -> np.ndarray:
-        if self.raw["x0"] is not None:
-            m = get_manifold(self.raw["manifold"])
-            return m.project(np.asarray(self.raw["x0"], dtype=float))
-        return self.build_mesh().nodes[0]
+        """``x0`` projected onto the manifold, or a copy of the mesh's first node."""
+        return self._x0
 
 
 def print_defaults() -> str:

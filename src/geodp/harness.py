@@ -7,11 +7,10 @@ is returned to the caller but never written into the report files.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 import numpy as np
@@ -21,6 +20,7 @@ from .bsde import RegressionBasis, backward_sweep, solve_backward, stability_che
 from .config import ExperimentConfig
 from .dynamics import (
     BrownianGrid, TimeGrid, constant_policy, export_paths, flow_continuity_check, fork_map, simulate,
+    write_csv_layers,
 )
 from .errors import ConfigError
 from .hjb import TestFunctionProbe, export_hjb_field, hjb_steps_for_cfl, solve_hjb
@@ -53,13 +53,10 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: List[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(
-                [repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row]
-            )
+    """The bytes of ``csv.writer`` for rows of numbers, with ``repr`` floats."""
+    lines = [",".join(repr(float(c)) if isinstance(c, (float, np.floating)) else str(c)
+                      for c in row) + "\r\n" for row in rows]
+    write_csv_layers(path, header, [np.array(lines, dtype=object)])
 
 
 def _basis(cfg: ExperimentConfig) -> RegressionBasis:
@@ -98,7 +95,7 @@ def _hjb_on_cfl_grid(cfg: ExperimentConfig, prob, mesh, n_out: int):
     multiple of ``n_out``, keeping the n_out + 1 layers of its n_out steps."""
     cfl_limit, grid = cfg["tolerances"]["cfl_limit"], cfg.build_grid()
     n_hjb = hjb_steps_for_cfl(prob, grid.t0, grid.T, mesh, cfl_limit=cfl_limit, multiple_of=n_out)
-    hgrid = TimeGrid(t0=grid.t0, T=grid.T, n_steps=n_hjb)
+    hgrid = replace(grid, n_steps=n_hjb)
     return solve_hjb(prob, hgrid, mesh, cfl_limit=cfl_limit, stride=n_hjb // n_out)
 
 
@@ -193,18 +190,15 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
 def _exp_solver_agreement(cfg, out_dir, dump_paths):
     prob = cfg.build_problem()
     tol = cfg["tolerances"]
-    tm = cfg["time"]
     levels = int(cfg["agreement"]["levels"])
     metrics = {}
     passed = True
-    mesh = cfg.build_mesh()
-    n_steps = int(tm["n_steps"])
+    mesh, grid = cfg.build_mesh(), cfg.build_grid()
     for level in range(levels):
         if level:
-            mesh, n_steps = mesh.refine(), 2 * n_steps
-        grid = TimeGrid(t0=float(tm["t0"]), T=float(tm["T"]), n_steps=n_steps)
+            mesh, grid = mesh.refine(), replace(grid, n_steps=2 * grid.n_steps)
         vf = value_function(prob, grid, mesh, picard_iters=int(cfg["mc"]["picard_iters"]))
-        hf = _hjb_on_cfl_grid(cfg, prob, mesh, n_steps)
+        hf = _hjb_on_cfl_grid(cfg, prob, mesh, grid.n_steps)
         sup = float(np.max(np.abs(vf.u - hf.u)))
         level_tol = tol["agreement_sup"] / (2**level)
         metrics[f"sup_diff_level_{level}"] = sup

@@ -251,6 +251,8 @@ class TorusMesh(ManifoldMesh):
 # Mesh size keys, with their defaults, by the manifold's factor dimensions.
 _MESH_SIZES = {(2,): {"n_theta": 128}, (3,): {"n_lat": 32, "n_lon": 64},
                (2, 2): {"n1": 64, "n2": 64}}
+# The largest time step value_function accepts; validation checks it too.
+_MAX_DT = 0.1
 
 
 def make_mesh(m: ManifoldModel, sizes: Optional[dict] = None) -> ManifoldMesh:
@@ -385,8 +387,8 @@ def value_function(
     (``benchmark/spans.py``), which counts value evaluations from it by name;
     it goes when the tracer stops reading it.
     """
-    if grid.dt > 0.1:
-        raise ValueError(f"dt = {grid.dt:.3g} exceeds the 0.1 sanity bound")
+    if grid.dt > _MAX_DT:
+        raise ValueError(f"dt = {grid.dt:.3g} exceeds the {_MAX_DT} sanity bound")
     controls = prob.controls.grid()
     nodes = mesh.nodes
     dt = grid.dt

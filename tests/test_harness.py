@@ -848,3 +848,31 @@ def test_cli_random_small_configs_end_in_a_documented_exit(cfg):
     if rc == 3:
         name = re.match(r"run error: (\w+):", err.getvalue()).group(1)
         assert name in _error_classes(), err.getvalue()
+
+
+def _former_write_csv(path, header, rows):
+    """The reference: ``_write_csv`` as it wrote through ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(
+                [repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row]
+            )
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[0, 1, 2, 0.5], [4, 5, 6, np.float64(1 / 3)]],
+        [[1, -0.0, np.nan, np.inf], [2, -np.inf, 5e-324, np.float64(-1e300)],
+         [3, np.float32(0.1), np.int64(7), 1]],
+    ],
+    ids=["empty", "ints-and-floats", "special-floats"],
+)
+def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path, rows):
+    header = ["a", "b", "c", "d"]
+    harness._write_csv(str(tmp_path / "new.csv"), header, rows)
+    _former_write_csv(str(tmp_path / "former.csv"), header, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "former.csv").read_bytes()
