@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import numbers
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 import yaml
@@ -108,9 +108,9 @@ def _check_types(value, default, key: str) -> None:
 @dataclass
 class ExperimentConfig:
     """An experiment config, validated on construction (ConfigError names the
-    key at fault).  Validation builds the problem, time grid, mesh and x0 it
-    checks and keeps them; the builders return those same objects, which
-    callers only read.  No kept object reads ``raw["seed"]``."""
+    key at fault).  Validation builds the problem, time grid, mesh, ladder
+    and x0 it checks and keeps them; the builders return those same objects,
+    which callers only read.  No kept object reads ``raw["seed"]``."""
 
     raw: Dict[str, Any]
 
@@ -229,7 +229,7 @@ class ExperimentConfig:
         elif len(r["ladder"]) < 3:
             raise ConfigError("ladder", "need at least 3 levels")
         keys = _MESH_SIZES[m.factor_dims]
-        coarser = None
+        kept = []
         for key, sizes in meshes:
             unknown = sorted(set(sizes) - set(keys))
             if unknown:
@@ -240,12 +240,10 @@ class ExperimentConfig:
                 mesh = make_mesh(m, sizes)
             except (TypeError, ValueError) as e:
                 raise ConfigError(key, str(e)) from e
-            if key == "mesh":
-                self._mesh = mesh
-            elif coarser is not None and mesh.n_nodes <= coarser:
-                raise ConfigError(key, f"a ladder must refine: {mesh.n_nodes} nodes after {coarser}")
-            else:
-                coarser = mesh.n_nodes
+            if len(kept) > 1 and mesh.n_nodes <= kept[-1].n_nodes:  # kept[0] is the mesh
+                raise ConfigError(key, f"a ladder must refine: {mesh.n_nodes} nodes after {kept[-1].n_nodes}")
+            kept.append(mesh)
+        self._mesh, *self._ladder = kept
         if r["x0"] is None:
             self._x0 = self._mesh.nodes[0].copy()
         else:
@@ -260,15 +258,14 @@ class ExperimentConfig:
 
     def _check_heat_problem(self) -> None:
         """oracle-circle and convergence-table compare against the closed form
-        of ``harness._heat_reference``: zero driver, coord or constant terminal
-        and no drift (v_0 A_0 = 0) under the first grid control, which for
-        convergence-table is the only one."""
+        of ``harness._heat_reference``: a vanishing driver (K = K0 = 0) and no
+        drift (v_0 A_0 = 0) under the first grid control, which for
+        convergence-table is the only one.  It also needs an affine terminal,
+        and ``get_terminal`` builds no other."""
         what = self.raw["experiment"]
-        if self.raw["driver"]["id"] != "zero":
-            raise ConfigError("driver.id", f"{what} requires the zero driver")
-        if self.raw["terminal"]["id"] not in ("coord", "constant"):
-            raise ConfigError("terminal.id", f"{what} requires a coord or constant terminal")
         prob = self._problem
+        if not prob.driver.vanishes:
+            raise ConfigError("driver.id", f"{what} requires a vanishing driver (K = K0 = 0)")
         controls = prob.controls.grid()
         if np.any(controls[0][0] * prob.fields[0].A != 0.0):
             drift = f"'{prob.fields[0].id}' at v0 = {float(controls[0][0])!r}"
@@ -284,9 +281,14 @@ class ExperimentConfig:
     def build_grid(self) -> TimeGrid:
         return self._grid
 
-    def build_mesh(self, sizes: Optional[dict] = None) -> ManifoldMesh:
-        """The validated mesh of ``mesh``; given ``sizes``, a new mesh of those sizes."""
-        return self._mesh if sizes is None else make_mesh(self._problem.manifold, sizes)
+    def build_mesh(self) -> ManifoldMesh:
+        """The validated mesh of ``mesh``."""
+        return self._mesh
+
+    def build_ladder(self) -> List[ManifoldMesh]:
+        """The validated meshes of ``ladder``, coarsest first, for
+        convergence-table; empty for every other experiment."""
+        return self._ladder
 
     def x0(self) -> np.ndarray:
         """``x0`` projected onto the manifold, or a copy of the mesh's first node."""

@@ -73,21 +73,18 @@ _ROUNDOFF = 1e-10
 # ---------------------------------------------------------------------------
 
 
-def _heat_reference(cfg: ExperimentConfig, prob, grid: TimeGrid, v, x):
+def _heat_reference(prob, grid: TimeGrid, v, x):
     """Closed-form value at t0 of the heat problem under the constant control
-    v, at points x (..., n): c for the constant terminal, and for the coord
-    terminal scale * x_i * e^{-rate (T - t0) / 2} with rate = sum_a v_a^2 w_ai,
-    w_ai = -(A_a A_a)_ii.  With no drift E X_T = exp((T - t0) sum_a v_a^2
-    A_a^2 / 2) x, and every catalog A_a^2 is diagonal, so coordinate i decays
-    on its own; for the so(n+1) basis the sum is the Laplacian of S^n."""
-    params = cfg["terminal"]["params"]
-    if cfg["terminal"]["id"] == "constant":
-        return float(params.get("c", 1.0))
-    i = int(params["index"])
-    w = np.array([-(f.A @ f.A)[i, i] for f in prob.fields[1:]])
-    rate = float(np.sum(np.asarray(v[1:]) ** 2 * w))
-    decay = np.exp(-rate * (grid.T - grid.t0) / 2.0)
-    return float(params.get("scale", 1.0)) * x[..., i] * decay
+    v, at points x (..., n): Phi(x * decay), with decay_k = e^{-rate_k (T -
+    t0) / 2}, rate_k = sum_a v_a^2 w_ak and w_ak = -(A_a A_a)_kk.  With no
+    drift E X_T = exp((T - t0) sum_a v_a^2 A_a^2 / 2) x, and every catalog
+    A_a^2 is diagonal, so coordinate k decays on its own; for the so(n+1)
+    basis the sum is the Laplacian of S^n.  Phi(E X_T) = E Phi(X_T) because
+    both catalog terminals, coord and constant, are affine."""
+    # (n, d) rows keep numpy's 1-D summation order; an axis-0 sum rounds otherwise from 8 fields on.
+    w = np.array([[-(f.A @ f.A)[k, k] for f in prob.fields[1:]] for k in range(x.shape[-1])])
+    rate = np.sum(np.asarray(v[1:]) ** 2 * w, axis=-1)
+    return prob.terminal(x * np.exp(-rate * (grid.T - grid.t0) / 2.0))
 
 
 def _hjb_on_cfl_grid(cfg: ExperimentConfig, prob, mesh, n_out: int):
@@ -112,7 +109,7 @@ def _exp_oracle_circle(cfg, out_dir, dump_paths):
     sol = solve_backward(ens, prob.driver, prob.terminal, _basis(cfg), int(cfg["mc"]["picard_iters"]))
     phiT = prob.terminal(ens.states[-1])
     se = float(np.std(phiT, ddof=1) / np.sqrt(len(phiT)))
-    reference = float(_heat_reference(cfg, prob, grid, v, x0))
+    reference = float(_heat_reference(prob, grid, v, x0))
     abs_error = abs(sol.y_at_t0 - reference)
     violation = ens.constraint_violation()
     metrics = {
@@ -321,10 +318,9 @@ def _exp_convergence_table(cfg, out_dir, dump_paths):
     tol = cfg["tolerances"]
     rows = []
     errors = []
-    for sizes in cfg["ladder"]:
-        mesh = cfg.build_mesh(sizes)
+    for mesh in cfg.build_ladder():
         hf = _hjb_on_cfl_grid(cfg, prob, mesh, 1)
-        errors.append(float(np.max(np.abs(hf.u[0] - _heat_reference(cfg, prob, hf.grid, v, mesh.nodes)))))
+        errors.append(float(np.max(np.abs(hf.u[0] - _heat_reference(prob, hf.grid, v, mesh.nodes)))))
     passed = True
     for level, err in enumerate(errors):
         if level == 0 or err <= _ROUNDOFF:

@@ -379,17 +379,13 @@ def solve_hjb(
         U = np.empty(index.shape)
         Uz = U[U.shape[0] - wz.shape[0] * wz.shape[1]:].reshape(wz.shape)
         zsum = np.zeros((prob.d, mesh.n_nodes))  # z / v_a per field; a zero field's row stays 0
-        every_z = len(z_fields) == prob.d
 
         def layer(i, un, vv, n):  # n = 1: only the linear layer passes s
             un.take(index, mode="clip", out=U)
             y = np.einsum("kmn,mn->kn", wy, U)
             if prob.driver.vanishes:
                 return grid_argmin(y)
-            if every_z:
-                np.einsum("amn,amn->an", wz, Uz, out=zsum)
-            else:
-                zsum[z_fields] = np.einsum("amn,amn->an", wz, Uz)
+            zsum[z_fields] = np.einsum("amn,amn->an", wz, Uz)
             y += dt * prob.driver(times[i + 1], nodes, un, v_diff * zsum.T, vv)
             return grid_argmin(y)
 

@@ -1,5 +1,5 @@
-"""ExperimentConfig keeps the problem, time grid, mesh and x0 that its
-validation built and checked; each builder returns those objects."""
+"""ExperimentConfig keeps the problem, time grid, mesh, ladder and x0 that
+its validation built and checked; each builder returns those objects."""
 
 import numpy as np
 import pytest
@@ -53,7 +53,7 @@ def _independent_build(raw):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_builders_return_the_same_objects_on_every_call(name):
     cfg = ExperimentConfig.from_dict(CONFIGS[name])
-    for build in (cfg.build_problem, cfg.build_grid, cfg.build_mesh, cfg.x0):
+    for build in (cfg.build_problem, cfg.build_grid, cfg.build_mesh, cfg.build_ladder, cfg.x0):
         assert build() is build()
 
 
@@ -74,12 +74,17 @@ def test_kept_objects_equal_an_independent_build(name):
     assert x0.dtype == ref["x0"].dtype and x0.tobytes() == ref["x0"].tobytes()
     assert not np.shares_memory(x0, mesh.nodes)
     assert mesh.manifold is prob.manifold
+    sizes = cfg["ladder"] if cfg["experiment"] == "convergence-table" else []
+    ladder = cfg.build_ladder()
+    assert [m.nodes.tobytes() for m in ladder] == [
+        make_mesh(prob.manifold, s).nodes.tobytes() for s in sizes]
+    assert all(m.manifold is prob.manifold for m in ladder)
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_validation_builds_each_object_once(name, monkeypatch):
-    """Validation calls each catalog and constructor once per object; the
-    builders call none of them, and ``build_mesh(sizes)`` makes one new mesh."""
+    """Validation calls each catalog and constructor once per object, the
+    ladder meshes included; the builders call none of them."""
     calls = {}
 
     def counted(fn, key):
@@ -98,11 +103,10 @@ def test_validation_builds_each_object_once(name, monkeypatch):
                 "get_terminal": 1, "ControlSet": 1, "TimeGrid": 1, "make_mesh": n_meshes}
     assert calls == expected
     for _ in range(2):
-        cfg.build_problem(), cfg.build_grid(), cfg.build_mesh(), cfg.x0()
+        cfg.build_problem(), cfg.build_grid(), cfg.build_mesh(), cfg.build_ladder(), cfg.x0()
     assert calls == expected
-    sizes = raw["mesh"]
-    assert cfg.build_mesh(sizes) is not cfg.build_mesh(sizes)
-    assert calls["make_mesh"] == n_meshes + 2
+    assert cfg.build_ladder() is cfg.build_ladder()
+    assert len(cfg.build_ladder()) == n_meshes - 1
 
 
 @pytest.mark.parametrize(

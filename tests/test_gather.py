@@ -41,6 +41,7 @@ from geodp.value import (
     TorusMesh,
     corner_sum,
     gauss_hermite_rule,
+    make_mesh,
     value_function,
 )
 
@@ -911,7 +912,7 @@ def test_element_bound_heat_kernels_compose_nothing(monkeypatch, name):
 def _cfl_field(experiment, sizes_list, **config):
     cfg = ExperimentConfig.from_dict(dict(config, experiment=experiment))
     prob = cfg.build_problem()
-    return [_hjb_on_cfl_grid(cfg, prob, cfg.build_mesh(sizes), n_out)
+    return [_hjb_on_cfl_grid(cfg, prob, make_mesh(prob.manifold, sizes), n_out)
             for sizes, n_out in sizes_list]
 
 

@@ -142,10 +142,11 @@ def test_config_validation_errors(override, field):
 
 def test_ladder_entries_take_the_manifold_defaults_not_mesh():
     """An empty ladder entry is the default mesh, like any missing size key;
-    `mesh` sizes the mesh only when no sizes are given."""
-    cfg = _cfg(mesh={"n_theta": 16})
+    `mesh` sizes only the mesh."""
+    cfg = _cfg(experiment="convergence-table", mesh={"n_theta": 16},
+               ladder=[{"n_theta": 32}, {"n_theta": 64}, {}])
     assert cfg.build_mesh().n_nodes == 16
-    assert cfg.build_mesh({}).n_nodes == 128
+    assert [mesh.n_nodes for mesh in cfg.build_ladder()] == [32, 64, 128]
     with pytest.raises(ConfigError, match="128 nodes after 128"):
         _cfg(experiment="convergence-table", ladder=[{"n_theta": 32}, {}, {}])
 
@@ -214,7 +215,7 @@ def test_convergence_table_constant_terminal_roundoff(tmp_path):
 
 def test_convergence_table_does_not_hold_the_full_hjb_field(tmp_path):
     cfg = _cfg(experiment="convergence-table")
-    finest = cfg.build_mesh(cfg["ladder"][-1])
+    finest = cfg.build_ladder()[-1]
     n_hjb = hjb_steps_for_cfl(cfg.build_problem(), 0.0, 1.0, finest)
     # u and argmin_control of the finest level at every HJB step
     full_field = ((n_hjb + 1) + n_hjb * 2) * finest.n_nodes * 8
@@ -243,12 +244,6 @@ def test_agreement_hjb_field_lines_up_with_value_field(tmp_path):
     assert [[r[k] for k in key] for r in hrows] == [[r[k] for k in key] for r in vrows]
     diff = max(abs(float(h["u"]) - float(v["u"])) for h, v in zip(hrows, vrows))
     assert 0.0 < diff <= rep.metrics["sup_diff_level_0"]
-
-
-def test_oracle_requires_zero_driver():
-    cfg_raw = dict(experiment="oracle-circle", driver={"id": "constant"})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(cfg_raw)
 
 
 @pytest.mark.parametrize(
@@ -482,18 +477,133 @@ def test_padded_ids_run_as_the_stripped_ids(tmp_path, experiment, section, padde
     assert match == files and not mismatch and not errors
 
 
-def test_circle_heat_reference_is_the_former_formula_bit_for_bit():
-    """For rot, w = -(A A)_ii is 1.0 exactly, so the reference is
-    x_i e^{-sum_a v_a^2 (T - t0) / 2} to the last bit."""
-    v = [0.0, 0.7, 1.3]
-    cfg = _cfg(fields=["zero", "rot", "rot"], control_set={"lower": v, "upper": v},
-               time={"t0": 0.25, "T": 1.5})
-    prob = cfg.build_problem()
-    v = prob.controls.grid()[0]
-    x = cfg.build_mesh().nodes
-    sigma2 = float(np.sum(np.asarray(v[1:]) ** 2))
-    former = x[..., 0] * np.exp(-sigma2 * (1.5 - 0.25) / 2.0)
-    assert np.array_equal(harness._heat_reference(cfg, prob, cfg.build_grid(), v, x), former)
+def _former_heat_reference(cfg, prob, grid, v, x):
+    """The heat reference as it was when it read the terminal from the raw
+    config: c, or scale * x_i * e^{-rate (T - t0) / 2} for coordinate i alone."""
+    params = cfg["terminal"]["params"]
+    if cfg["terminal"]["id"] == "constant":
+        return float(params.get("c", 1.0))
+    i = int(params["index"])
+    w = np.array([-(f.A @ f.A)[i, i] for f in prob.fields[1:]])
+    rate = float(np.sum(np.asarray(v[1:]) ** 2 * w))
+    decay = np.exp(-rate * (grid.T - grid.t0) / 2.0)
+    return float(params.get("scale", 1.0)) * x[..., i] * decay
+
+
+def _one_control(*v):
+    return {"lower": list(v), "upper": list(v)}
+
+
+_HEAT_CASES = {
+    "circle-two-rot": dict(fields=["zero", "rot", "rot"], control_set=_one_control(0.0, 0.7, 1.3),
+                           time={"t0": 0.25, "T": 1.5}),
+    "sphere2-mixed": dict(manifold="sphere2",
+                          fields=["zero", "rot_x", "scale:0.37:rot_y", "rot_z", "scale:1.9:rot_x"],
+                          control_set=_one_control(0.0, 0.3, 1.7, 0.9, 0.45)),
+    "torus2-angle-scale": dict(manifold="torus2", fields=["zero", "const_angle:0.4", "scale:0.6:rot2"],
+                               control_set=_one_control(0.0, 1.1, 0.8), time={"T": 0.7}),
+    "circle-no-diffusion": dict(fields=["zero"], control_set=_one_control(0.0)),
+}
+
+
+@pytest.mark.parametrize("name", _HEAT_CASES)
+def test_heat_reference_is_the_former_formula_bit_for_bit(name):
+    """On the mesh nodes and at x0, for the constant terminal and every coord
+    index: at scale 1 the reference is the former formula to the last bit; at
+    scale 0.3, scale * (x_i * decay) is within one ulp of (scale * x_i) * decay."""
+    case = _HEAT_CASES[name]
+    n = get_manifold(case.get("manifold", "circle")).ambient_dim
+    terminals = [{"id": "constant", "params": {"c": 2.5}}] + [
+        {"id": "coord", "params": {"index": i, "scale": scale}} for i in range(n) for scale in (1.0, 0.3)
+    ]
+    for terminal in terminals:
+        cfg = _cfg(terminal=terminal, **case)
+        prob, grid = cfg.build_problem(), cfg.build_grid()
+        v = prob.controls.grid()[0]
+        for x in (cfg.build_mesh().nodes, cfg.x0()):
+            new = harness._heat_reference(prob, grid, v, x)
+            former = np.broadcast_to(_former_heat_reference(cfg, prob, grid, v, x), new.shape)
+            if terminal["params"].get("scale", 1.0) == 1.0:
+                assert new.tobytes() == former.tobytes()
+            else:
+                assert np.all(np.abs(new - former) <= 2 * np.spacing(np.abs(former)))
+
+
+@pytest.mark.parametrize("manifold", sorted(CATALOG))
+def test_every_catalog_terminal_is_affine(manifold):
+    """The heat reference is Phi(E X_T), which is E Phi(X_T) only for an
+    affine Phi.  Every terminal id that get_terminal lists, at its defaults and
+    at sample parameters, must be affine, so a terminal that is not (a
+    quadratic) fails here rather than getting a wrong reference."""
+    from geodp.catalog import get_terminal
+
+    ids = [line.split()[0] for line in get_terminal.__doc__.split("ids:")[1].strip().splitlines()]
+    assert ids == ["constant", "coord"]
+    n = get_manifold(manifold).ambient_dim
+    r = np.random.default_rng(5)
+    x, y = r.uniform(-1.0, 1.0, size=(2, 256, n))
+    lam = r.uniform(size=256)
+    for tid in ids:
+        for params in ({}, {"c": -1.7, "index": n - 1, "scale": 0.3}):
+            phi = get_terminal(tid, params)
+            mixed = phi(lam[:, None] * x + (1.0 - lam[:, None]) * y)
+            assert np.allclose(mixed, lam * phi(x) + (1.0 - lam) * phi(y), rtol=0.0, atol=1e-15)
+
+
+_VANISHING_DRIVERS = [{"id": "constant", "params": {"c": 0.0}},
+                      {"id": "linear_y", "params": {"beta": 0.0, "c": 0.0}}]
+
+
+@pytest.mark.parametrize("experiment", ["oracle-circle", "convergence-table"])
+def test_heat_experiments_take_any_vanishing_driver(tmp_path, experiment):
+    """The heat rule reads K = K0 = 0 from the kept driver, not its id: a
+    constant driver with c = 0 and linear_y with beta = c = 0 pass validation
+    and write the zero driver's reports byte for byte."""
+    over = dict(experiment=experiment, mc={"n_paths": 512})
+    run(_cfg(**over), out_dir=str(tmp_path / "zero"))
+    files = sorted(os.listdir(tmp_path / "zero"))
+    for k, driver in enumerate(_VANISHING_DRIVERS):
+        out = tmp_path / str(k)
+        run(_cfg(driver=driver, **over), out_dir=str(out))
+        assert sorted(os.listdir(out)) == files
+        match, mismatch, errors = filecmp.cmpfiles(tmp_path / "zero", out, files, shallow=False)
+        assert match == files and not mismatch and not errors
+
+
+@pytest.mark.parametrize("experiment", ["oracle-circle", "convergence-table"])
+@pytest.mark.parametrize("driver", [{"id": "linear_y"}, {"id": "constant", "params": {"c": 1.0}},
+                                    {"id": "smooth"}], ids=["linear_y", "constant-1", "smooth"])
+def test_heat_experiments_reject_a_driver_that_does_not_vanish(experiment, driver):
+    with pytest.raises(ConfigError) as exc:
+        _cfg(experiment=experiment, driver=driver)
+    assert exc.value.field == "driver.id"
+    assert str(exc.value).endswith(f"{experiment} requires a vanishing driver (K = K0 = 0)")
+
+
+def test_convergence_table_solves_on_the_kept_ladder(tmp_path, monkeypatch):
+    """Validation keeps the ladder meshes it checks: a convergence-table run
+    constructs no mesh and solves on the objects ``build_ladder()`` returns."""
+    from geodp import value
+
+    cfg = _cfg(experiment="convergence-table")
+    built, solved = [], []
+    init, solve = value.ManifoldMesh.__init__, harness._hjb_on_cfl_grid
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def recorded_solve(cfg, prob, mesh, n_out):
+        solved.append(mesh)
+        return solve(cfg, prob, mesh, n_out)
+
+    monkeypatch.setattr(value.ManifoldMesh, "__init__", counted_init)
+    monkeypatch.setattr(harness, "_hjb_on_cfl_grid", recorded_solve)
+    assert run(cfg, out_dir=str(tmp_path)).passed
+    assert built == []
+    assert len(solved) == 3 and all(a is b for a, b in zip(solved, cfg.build_ladder()))
+    value.make_mesh(cfg.build_problem().manifold, {})
+    assert len(built) == 1  # the counter sees a mesh construction
 
 
 _SPHERE_HEAT = ["manifold: sphere2", "fields: [zero, rot_x, rot_y, rot_z]",
