@@ -7,7 +7,7 @@ import os
 import resource
 import sys
 
-from .config import ExperimentConfig, print_defaults
+from .config import ExperimentConfig, print_defaults, read_yaml
 from .errors import ConfigError
 from .harness import run
 
@@ -35,9 +35,10 @@ def main(argv=None) -> int:
         parser.error("run requires a config path (or --print-defaults)")
 
     try:
-        cfg = ExperimentConfig.from_yaml(args.config)
+        data = read_yaml(args.config)
         if args.seed is not None:
-            cfg.raw["seed"] = int(args.seed)
+            data["seed"] = args.seed  # validated with the rest of the config
+        cfg = ExperimentConfig.from_dict(data)
         report = run(cfg, out_dir=args.out, dump_paths=args.dump_paths)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")

@@ -110,7 +110,7 @@ class ExperimentConfig:
     """An experiment config, validated on construction (ConfigError names the
     key at fault).  Validation builds the problem, time grid, mesh, ladder
     and x0 it checks and keeps them; the builders return those same objects,
-    which callers only read.  No kept object reads ``raw["seed"]``."""
+    which callers only read."""
 
     raw: Dict[str, Any]
 
@@ -120,15 +120,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path: str) -> "ExperimentConfig":
-        # Read as bytes, so that yaml reports an undecodable file as a YAMLError.
-        try:
-            with open(path, "rb") as fh:
-                data = yaml.safe_load(fh) or {}
-        except (OSError, yaml.YAMLError) as e:
-            raise ConfigError("<root>", f"cannot read {path}: {e}") from e
-        if not isinstance(data, dict):
-            raise ConfigError("<root>", "config must be a mapping")
-        return cls.from_dict(data)
+        return cls.from_dict(read_yaml(path))
 
     def __getitem__(self, key):
         return self.raw[key]
@@ -212,8 +204,9 @@ class ExperimentConfig:
         if not 0 < tols["cfl_limit"] <= 1:
             # Above 1 the weight 1 - dt*sum v_a^2/h^2 on u(x) is negative: not monotone.
             raise ConfigError("tolerances.cfl_limit", "must be in (0, 1]")
-        if r["mu"] < 0:
-            raise ConfigError("mu", f"must be >= 0, got {r['mu']!r}")
+        for key in ("mu", "seed"):
+            if r[key] < 0:
+                raise ConfigError(key, f"must be >= 0, got {r[key]!r}")
         if r["experiment"] == "oracle-circle" and r["mc"]["n_paths"] < 2:
             raise ConfigError("mc.n_paths", "oracle-circle needs >= 2 paths for its standard error")
         if r["experiment"] == "dpp-check":
@@ -293,6 +286,19 @@ class ExperimentConfig:
     def x0(self) -> np.ndarray:
         """``x0`` projected onto the manifold, or a copy of the mesh's first node."""
         return self._x0
+
+
+def read_yaml(path: str) -> dict:
+    """The mapping a YAML config file holds, not yet merged or validated."""
+    # Read as bytes, so that yaml reports an undecodable file as a YAMLError.
+    try:
+        with open(path, "rb") as fh:
+            data = yaml.safe_load(fh) or {}
+    except (OSError, yaml.YAMLError) as e:
+        raise ConfigError("<root>", f"cannot read {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise ConfigError("<root>", "config must be a mapping")
+    return data
 
 
 def print_defaults() -> str:

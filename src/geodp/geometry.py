@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -291,6 +291,19 @@ def flow_step(m: ManifoldModel, V: VectorField, x, h: float) -> np.ndarray:
     for _ in range(n_sub):
         x = m.project(rk4_step(lambda s, y: V(y), 0.0, x, hs))
     return x
+
+
+_DIR_FD = 1e-4  # flow-parameter step of along_flow's differences
+
+
+def along_flow(phi: Callable, m: ManifoldModel, V: VectorField, t, x) -> Tuple[np.ndarray, np.ndarray]:
+    """(V phi, VV phi) at the points x for a probe phi(t, x), a function of a
+    time and (..., n) points: the central differences (phi+ - phi-) / (2h) and
+    (phi+ - 2 phi + phi-) / h^2 over the one pair of flow points
+    flow_step(x, +-h), h = ``_DIR_FD``."""
+    up = phi(t, flow_step(m, V, x, _DIR_FD))
+    um = phi(t, flow_step(m, V, x, -_DIR_FD))
+    return (up - um) / (2.0 * _DIR_FD), (up - 2.0 * phi(t, x) + um) / _DIR_FD**2
 
 
 def rk4_step(g: Callable, s: float, y, h: float):

@@ -23,7 +23,7 @@ from .dynamics import (
     write_csv_layers,
 )
 from .errors import ConfigError
-from .hjb import TestFunctionProbe, export_hjb_field, hjb_steps_for_cfl, solve_hjb
+from .hjb import export_hjb_field, hjb_steps_for_cfl, solve_hjb
 from .hypotheses import sample_structural_modulus, uniqueness_certified
 from .value import dpp_residual_check, export_value_field, value_function
 
@@ -294,10 +294,9 @@ def _exp_hypotheses(cfg, out_dir, dump_paths):
         prob, mu=float(cfg["mu"]), n_samples=1000, seed=seed,
         h2_threshold=float(tol["h2_threshold"]),
     )
-    probe = TestFunctionProbe(value=lambda t, x: np.asarray(x, dtype=float)[..., 0])
     reports.append(
         sample_structural_modulus(
-            prob, probe, alpha_list=[1.0, 10.0], n_samples=200, seed=seed,
+            prob, lambda t, x: x[..., 0], alpha_list=[1.0, 10.0], n_samples=200, seed=seed,
             C_bar=tol["c_bar"],
         )
     )

@@ -23,9 +23,10 @@ loop is ``value.backward_induction``.  With the zero driver and one control
 the step is linear, u_i = P u_{i+1}, and ``kernel_power`` composes P^s so
 that one layer runs s steps.
 
-The module also carries the pointwise Hamiltonian built from a smooth test
-function probe, the state-frozen backward ODE that realizes the inf over
-controls, and two diagnostic checks tying the BSDE pipeline to the PDE one.
+The module also carries the pointwise Hamiltonian shifted by a smooth test
+function, the state-frozen backward ODE that realizes the inf over controls,
+and two diagnostic checks tying the BSDE pipeline to the PDE one.  The test
+function, or probe, is any function phi(t, x) of a time and (..., n) points.
 """
 
 from __future__ import annotations
@@ -38,76 +39,26 @@ import numpy as np
 from .bsde import RegressionBasis, backward_sweep, conditional_expectation
 from .dynamics import BrownianGrid, ControlSet, Policy, TimeGrid, constant_policy, grid_argmin, simulate
 from .errors import CflViolated
-from .geometry import VectorField, flow_step, rk4_step
+from .geometry import along_flow, flow_step, rk4_step
 from .problem import ControlProblem
 from .value import ManifoldMesh, ValueField, backward_induction, export_value_field
 
-_T_FD = 1e-6  # time finite-difference step for probes without registered dt
-_DIR_FD = 1e-4  # flow-parameter step for probe derivatives without closed forms
-
-
-class TestFunctionProbe:
-    """A smooth scalar function of (t, x) with directional derivatives.
-
-    Closed-form first/second derivatives along specific fields can be
-    registered by field id; anything unregistered falls back to nested finite
-    differences along the field's flow.
-    """
-
-    __test__ = False  # keep pytest from collecting this as a test class
-
-    def __init__(
-        self,
-        value: Callable[[float, np.ndarray], np.ndarray],
-        time_derivative: Optional[Callable[[float, np.ndarray], np.ndarray]] = None,
-        dir1: Optional[Dict[str, Callable[[float, np.ndarray], np.ndarray]]] = None,
-        dir2: Optional[Dict[str, Callable[[float, np.ndarray], np.ndarray]]] = None,
-    ):
-        self._value = value
-        self._dt = time_derivative
-        self._dir1 = dict(dir1 or {})
-        self._dir2 = dict(dir2 or {})
-
-    def value(self, t, x):
-        return self._value(t, np.asarray(x, dtype=float))
-
-    def time_derivative(self, t, x):
-        if self._dt is not None:
-            return self._dt(t, np.asarray(x, dtype=float))
-        return (self.value(t + _T_FD, x) - self.value(t - _T_FD, x)) / (2.0 * _T_FD)
-
-    def dir1(self, m, V: VectorField, t, x):
-        if V.id in self._dir1:
-            return self._dir1[V.id](t, np.asarray(x, dtype=float))
-        xp = flow_step(m, V, x, _DIR_FD)
-        xm = flow_step(m, V, x, -_DIR_FD)
-        return (self.value(t, xp) - self.value(t, xm)) / (2.0 * _DIR_FD)
-
-    def dir2(self, m, V: VectorField, t, x):
-        if V.id in self._dir2:
-            return self._dir2[V.id](t, np.asarray(x, dtype=float))
-        xp = flow_step(m, V, x, _DIR_FD)
-        xm = flow_step(m, V, x, -_DIR_FD)
-        return (self.value(t, xp) - 2.0 * self.value(t, x) + self.value(t, xm)) / _DIR_FD**2
-
-
-ZERO_PROBE = TestFunctionProbe(
-    value=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
-    time_derivative=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
-)
+_T_FD = 1e-6  # time step of the central difference in hamiltonian_F
 
 
 def hamiltonian_F(
     prob: ControlProblem,
-    probe: TestFunctionProbe,
+    phi: Callable,
     t: float,
     x: np.ndarray,
     y,
     z,
     v: np.ndarray,
 ) -> np.ndarray:
-    """Probe-shifted generator: time term + transport + half second-order term
-    + driver evaluated at the shifted (y, z) arguments."""
+    """Generator shifted by a probe phi(t, x), a function of a time and
+    (..., n) points: phi's time derivative (a central difference) + transport
+    + half second-order term (``along_flow``'s, two ``flow_step`` calls per
+    field) + driver at the shifted arguments (y + phi, z + v_a V_a phi)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -117,26 +68,27 @@ def hamiltonian_F(
         x = x[None, :]
         y = np.atleast_1d(y)
     m = prob.manifold
-    phi = probe.value(t, x)
-    out = probe.time_derivative(t, x) + v[..., 0] * probe.dir1(m, prob.fields[0], t, x)
+    phi_t = (phi(t + _T_FD, x) - phi(t - _T_FD, x)) / (2.0 * _T_FD)
+    out = phi_t + v[..., 0] * along_flow(phi, m, prob.fields[0], t, x)[0]
     z_shift = np.zeros((x.shape[0], prob.d))
     for a in range(1, prob.d + 1):
-        out = out + 0.5 * v[..., a] ** 2 * probe.dir2(m, prob.fields[a], t, x)
-        z_shift[:, a - 1] = v[..., a] * probe.dir1(m, prob.fields[a], t, x)
+        first, second = along_flow(phi, m, prob.fields[a], t, x)
+        out = out + 0.5 * v[..., a] ** 2 * second
+        z_shift[:, a - 1] = v[..., a] * first
     vv = np.broadcast_to(v, (x.shape[0], v.shape[-1]) if v.ndim == 1 else v.shape)
-    out = out + prob.driver(t, x, y + phi, z + z_shift, vv)
+    out = out + prob.driver(t, x, y + phi(t, x), z + z_shift, vv)
     return out[0] if single else out
 
 
 def hamiltonian_F0(
     prob: ControlProblem,
-    probe: TestFunctionProbe,
+    phi: Callable,
     t: float,
     x: np.ndarray,
     y,
     z,
 ) -> Tuple[float, np.ndarray]:
-    """Minimum of the probe Hamiltonian over the finite control grid.
+    """Minimum of ``hamiltonian_F`` under phi over the finite control grid.
 
     One ``hamiltonian_F`` call evaluates all k grid controls at x, y and z
     repeated k times.  Ties resolve to the lexicographically smallest control
@@ -146,7 +98,7 @@ def hamiltonian_F0(
     k = controls.shape[0]
     x = np.asarray(x, dtype=float)
     values = hamiltonian_F(
-        prob, probe, t,
+        prob, phi, t,
         np.broadcast_to(x, (k, x.shape[-1])),
         np.broadcast_to(y, (k,)),
         np.broadcast_to(z, (k, prob.d)),
@@ -409,7 +361,7 @@ def hjb_steps_for_cfl(
 
 def frozen_ode_solve(
     prob: ControlProblem,
-    probe: TestFunctionProbe,
+    phi: Callable,
     x: np.ndarray,
     t: float,
     delta: float,
@@ -426,7 +378,7 @@ def frozen_ode_solve(
     zeros = np.zeros(prob.d)
 
     def g(s, y):
-        return -hamiltonian_F0(prob, probe, s, x, y, zeros)[0]
+        return -hamiltonian_F0(prob, phi, s, x, y, zeros)[0]
 
     hstep = -delta / n_substeps
     s = t + delta
@@ -451,7 +403,7 @@ class ShiftIdentityReport:
 
 def shift_identity_check(
     prob: ControlProblem,
-    probe: TestFunctionProbe,
+    phi: Callable,
     t: float,
     x: np.ndarray,
     policy: Policy,
@@ -480,8 +432,8 @@ def shift_identity_check(
     # Side A is the window recursion with terminal probe values; side B the
     # probe-shifted driver with zero terminal and discrete probe increments.
     # Both sides share the ensemble, so they sweep in lockstep.
-    eta = probe.value(times[-1], ens.states[-1])
-    phi_layers = [probe.value(times[i], ens.states[i]) for i in range(grid.n_steps + 1)]
+    eta = phi(times[-1], ens.states[-1])
+    phi_layers = [phi(times[i], ens.states[i]) for i in range(grid.n_steps + 1)]
     cond_phi = {}
     for i in range(grid.n_steps):
         dW = ens.noise.increments[i]
@@ -509,7 +461,7 @@ def shift_identity_check(
         basis,
         picard_iters=picard_iters,
     )
-    lhs = float(sol.y_at_t0[0]) - float(probe.value(t, np.asarray(x, dtype=float)))
+    lhs = float(sol.y_at_t0[0]) - float(phi(t, np.asarray(x, dtype=float)))
     gap = abs(lhs - float(sol.y_at_t0[1]))
     return ShiftIdentityReport(gap=gap, tolerance=tolerance, passed=gap <= tolerance)
 
@@ -524,7 +476,7 @@ class FreezingGapReport:
 
 def freezing_gap_report(
     prob: ControlProblem,
-    probe: TestFunctionProbe,
+    phi: Callable,
     t: float,
     x: np.ndarray,
     delta_sequence: Sequence[float],
@@ -564,13 +516,13 @@ def freezing_gap_report(
                 ens.states,
                 ens.noise.increments,
                 grid,
-                lambda i, xx, y, z: hamiltonian_F(prob, probe, times[i], xx, y, z, v),
+                lambda i, xx, y, z: hamiltonian_F(prob, phi, times[i], xx, y, z, v),
                 np.zeros(n_paths),
                 basis,
                 picard_iters=picard_iters,
             )
             frozen = replace(prob, controls=ControlSet(v, v))
-            y2 = frozen_ode_solve(frozen, probe, x, t, delta, n_substeps=32)
+            y2 = frozen_ode_solve(frozen, phi, x, t, delta, n_substeps=32)
             worst = max(worst, abs(sol1.y_at_t0 - y2))
         gaps.append(worst)
     ratios = [g / d for g, d in zip(gaps, deltas)]

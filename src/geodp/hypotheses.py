@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from .geometry import ManifoldModel, VectorField
-from .hjb import TestFunctionProbe
+from .geometry import ManifoldModel, VectorField, along_flow
 from .problem import ControlProblem
 
 # Roundoff guard added to every ratio threshold; exact identities evaluated in
@@ -210,7 +209,7 @@ def _hamiltonian_symbol(prob, t, x, r, zeta, quad, v):
 
 def sample_structural_modulus(
     prob: ControlProblem,
-    probe: TestFunctionProbe,
+    phi: Callable,
     alpha_list: Sequence[float],
     n_samples: int = 1000,
     seed: int = 0,
@@ -220,9 +219,11 @@ def sample_structural_modulus(
 
     For point pairs (x, y) and doubling parameters alpha, evaluates the spread
     of the PDE symbol between the two points with opposed first-order
-    arguments and probe-derived second-order surrogates, and reports the worst
-    ratio against alpha*d^2 + d.  The witness is the first worst (pair,
-    alpha) in sample order, alpha varying fastest.
+    arguments and second-order surrogates, and reports the worst ratio
+    against alpha*d^2 + d.  The probe phi(t, x) is a function of a time and
+    (..., n) points, here the pairs' times and points; a surrogate is its
+    ``along_flow`` second derivative along a diffusion field.  The witness
+    is the first worst (pair, alpha) in sample order, alpha varying fastest.
     """
     m = prob.manifold
     rng_ = np.random.default_rng(seed)
@@ -232,8 +233,8 @@ def sample_structural_modulus(
     x, y, t, dist = x[keep], y[keep], t[keep], dist[keep]
     r = rng_.uniform(-1.0, 1.0, size=len(dist))
     log_xy, log_yx = m.log(x, y), m.log(y, x)
-    P = [probe.dir2(m, V, t, x) for V in prob.fields[1:]]
-    Q = [probe.dir2(m, V, t, y) for V in prob.fields[1:]]
+    P = [along_flow(phi, m, V, t, x)[1] for V in prob.fields[1:]]
+    Q = [along_flow(phi, m, V, t, y)[1] for V in prob.fields[1:]]
     # libm pow, as a float's ** takes it; dist * dist rounds differently on
     # about one sample in a thousand.
     dist2 = np.float_power(dist, 2)

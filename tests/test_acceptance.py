@@ -13,7 +13,6 @@ from geodp.dynamics import BrownianGrid, TimeGrid, constant_policy, simulate
 from geodp.geometry import Circle, Sphere2, get_field, get_manifold
 from geodp.harness import run
 from geodp.hjb import (
-    TestFunctionProbe,
     freezing_gap_report,
     frozen_ode_solve,
     hjb_steps_for_cfl,
@@ -34,13 +33,9 @@ def _verdict(num, name, ok, detail):
     assert ok, line
 
 
-def _suite_probe():
-    return TestFunctionProbe(
-        value=lambda t, x: np.exp(-t) * np.asarray(x, dtype=float)[..., 0],
-        time_derivative=lambda t, x: -np.exp(-t) * np.asarray(x, dtype=float)[..., 0],
-        dir1={"rot": lambda t, x: -np.exp(-t) * np.asarray(x, dtype=float)[..., 1]},
-        dir2={"rot": lambda t, x: -np.exp(-t) * np.asarray(x, dtype=float)[..., 0]},
-    )
+def _suite_probe(t, x):
+    """The test function phi(t, x) = e^{-t} x_0."""
+    return np.exp(-t) * np.asarray(x, dtype=float)[..., 0]
 
 
 def test_criterion_01_on_manifold_invariance():
@@ -165,13 +160,12 @@ def test_criterion_06_shift_identity():
     grid = TimeGrid(0.0, 0.25, 16)
     noise = BrownianGrid(grid=grid, d=1, n_paths=4096, seed=12345, antithetic=True)
     rep = shift_identity_check(
-        prob, _suite_probe(), 0.0, np.array([1.0, 0.0]),
+        prob, _suite_probe, 0.0, np.array([1.0, 0.0]),
         constant_policy([0.0, 1.0]), noise, tolerance=1e-4,
     )
-    const_probe = TestFunctionProbe(
-        value=lambda t, x: np.full(np.asarray(x).shape[:-1], 0.6),
-        time_derivative=lambda t, x: np.zeros(np.asarray(x).shape[:-1]),
-    )
+    def const_probe(t, x):
+        return np.full(np.asarray(x).shape[:-1], 0.6)
+
     rep_c = shift_identity_check(
         prob, const_probe, 0.0, np.array([1.0, 0.0]),
         constant_policy([0.0, 1.0]), noise, tolerance=1e-10,
@@ -189,7 +183,7 @@ def test_criterion_07_freezing_gap_trend():
     t0 = time.perf_counter()
     prob = circle_problem()
     rep = freezing_gap_report(
-        prob, _suite_probe(), 0.0, np.array([1.0, 0.0]),
+        prob, _suite_probe, 0.0, np.array([1.0, 0.0]),
         delta_sequence=[0.25, 0.125, 0.0625, 0.03125], seed=12345,
         decay_factor=0.8,
     )
@@ -206,7 +200,7 @@ def test_criterion_07_freezing_gap_trend():
 def test_criterion_08_frozen_ode_bracket():
     t0 = time.perf_counter()
     prob = circle_problem(driver_id="linear_y", driver_params={"beta": 0.5, "c": 0.2})
-    probe = _suite_probe()
+    probe = _suite_probe
     x = np.array([np.cos(1.1), np.sin(1.1)])
     y = frozen_ode_solve(prob, probe, x, 0.1, 0.5, n_substeps=64)
     brute = min(

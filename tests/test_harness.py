@@ -128,6 +128,7 @@ def test_defaults_validate_and_print():
         ({"experiment": "estimates", "tolerances": {"stability_slack": -0.01}}, "tolerances.stability_slack"),
         ({"tolerances": {"h2_threshold": -1e-8}}, "tolerances.h2_threshold"),
         ({"mu": -1.0}, "mu"),
+        ({"experiment": "hypotheses", "seed": -1}, "seed"),
         ({"fields": ["zero"], "control_set": {"lower": [0.0], "upper": [0.0]},
           "experiment": "dpp-check", "driver": {"id": "smooth"}}, "driver.id"),
         ({"fields": ["rot"], "control_set": {"lower": [1.0], "upper": [1.0]},
@@ -847,6 +848,23 @@ def test_cli_seed_override(tmp_path):
     cli_main(["run", str(f), "--out", str(out), "--seed", "99"])
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["seed"] == 99
+
+
+@pytest.mark.parametrize("text, seed, rc", [("experiment: hypotheses\n", "-1", 2),
+                                            ("{experiment: hypotheses, seed: -1}\n", "7", 0)])
+def test_cli_seed_override_is_validated_with_the_config(tmp_path, capsys, text, seed, rc):
+    """--seed replaces the config's seed before validation: a negative one is
+    a config error on seed before the out directory is made, and a valid one
+    replaces a negative seed in the file."""
+    f = tmp_path / "c.yaml"
+    f.write_text(text)
+    out = tmp_path / "o"
+    assert cli_main(["run", str(f), "--out", str(out), "--seed", seed]) == rc
+    if rc == 2:
+        assert capsys.readouterr().err.startswith("config error: config field 'seed': ")
+        assert not out.exists()
+    else:
+        assert json.loads((out / "metrics.json").read_text())["seed"] == 7
 
 
 @pytest.mark.parametrize("n_time, n_nodes, max_delta, count", [

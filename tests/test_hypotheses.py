@@ -6,8 +6,7 @@ import pytest
 from geodp import hypotheses
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import ControlSet
-from geodp.geometry import Circle, Sphere2, get_field, get_manifold
-from geodp.hjb import TestFunctionProbe
+from geodp.geometry import Circle, Sphere2, along_flow, get_field, get_manifold
 from geodp.hypotheses import (
     HypothesisReport,
     check_A1,
@@ -20,6 +19,11 @@ from geodp.hypotheses import (
 from geodp.problem import ControlProblem
 
 from conftest import CATALOG, NON_TANGENT, circle_problem
+
+
+def _PROBE(t, x):
+    """The test function phi(t, x) = x_0."""
+    return np.asarray(x, dtype=float)[..., 0]
 
 
 def test_h2_passes_circle_rotation():
@@ -89,8 +93,7 @@ def test_a2_detects_unbounded_driver():
 
 def test_structural_modulus_bounded_on_suite():
     prob = circle_problem()
-    probe = TestFunctionProbe(value=lambda t, x: np.asarray(x, dtype=float)[..., 0])
-    rep = sample_structural_modulus(prob, probe, alpha_list=[1.0, 10.0], n_samples=200, seed=6)
+    rep = sample_structural_modulus(prob, _PROBE, alpha_list=[1.0, 10.0], n_samples=200, seed=6)
     assert rep.name == "Mod311"
     assert rep.passed
     assert rep.max_violation <= 10.0
@@ -237,8 +240,8 @@ def _loop_modulus(prob, probe, alpha_list, n_samples, seed, C_bar=10.0):
         r = float(rng_.uniform(-1.0, 1.0))
         log_xy = m.log(x[k], y[k])
         log_yx = m.log(y[k], x[k])
-        P = [float(probe.dir2(m, prob.fields[a], t[k], x[k][None])[0]) for a in range(1, prob.d + 1)]
-        Q = [float(probe.dir2(m, prob.fields[a], t[k], y[k][None])[0]) for a in range(1, prob.d + 1)]
+        P = [float(along_flow(probe, m, prob.fields[a], t[k], x[k][None])[1][0]) for a in range(1, prob.d + 1)]
+        Q = [float(along_flow(probe, m, prob.fields[a], t[k], y[k][None])[1][0]) for a in range(1, prob.d + 1)]
         for alpha in alpha_list:
             spread = -np.inf
             for v in controls:
@@ -261,9 +264,6 @@ def _assert_same(batched, loop):
     for name in ("name", "max_violation", "witness", "samples", "passed", "seed"):
         assert getattr(batched, name) == getattr(loop, name), name
     assert batched.to_json() == loop.to_json()
-
-
-_PROBE = TestFunctionProbe(value=lambda t, x: np.asarray(x, dtype=float)[..., 0])
 
 
 def _problem(manifold, fields, driver, lower, upper, points=1, terminal_index=0):
@@ -405,7 +405,7 @@ def test_batched_symbol_equals_the_pointwise_one(name):
     x, y, t = hypotheses._sample_pairs(m, 200, rng_)
     r = rng_.uniform(-1.0, 1.0, size=200)
     zeta = 3.0 * m.log(x, y)
-    quad = [_PROBE.dir2(m, V, t, x) for V in prob.fields[1:]]
+    quad = [along_flow(_PROBE, m, V, t, x)[1] for V in prob.fields[1:]]
     for v in prob.controls.grid():
         got = hypotheses._hamiltonian_symbol(prob, t, x, r, zeta, quad, v)
         want = [
