@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     peak_rss = max(resource.getrusage(who).ru_maxrss
                    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024.0
     lines = [
-        f"{report.experiment}: {status} (seed={report.seed}, wall={report.wall_time:.2f}s, "
+        f"{cfg['experiment']}: {status} (seed={cfg['seed']}, wall={report.wall_time:.2f}s, "
         f"peak_rss={peak_rss:.1f}MB)\n"
     ]
     lines += [f"  {k} = {report.metrics[k]}\n" for k in sorted(report.metrics)]

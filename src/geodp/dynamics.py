@@ -367,7 +367,6 @@ def _fork_worker(units, indices, fd) -> None:
 class FlowContinuityReport:
     lhs: float
     rhs: float
-    constant_C: float
     passed: bool
 
 
@@ -411,7 +410,7 @@ def flow_continuity_check(
     lhs = float(np.mean(np.concatenate(sup_sq)))
     ctrl_term = float(np.mean(np.concatenate(ctrl_sq) * noise.grid.dt))
     rhs = C * (float(np.sum((np.asarray(x) - np.asarray(x2)) ** 2)) + ctrl_term)
-    return FlowContinuityReport(lhs=lhs, rhs=rhs, constant_C=C, passed=lhs <= rhs)
+    return FlowContinuityReport(lhs=lhs, rhs=rhs, passed=lhs <= rhs)
 
 
 def float_texts(a: np.ndarray) -> np.ndarray:

@@ -39,11 +39,9 @@ stability.csv:    instance, lhs, rhs, beta0, pass
 
 @dataclass(frozen=True)
 class RunReport:
-    experiment: str
     metrics: Dict[str, float]
     passed: bool
     wall_time: float
-    seed: int
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -153,7 +151,6 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
     prob = cfg.build_problem()
     grid = cfg.build_grid()
     mesh = cfg.build_mesh()
-    tol = cfg["tolerances"]
     vf = value_function(prob, grid, mesh, picard_iters=int(cfg["mc"]["picard_iters"]))
     deltas = [int(d) for d in cfg["dpp"]["delta_steps"]]
     moving = _moving_nodes(prob, mesh.nodes)
@@ -162,26 +159,22 @@ def _exp_dpp_check(cfg, out_dir, dump_paths):
         for i, j in _probe_points(grid.n_steps, len(moving), max(deltas), int(cfg["dpp"]["n_probes"]))
     ]
     # The parent writes the value table while the probe windows run.
-    reports = dpp_residual_check(
+    residuals = dpp_residual_check(
         prob, vf, deltas, probes,
         seed=rng.derive_seed(int(cfg["seed"]), 7),
         n_paths=int(cfg["dpp"]["n_paths"]),
         basis=_basis(cfg),
         picard_iters=int(cfg["mc"]["picard_iters"]),
-        tolerance=tol["dpp_max_residual"],
         meanwhile=lambda: export_value_field(vf, os.path.join(out_dir, "value_field.csv")),
     )
-    rows = []
-    metrics = {}
-    for ds, rep in zip(deltas, reports):
-        metrics[f"max_residual_delta_{ds}"] = rep.max_residual
-        for (i, j), r in zip(rep.probes, rep.residuals):
-            rows.append([ds, i, j, float(r)])
-    # np.max, not max: a NaN residual of any delta is the run's maximum.
-    metrics["max_residual"] = float(np.max([rep.max_residual for rep in reports]))
+    # np.max, not max: a NaN residual is its delta's maximum and the run's.
+    metrics = {f"max_residual_delta_{ds}": float(np.max(row)) for ds, row in zip(deltas, residuals)}
+    metrics["max_residual"] = max_residual = float(np.max(residuals))
+    rows = [[ds, i, j, float(r)]
+            for ds, row in zip(deltas, residuals) for (i, j), r in zip(probes, row)]
     _write_csv(os.path.join(out_dir, "dpp_residuals.csv"),
                ["delta_steps", "time_index", "node_index", "residual"], rows)
-    return metrics, all(rep.passed for rep in reports)
+    return metrics, max_residual <= cfg["tolerances"]["dpp_max_residual"]
 
 
 def _exp_solver_agreement(cfg, out_dir, dump_paths):
@@ -278,7 +271,7 @@ def _exp_estimates(cfg, out_dir, dump_paths):
     metrics = {
         "flow_lhs": flow.lhs,
         "flow_rhs": flow.rhs,
-        "flow_C": flow.constant_C,
+        "flow_C": tol["flow_C"],
         "stability_pass_rate": n_pass / n_inst,
         "stability_instances": float(n_inst),
     }
@@ -348,6 +341,9 @@ def run(
     out_dir: str = ".",
     dump_paths: bool = False,
 ) -> RunReport:
+    """Run the config's experiment, write its reports into ``out_dir``
+    (``metrics.json``, ``csv_schema.txt`` and the experiment's own files), and
+    return its metrics, its verdict and its wall time."""
     if dump_paths and cfg["experiment"] != "oracle-circle":
         raise ConfigError(
             "dump_paths", f"only oracle-circle writes paths.csv; {cfg['experiment']} has no paths"
@@ -369,10 +365,4 @@ def run(
     )
     with open(os.path.join(out_dir, "csv_schema.txt"), "w") as fh:
         fh.write(CSV_SCHEMA)
-    return RunReport(
-        experiment=cfg["experiment"],
-        metrics=metrics,
-        passed=bool(passed),
-        wall_time=wall,
-        seed=int(cfg["seed"]),
-    )
+    return RunReport(metrics=metrics, passed=bool(passed), wall_time=wall)

@@ -241,18 +241,17 @@ def _compose(a: Tuple[np.ndarray, np.ndarray], b: Tuple[np.ndarray, np.ndarray])
 def kernel_power(index: np.ndarray, weight: np.ndarray, s: int) -> Tuple[np.ndarray, np.ndarray]:
     """The s-step kernel P^s of the one-step kernel P = (index, weight), each
     of shape (rows, n_nodes), where (P u)[j] = sum_r weight[r, j] u[index[r,
-    j]]: P^s u is s steps of P (Chapman-Kolmogorov).  Built by binary
-    powering, P^(2m) = P^m P^m, from compositions that sum equal targets per
-    node and pad every node to the same row count with (node, 0.0).  Rows
-    that sum to 1 and weights >= 0 carry over up to rounding."""
-    power, out = (index, weight), None
-    while True:
-        if s & 1:
-            out = power if out is None else _compose(out, power)
-        s >>= 1
-        if not s:
-            return out
+    j]]: P^s u is s steps of P (Chapman-Kolmogorov).  s must be a power of
+    two, as ``kernel_steps_for`` picks it; P^s is log2 s squarings, P^(2m) =
+    P^m P^m, by compositions that sum equal targets per node and pad every
+    node to the same row count with (node, 0.0).  Rows that sum to 1 and
+    weights >= 0 carry over up to rounding."""
+    if s < 1 or s & (s - 1):
+        raise ValueError(f"s = {s} is not a power of two")
+    power = (index, weight)
+    for _ in range(s.bit_length() - 1):
         power = _compose(power, power)
+    return power
 
 
 def _linear_layer(kernels: Dict[int, Tuple[np.ndarray, np.ndarray]]) -> Callable:
@@ -394,13 +393,6 @@ def frozen_ode_solve(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftIdentityReport:
-    gap: float
-    tolerance: float
-    passed: bool
-
-
 def shift_identity_check(
     prob: ControlProblem,
     phi: Callable,
@@ -410,16 +402,16 @@ def shift_identity_check(
     noise: BrownianGrid,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
-    tolerance: float = 1e-4,
-) -> ShiftIdentityReport:
+) -> float:
     """Shared-noise identity between the probe-shifted BSDE with zero terminal
-    and the window recursion applied to the probe's terminal values.
+    and the window recursion applied to the probe's terminal values; returns
+    the gap |(window value - phi(t, x)) - shifted value| at t.
 
     Both sides run on the same ensemble with the same regression operators, and
     the probe-shifted side uses the discrete probe increments (the conditional
     expectation of phi at the next layer rather than analytic derivatives), so
-    the identity is algebraic at the discrete level; the reported gap measures
-    only Picard-initialization and floating-point noise.  The window is
+    the identity is algebraic at the discrete level; the gap measures only
+    Picard-initialization and floating-point noise.  The window is
     ``noise.grid``.
     """
     basis = basis or RegressionBasis()
@@ -432,7 +424,6 @@ def shift_identity_check(
     # Side A is the window recursion with terminal probe values; side B the
     # probe-shifted driver with zero terminal and discrete probe increments.
     # Both sides share the ensemble, so they sweep in lockstep.
-    eta = phi(times[-1], ens.states[-1])
     phi_layers = [phi(times[i], ens.states[i]) for i in range(grid.n_steps + 1)]
     cond_phi = {}
     for i in range(grid.n_steps):
@@ -457,18 +448,16 @@ def shift_identity_check(
         ens.noise.increments,
         grid,
         driver,
-        np.stack([eta, np.zeros(ens.n_paths)]),
+        np.stack([phi_layers[-1], np.zeros(ens.n_paths)]),
         basis,
         picard_iters=picard_iters,
     )
     lhs = float(sol.y_at_t0[0]) - float(phi(t, np.asarray(x, dtype=float)))
-    gap = abs(lhs - float(sol.y_at_t0[1]))
-    return ShiftIdentityReport(gap=gap, tolerance=tolerance, passed=gap <= tolerance)
+    return abs(lhs - float(sol.y_at_t0[1]))
 
 
 @dataclass(frozen=True)
 class FreezingGapReport:
-    deltas: List[float]
     gaps: List[float]
     ratios: List[float]  # gap / delta
     monotone_decay: bool
@@ -527,9 +516,7 @@ def freezing_gap_report(
         gaps.append(worst)
     ratios = [g / d for g, d in zip(gaps, deltas)]
     monotone = ratios[-1] <= decay_factor * ratios[0]
-    return FreezingGapReport(
-        deltas=deltas, gaps=gaps, ratios=ratios, monotone_decay=monotone
-    )
+    return FreezingGapReport(gaps=gaps, ratios=ratios, monotone_decay=monotone)
 
 
 def export_hjb_field(hf: HjbField, path: str) -> None:

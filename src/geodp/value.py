@@ -285,18 +285,6 @@ class ValueField:
         return self.controls[self.argmin_row]
 
 
-@dataclass(frozen=True)
-class DppReport:
-    residuals: np.ndarray  # per probe
-    probes: List[Tuple[int, int]]
-    max_residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tolerance
-
-
 def cost_functional(
     prob: ControlProblem,
     x: np.ndarray,
@@ -437,11 +425,12 @@ def dpp_residual_check(
     n_paths: int = 4096,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
-    tolerance: float = 2e-2,
     meanwhile: Optional[Callable[[], None]] = None,
-) -> List[DppReport]:
+) -> np.ndarray:
     """Recompute u at probe (time, node) pairs through a window of each
-    length in ``delta_steps``; one report per delta, in order.
+    length in ``delta_steps``, and return the residuals |u - window minimum|
+    as a (len(delta_steps), len(probes)) array, rows in the order of the
+    deltas and columns in that of the probes.
 
     The window minimization searches constant-per-window controls on the
     finite control grid, with fresh noise seeded from ``seed``, the delta and
@@ -503,15 +492,7 @@ def dpp_residual_check(
         if meanwhile is not None:
             meanwhile()
         residuals = list(window_residuals(range(n_windows)))
-    return [
-        DppReport(
-            residuals=r,
-            probes=list(probes),
-            max_residual=float(np.max(r)) if n_probes else 0.0,
-            tolerance=tolerance,
-        )
-        for r in np.asarray(residuals).reshape(len(delta_steps), n_probes)
-    ]
+    return np.asarray(residuals).reshape(len(delta_steps), n_probes)
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,7 @@ def test_criterion_03_dpp_identity():
     mesh = CircleMesh(128)
     vf = value_function(prob, grid, mesh)
     probes = [(i, j) for i in (0, 20, 40, 59) for j in (0, 32, 64, 96)]
-    worst = 0.0
-    for rep in dpp_residual_check(prob, vf, [1, 4], probes, seed=777, n_paths=4096):
-        worst = max(worst, rep.max_residual)
+    worst = float(np.max(dpp_residual_check(prob, vf, [1, 4], probes, seed=777, n_paths=4096)))
     elapsed = time.perf_counter() - t0
     _verdict(
         3, "DPP identity",
@@ -159,22 +157,22 @@ def test_criterion_06_shift_identity():
     prob = circle_problem()
     grid = TimeGrid(0.0, 0.25, 16)
     noise = BrownianGrid(grid=grid, d=1, n_paths=4096, seed=12345, antithetic=True)
-    rep = shift_identity_check(
+    gap = shift_identity_check(
         prob, _suite_probe, 0.0, np.array([1.0, 0.0]),
-        constant_policy([0.0, 1.0]), noise, tolerance=1e-4,
+        constant_policy([0.0, 1.0]), noise,
     )
     def const_probe(t, x):
         return np.full(np.asarray(x).shape[:-1], 0.6)
 
-    rep_c = shift_identity_check(
+    gap_c = shift_identity_check(
         prob, const_probe, 0.0, np.array([1.0, 0.0]),
-        constant_policy([0.0, 1.0]), noise, tolerance=1e-10,
+        constant_policy([0.0, 1.0]), noise,
     )
     elapsed = time.perf_counter() - t0
     _verdict(
         6, "probe-shift identity",
-        rep.passed and rep_c.passed and elapsed < 30.0,
-        f"gap {rep.gap:.2e} <= 1e-4, constant-probe gap {rep_c.gap:.2e} <= 1e-10, "
+        gap <= 1e-4 and gap_c <= 1e-10 and elapsed < 30.0,
+        f"gap {gap:.2e} <= 1e-4, constant-probe gap {gap_c:.2e} <= 1e-10, "
         f"{elapsed:.1f}s < 30s",
     )
 

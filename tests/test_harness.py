@@ -175,6 +175,49 @@ def test_dpp_check_fails_on_a_nan_window_value(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "metrics.json").read_text())["pass"] is False
 
 
+@pytest.mark.parametrize("nan", [False, True])
+def test_dpp_check_reports_are_the_returned_residuals(tmp_path, monkeypatch, nan):
+    """dpp_residuals.csv holds the rows of the array dpp_residual_check
+    returns, one line per (delta, probe) in order; max_residual_delta_* are
+    its row maxima, max_residual its maximum, and the run passes when that
+    is within tolerances.dpp_max_residual.  With one NaN window value its
+    row's maximum and the run's are NaN."""
+    import geodp.value as value
+
+    if nan:
+        semigroup, calls = value.semigroup, []
+
+        def first_nan(*a, **k):
+            calls.append(1)
+            return np.nan if len(calls) == 1 else semigroup(*a, **k)
+
+        monkeypatch.setattr(value, "semigroup", first_nan)
+    check, returned = harness.dpp_residual_check, []
+
+    def keep(prob, vf, deltas, probes, **k):
+        returned.append((deltas, probes, check(prob, vf, deltas, probes, **k)))
+        return returned[-1][-1]
+
+    monkeypatch.setattr(harness, "dpp_residual_check", keep)
+    cfg = _cfg(experiment="dpp-check", time={"n_steps": 16}, mesh={"n_theta": 32},
+               dpp={"n_paths": 256, "n_probes": 4, "delta_steps": [1, 2, 4]})
+    rep = run(cfg, out_dir=str(tmp_path))
+    (deltas, probes, residuals), = returned
+    assert residuals.shape == (3, len(probes)) and np.isnan(residuals[0, 0]) == nan
+    with open(tmp_path / "dpp_residuals.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == ["delta_steps", "time_index", "node_index", "residual"]
+    assert lines[1:] == [[str(ds), str(i), str(j), repr(float(r))]
+                         for ds, row in zip(deltas, residuals) for (i, j), r in zip(probes, row)]
+    m = json.loads((tmp_path / "metrics.json").read_text())["metrics"]
+    for ds, row in zip(deltas, residuals):
+        np.testing.assert_array_equal(m[f"max_residual_delta_{ds}"], np.max(row))
+    np.testing.assert_array_equal(m["max_residual"], np.max(residuals))
+    assert np.isnan(m["max_residual"]) == nan
+    assert rep.passed == (np.max(residuals) <= cfg["tolerances"]["dpp_max_residual"])
+    assert rep.passed != nan
+
+
 def test_run_oracle_writes_reports(tmp_path):
     cfg = _cfg(experiment="oracle-circle", mc={"n_paths": 2048}, seed=7)
     rep = run(cfg, out_dir=str(tmp_path), dump_paths=True)

@@ -53,6 +53,20 @@ def test_h1_parallel_field_mu_zero():
     assert rep.passed
 
 
+@pytest.mark.parametrize("c", ["300", "1000", "1e6"])
+def test_h1_roundoff_guard_scales_with_the_drift(c):
+    """A scaled rotation is an isometry, so H1 holds at mu = 0 up to rounding
+    that grows with max|A0| (1.05e-10 at c = 300, above the unscaled guard
+    1e-10); the guard 1e-10 max(1, max|A0|) passes it.  A drift with
+    max|A0| = 1 that is not parallel still fails."""
+    V = get_field(Circle(), f"scale:{c}:rot")
+    rep = check_H1(Circle(), V, mu=0.0, n_samples=1000, seed=12345)
+    assert 0.0 < rep.max_violation <= 1e-12 * float(c) and rep.passed
+    m = Sphere2()
+    bad = check_H1(m, get_field(m, "rot_z"), mu=0.0, n_samples=1000, seed=12345)
+    assert bad.max_violation > 0.99 and not bad.passed
+
+
 def test_h1_respects_given_modulus():
     """A non-parallel drift on the sphere passes with a large mu and fails
     with one below its actual transport-Lipschitz constant."""
