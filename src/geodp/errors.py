@@ -26,19 +26,6 @@ class ContractionViolated(GeodpError):
     """Driver Lipschitz constant times dt is >= 1; the implicit step would not contract."""
 
 
-class ComparisonViolated(GeodpError):
-    """Ordered BSDE inputs produced unordered solutions at some node."""
-
-    def __init__(self, step, path, low, high):
-        super().__init__(step, path, low, high)
-        self.step = step
-        self.path = path
-
-    def __str__(self):
-        step, path, low, high = self.args
-        return f"comparison violated at step={step}, path={path}: {low!r} > {high!r}"
-
-
 class GridMismatch(GeodpError):
     """A noise grid that does not fit the fields it drives (its dimension d)."""
 

@@ -456,13 +456,6 @@ def shift_identity_check(
     return abs(lhs - float(sol.y_at_t0[1]))
 
 
-@dataclass(frozen=True)
-class FreezingGapReport:
-    gaps: List[float]
-    ratios: List[float]  # gap / delta
-    monotone_decay: bool
-
-
 def freezing_gap_report(
     prob: ControlProblem,
     phi: Callable,
@@ -473,14 +466,14 @@ def freezing_gap_report(
     n_paths: int = 8192,
     basis: Optional[RegressionBasis] = None,
     picard_iters: int = 3,
-    decay_factor: float = 0.8,
-) -> FreezingGapReport:
+) -> List[float]:
     """Gap between the probe-shifted BSDE along the moving state and its
-    state-frozen counterpart, per window length, maximized over the control
-    grid.  Each window has 16 BSDE steps, whose driver is the probe-shifted
+    state-frozen counterpart, maximized over the control grid: returns one
+    gap per window length of the strictly decreasing ``delta_sequence``.
+    Each window has 16 BSDE steps, whose driver is the probe-shifted
     generator ``hamiltonian_F`` under v, and the frozen ODE of v takes 32 RK4
-    substeps.  The per-unit-time gap must shrink along the (decreasing)
-    sequence.
+    substeps.  State freezing says the per-unit-time gap, gap / delta,
+    shrinks along the sequence; the caller applies its decay rule.
     """
     basis = basis or RegressionBasis()
     deltas = list(delta_sequence)
@@ -514,9 +507,7 @@ def freezing_gap_report(
             y2 = frozen_ode_solve(frozen, phi, x, t, delta, n_substeps=32)
             worst = max(worst, abs(sol1.y_at_t0 - y2))
         gaps.append(worst)
-    ratios = [g / d for g, d in zip(gaps, deltas)]
-    monotone = ratios[-1] <= decay_factor * ratios[0]
-    return FreezingGapReport(gaps=gaps, ratios=ratios, monotone_decay=monotone)
+    return gaps
 
 
 def export_hjb_field(hf: HjbField, path: str) -> None:

@@ -495,17 +495,13 @@ def dpp_residual_check(
     return np.asarray(residuals).reshape(len(delta_steps), n_probes)
 
 
-@dataclass(frozen=True)
-class ContinuityModuli:
-    space_modulus: Dict[float, float]  # neighbor distance -> max |du|
-    time_modulus: Dict[float, float]  # layer spacing -> max |du|
+def continuity_moduli(vf: ValueField) -> Tuple[Dict[float, float], Dict[float, float]]:
+    """Empirical moduli of continuity of the value table: returns (space,
+    time), two dicts.
 
-
-def continuity_moduli(vf: ValueField) -> ContinuityModuli:
-    """Empirical moduli of continuity of the value table.
-
-    Space: neighbor-pair |du| maxima bucketed by pair distance.  Time: max |du|
-    between adjacent layers.
+    space maps each neighbor-pair distance, rounded to 10 digits, to the max
+    |du| over the pairs at that distance; time maps the layer spacing dt to
+    the max |du| between adjacent layers.
     """
     mesh = vf.mesh
     pairs = mesh.neighbor_pairs()
@@ -520,7 +516,7 @@ def continuity_moduli(vf: ValueField) -> ContinuityModuli:
         space[float(dist)] = float(np.max(du[sel]))
     dt = vf.grid.dt
     time_mod = {float(dt): float(np.max(np.abs(np.diff(vf.u, axis=0))))}
-    return ContinuityModuli(space_modulus=space, time_modulus=time_mod)
+    return space, time_mod
 
 
 def export_value_field(vf: ValueField, path: str) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import ControlSet, TimeGrid
+from geodp.errors import GeodpError
 from geodp.geometry import VectorField, get_field, get_manifold
 from geodp.problem import ControlProblem
 
@@ -73,6 +74,21 @@ def one_point_problem(prob, v):
     """The problem over the one-point control set {v}: its frozen ODE is that of
     the constant control v."""
     return dataclasses.replace(prob, controls=ControlSet(v, v))
+
+
+class StepError(GeodpError):
+    """A toolkit error of several arguments, kept as ``args`` as errors.py
+    requires: the fork_map tests raise it from a probe window, and the
+    errors tests pickle it."""
+
+    def __init__(self, step, path, low, high):
+        super().__init__(step, path, low, high)
+        self.step = step
+        self.path = path
+
+    def __str__(self):
+        step, path, low, high = self.args
+        return f"step error at step={step}, path={path}: {low!r} > {high!r}"
 
 
 @pytest.fixture

@@ -143,7 +143,8 @@ def test_criterion_05_stability_estimate_suite():
             return a * np.sin(y) + b * np.tanh(z[..., 0]) + phi[:, i]
 
         pair = backward_sweep(ens.states, ens.noise.increments, sgrid, driver, xi, BASIS)
-        n_pass += int(stability_check(pair, xi, phi, C_L, slack=0.05).passed)
+        lhs, rhs, _ = stability_check(pair, xi, phi, C_L)
+        n_pass += int(lhs <= rhs * (1.0 + 0.05))
     elapsed = time.perf_counter() - t0
     _verdict(
         5, "mean-square stability estimate",
@@ -180,16 +181,16 @@ def test_criterion_06_shift_identity():
 def test_criterion_07_freezing_gap_trend():
     t0 = time.perf_counter()
     prob = circle_problem()
-    rep = freezing_gap_report(
-        prob, _suite_probe, 0.0, np.array([1.0, 0.0]),
-        delta_sequence=[0.25, 0.125, 0.0625, 0.03125], seed=12345,
-        decay_factor=0.8,
+    deltas = [0.25, 0.125, 0.0625, 0.03125]
+    gaps = freezing_gap_report(
+        prob, _suite_probe, 0.0, np.array([1.0, 0.0]), delta_sequence=deltas, seed=12345,
     )
     elapsed = time.perf_counter() - t0
-    decay = 1.0 - rep.ratios[-1] / rep.ratios[0]
+    ratios = [g / d for g, d in zip(gaps, deltas)]
+    decay = 1.0 - ratios[-1] / ratios[0]
     _verdict(
         7, "state-freezing gap trend",
-        rep.monotone_decay and elapsed < 60.0,
+        ratios[-1] <= 0.8 * ratios[0] and elapsed < 60.0,
         f"gap/delta decays {100 * decay:.0f}% >= 20% from delta 1/4 to 1/32, "
         f"{elapsed:.1f}s < 1min",
     )

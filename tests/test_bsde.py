@@ -21,7 +21,7 @@ from geodp.bsde import (
 )
 from geodp.catalog import get_driver, get_terminal
 from geodp.dynamics import BrownianGrid, TimeGrid, constant_policy, simulate
-from geodp.errors import ComparisonViolated, ContractionViolated
+from geodp.errors import ContractionViolated
 from geodp.geometry import Circle, get_field
 
 
@@ -156,14 +156,14 @@ def test_stability_closed_form_pair():
     xi = np.stack([np.ones(n_paths), np.zeros(n_paths)])
     phi = np.zeros((2, n_steps, n_paths))
     pair = solve_backward(ens, get_driver("zero"), lambda x: xi, BASIS)
-    rep = stability_check(pair, xi, phi, C_L=0.0)
-    assert rep.beta0 == 16.0
+    lhs, rhs, beta0 = stability_check(pair, xi, phi, C_L=0.0)
+    assert beta0 == 16.0
     # dY = 1 and dZ = 0 everywhere: lhs = 1 + 0.5 * sum w_i dt; rhs = e^{8}
     w = np.exp(16.0 * (ens.grid.times[:-1] - 0.0))
     lhs_exact = 1.0 + 0.5 * np.sum(w) * ens.grid.dt
-    assert rep.lhs == pytest.approx(lhs_exact, rel=1e-12)
-    assert rep.rhs == pytest.approx(np.exp(16.0 * 0.5), rel=1e-12)
-    assert rep.passed
+    assert lhs == pytest.approx(lhs_exact, rel=1e-12)
+    assert rhs == pytest.approx(np.exp(16.0 * 0.5), rel=1e-12)
+    assert lhs <= rhs
 
 
 def _random_pair(ens, r):
@@ -189,8 +189,8 @@ def test_stability_randomized_instances():
     r = np.random.default_rng(7)
     for _ in range(10):
         pair, xi, phi, C_L = _random_pair(ens, r)
-        rep = stability_check(pair, xi, phi, C_L)
-        assert rep.passed
+        lhs, rhs, _ = stability_check(pair, xi, phi, C_L)
+        assert lhs <= rhs * (1.0 + 0.05)  # the default tolerances.stability_slack
 
 
 def test_comparison_and_bounds():
@@ -198,9 +198,10 @@ def test_comparison_and_bounds():
     driver = get_driver("linear_y", {"beta": 0.5, "c": 0.0})
     low_high = np.stack([np.full(ens.n_paths, -1.0), np.full(ens.n_paths, 1.0)])
     pair = solve_backward(ens, driver, lambda x: low_high, BASIS)
-    assert comparison_check(pair)
-    with pytest.raises(ComparisonViolated):
-        comparison_check(dataclasses.replace(pair, Y=pair.Y[::-1]), tol=1e-6)
+    # Ordered terminals -1 <= 1 keep Y_low below Y_high, so the margin
+    # max(Y_low - Y_high) is negative (-1.22); reversed, it is 2.
+    assert comparison_check(pair) <= 1e-6
+    assert comparison_check(dataclasses.replace(pair, Y=pair.Y[::-1])) > 1e-6
     # a priori bound |Y| <= e^{K(T-t)} (|Phi|_inf + K0 (T-t))
     K = driver.lipschitz_K
     bound = np.exp(K * 1.0) * (1.0 + 0.0)
@@ -302,9 +303,8 @@ def test_pair_stability_equals_former_two_solution_formula(name):
             BsdeSolution(pair.grid, pair.Y[j], pair.Z[j], float(pair.y_at_t0[j]), pair.picard_residual)
             for j in range(2)
         )
-        rep = stability_check(pair, xi, phi, C_L)
         ref = _stability_check_ref(sol1, sol2, xi[0], xi[1], phi[0], phi[1], C_L)
-        assert (rep.lhs, rep.rhs, rep.beta0) == ref
+        assert stability_check(pair, xi, phi, C_L) == ref
 
 
 # Former implementations, kept as references for the rewritten sweep: one

@@ -323,11 +323,10 @@ def test_flow_continuity_shared_noise():
     x = np.array([1.0, 0.0])
     x2 = m.exp(x, np.array([0.0, 0.1]))
     pol = constant_policy([0.0, 1.0])
-    rep = flow_continuity_check(m, fields, x, x2, pol, pol, noise, C=50.0)
-    assert rep.passed
+    lhs, rhs = flow_continuity_check(m, fields, x, x2, pol, pol, noise)
+    assert 0.0 < lhs <= 50.0 * rhs
     # identical starts and controls: both sides vanish
-    rep0 = flow_continuity_check(m, fields, x, x, pol, pol, noise, C=50.0)
-    assert rep0.lhs == 0.0 and rep0.rhs == 0.0
+    assert flow_continuity_check(m, fields, x, x, pol, pol, noise) == (0.0, 0.0)
 
 
 def _flow_case(name, n_paths):
@@ -360,8 +359,7 @@ def _flow_reference(name, n_paths):
     v1 = np.stack([pol(i, ens1.states[i]) for i in range(noise.grid.n_steps)])
     v2 = np.stack([pol2(i, ens2.states[i]) for i in range(noise.grid.n_steps)])
     ctrl_term = float(np.mean(np.sum(np.sum((v1 - v2) ** 2, axis=-1), axis=0) * noise.grid.dt))
-    rhs = 50.0 * (float(np.sum((x - x2) ** 2)) + ctrl_term)
-    return lhs, rhs
+    return lhs, float(np.sum((x - x2) ** 2)) + ctrl_term
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,10 +398,9 @@ def test_flow_continuity_chunk_invariance(name, n_paths, data):
     m, fields, x, x2, pol, pol2, noise = _flow_case(name, n_paths)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "CHUNK", chunk)
-        rep = flow_continuity_check(m, fields, x, x2, pol, pol2, noise, C=50.0)
-    lhs, rhs = _flow_reference(name, n_paths)
-    assert rep.lhs == lhs and rep.rhs == rhs
-    assert rep.lhs > 0.0 and rep.rhs > 50.0 * float(np.sum((x - x2) ** 2))
+        lhs, rhs = flow_continuity_check(m, fields, x, x2, pol, pol2, noise)
+    assert (lhs, rhs) == _flow_reference(name, n_paths)
+    assert lhs > 0.0 and rhs > float(np.sum((x - x2) ** 2))
 
 
 @pytest.mark.parametrize("n_paths", [1, dynamics.CHUNK, dynamics.CHUNK + 1])
@@ -418,7 +415,7 @@ def test_flow_continuity_control_term_matches_stacked_controls(name, n_paths):
     def pol1(i, X):
         return np.concatenate([X[:, :1] - 0.3, np.tile(1.0 + 0.5 * X[:, 1:2] ** 2, (1, d))], axis=1)
 
-    rep = flow_continuity_check(m, fields, x, x2, pol1, pol2, noise, C=50.0)
+    got = flow_continuity_check(m, fields, x, x2, pol1, pol2, noise)
     sup_sq, ctrl_sq = [], []
     for p0 in range(0, n_paths, dynamics.CHUNK):
         block = noise.block(p0, min(p0 + dynamics.CHUNK, n_paths))
@@ -431,8 +428,36 @@ def test_flow_continuity_control_term_matches_stacked_controls(name, n_paths):
     lhs = float(np.mean(np.concatenate(sup_sq)))
     ctrl_term = float(np.mean(np.concatenate(ctrl_sq) * noise.grid.dt))
     assert ctrl_term > 0.0
-    assert rep.lhs == lhs
-    assert rep.rhs == 50.0 * (float(np.sum((x - x2) ** 2)) + ctrl_term)
+    assert got == (lhs, float(np.sum((x - x2) ** 2)) + ctrl_term)
+
+
+@pytest.mark.parametrize("n_paths", [1, 40])
+@pytest.mark.parametrize("policies", ["equal", "different"])
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_flow_sums_equal_the_reduction_formula(name, policies, n_paths):
+    """The flow check adds its squares column by column and its control term
+    step by step.  Its per-path sums, and lhs and rhs, equal to the byte those
+    of np.sum over the last axis followed by a Python sum over the steps, for
+    equal and for different policies and for a block of one path."""
+    m, fields, x, x2, pol, pol2, noise = _flow_case(name, n_paths)
+    if policies == "equal":
+        pol2 = pol
+    ens1 = simulate(m, fields, x, pol, noise)
+    ens2 = simulate(m, fields, x2, pol2, noise)
+    diff = ens1.states - ens2.states
+    sq = np.sum(diff**2, axis=-1)
+    assert dynamics._sum_sq_columns(diff).tobytes() == sq.tobytes()
+    dv = [pol(i, X1) - pol2(i, X2) for i, (X1, X2) in enumerate(zip(ens1.states[:-1], ens2.states[:-1]))]
+    ctrl = sum(np.sum(d**2, axis=-1) for d in dv)
+    for d in dv:
+        assert dynamics._sum_sq_columns(d).tobytes() == np.sum(d**2, axis=-1).tobytes()
+    assert (np.all(ctrl == 0.0) if policies == "equal" else np.all(ctrl > 0.0))
+    want = [
+        float(np.mean(np.max(sq, axis=0))),
+        float(np.sum((x - x2) ** 2)) + float(np.mean(ctrl * noise.grid.dt)),
+    ]
+    got = flow_continuity_check(m, fields, x, x2, pol, pol2, noise)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_flow_continuity_memory_is_flat_in_paths(monkeypatch):
@@ -451,7 +476,7 @@ def test_flow_continuity_memory_is_flat_in_paths(monkeypatch):
         noise = _noise(TimeGrid(0.0, 1.0, 16), n_paths=n_paths, seed=5)
         tracemalloc.start()
         try:
-            flow_continuity_check(m, fields, x, x2, pol, pol, noise, C=50.0)
+            flow_continuity_check(m, fields, x, x2, pol, pol, noise)
             peaks[n_paths] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

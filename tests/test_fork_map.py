@@ -18,9 +18,10 @@ from geodp.bsde import RegressionBasis
 from geodp.cli import main as cli_main
 from geodp.config import ExperimentConfig
 from geodp.dynamics import fork_map
-from geodp.errors import ComparisonViolated, ConfigError, WorkerLost
+from geodp.errors import ConfigError, WorkerLost
 from geodp.harness import _probe_points, run
 
+from conftest import StepError
 from test_dynamics import _flow_case
 
 pytestmark = pytest.mark.skipif(sys.platform != "linux", reason="fork_map forks on Linux only")
@@ -171,7 +172,7 @@ def test_flow_check_is_identical_at_one_and_two_cpus(cpus, monkeypatch, name):
     for k in (1, 2):
         forks = cpus(k)
         m, fields, x, x2, pol, pol2, noise = _flow_case(name, 40)
-        reports[k] = dynamics.flow_continuity_check(m, fields, x, x2, pol, pol2, noise, C=50.0)
+        reports[k] = dynamics.flow_continuity_check(m, fields, x, x2, pol, pol2, noise)
         assert len(forks) == (0 if k == 1 else 2)
     assert reports[1] == reports[2]
     _assert_no_child_left()
@@ -309,7 +310,7 @@ def test_dpp_check_fails_on_a_nan_window_value_from_a_worker(cpus, tmp_path, mon
 
 
 def test_a_probe_window_error_reaches_the_cli_as_on_one_cpu(cpus, tmp_path, capsys, monkeypatch):
-    """semigroup raises ComparisonViolated on the last delta-1 probe, which the
+    """semigroup raises StepError on the last delta-1 probe, which the
     second worker runs: on one CPU and on two the CLI exits 3 with the same
     ``run error:`` line."""
     f = tmp_path / "c.yaml"
@@ -321,7 +322,7 @@ def test_a_probe_window_error_reaches_the_cli_as_on_one_cpu(cpus, tmp_path, caps
 
     def fail_at_last_probe(ens, *a, **k):
         if ens.noise.seed == bad_seed:
-            raise ComparisonViolated(3, 17, 0.5, 0.25)
+            raise StepError(3, 17, 0.5, 0.25)
         return semigroup(ens, *a, **k)
 
     monkeypatch.setattr(value, "semigroup", fail_at_last_probe)
@@ -333,7 +334,7 @@ def test_a_probe_window_error_reaches_the_cli_as_on_one_cpu(cpus, tmp_path, caps
         assert len(forks) == (0 if k == 1 else 2)
         _assert_no_child_left()
     assert outcomes[1] == outcomes[2] == (
-        3, "run error: ComparisonViolated: comparison violated at step=3, path=17: 0.5 > 0.25\n")
+        3, "run error: StepError: step error at step=3, path=17: 0.5 > 0.25\n")
 
 
 @pytest.mark.parametrize("name", sorted(DPP))
@@ -384,7 +385,7 @@ def test_sphere_dpp_probes_move_and_read_their_window_seeds(cpus, tmp_path):
 
 
 def _fail_windows(monkeypatch, cfg, windows):
-    """Make semigroup raise ComparisonViolated(step=delta, path=probe index)
+    """Make semigroup raise StepError(step=delta, path=probe index)
     in each (delta, probe index) window of ``windows`` of a circle ``cfg``
     (16 steps, 32 nodes), told apart by its noise seed, and run the other
     windows as usual."""
@@ -394,7 +395,7 @@ def _fail_windows(monkeypatch, cfg, windows):
 
     def failing(ens, *a, **k):
         if ens.noise.seed in bad:
-            raise ComparisonViolated(*bad[ens.noise.seed], 0.5, 0.25)
+            raise StepError(*bad[ens.noise.seed], 0.5, 0.25)
         return semigroup(ens, *a, **k)
 
     monkeypatch.setattr(value, "semigroup", failing)
@@ -415,7 +416,7 @@ def test_a_failing_window_raises_the_error_of_the_first_in_serial_order(
     _fail_windows(monkeypatch, cfg, windows)
     for k in (1, 2):
         forks = cpus(k)
-        with _deadline(), pytest.raises(ComparisonViolated) as info:
+        with _deadline(), pytest.raises(StepError) as info:
             run(cfg, out_dir=str(tmp_path / f"cpus{k}"))
         assert (info.value.step, info.value.path) == first
         assert len(forks) == (0 if k == 1 else 2)
@@ -435,7 +436,7 @@ def test_a_failed_dpp_check_leaves_the_same_files_at_one_and_two_cpus(
     for k in (1, 2):
         forks = cpus(k)
         out = tmp_path / f"cpus{k}"
-        with _deadline(), pytest.raises(ComparisonViolated):
+        with _deadline(), pytest.raises(StepError):
             run(cfg, out_dir=str(out))
         assert len(forks) == (2 if k == 2 and path_steps >= value._FORK_MIN_PATH_STEPS else 0)
         files[k] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}

@@ -333,6 +333,57 @@ def test_estimates_flow_pair_is_distinct_where_ones_is_normal(tmp_path, manifold
     assert rep.metrics["flow_lhs"] > 0.0
 
 
+@pytest.mark.parametrize("seed", [12345, 4242])
+def test_estimates_applies_its_bounds_to_the_returned_measurements(tmp_path, monkeypatch, seed):
+    """The checks return plain measurements and estimates applies the bounds:
+    flow_rhs is flow_C times the flow check's returned rhs, bit for bit, and
+    each stability.csv row passes exactly when lhs <= rhs (1 + stability_slack)."""
+    returned = []
+    check = harness.flow_continuity_check
+
+    def recorded(*args):
+        returned.append(check(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(harness, "flow_continuity_check", recorded)
+    cfg = _cfg(experiment="estimates", seed=seed)
+    tol = cfg["tolerances"]
+    rep = run(cfg, out_dir=str(tmp_path))
+    (lhs, rhs), = returned
+    assert rep.metrics["flow_lhs"] == lhs
+    assert np.float64(rep.metrics["flow_rhs"]).tobytes() == np.float64(tol["flow_C"] * rhs).tobytes()
+    rows = _csv_rows(tmp_path / "stability.csv")
+    assert len(rows) == cfg["estimates"]["n_instances"]
+    slack = tol["stability_slack"]
+    assert [r["pass"] for r in rows] == [str(int(float(r["lhs"]) <= float(r["rhs"]) * (1.0 + slack))) for r in rows]
+    assert rep.passed
+
+
+def test_estimates_fails_a_row_above_the_slack_and_a_flow_above_its_bound(tmp_path, monkeypatch):
+    """Instances whose stability_check rhs is moved to lhs / 1.04 pass within
+    the 5% slack and those moved to lhs / 1.06 fail; a flow_C of 0.5 puts
+    flow_lhs (0.0100) above flow_rhs (0.0050).  Each failure fails the run."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # the instances run in order, here
+    check = harness.stability_check
+    ratios = iter([1.0, 1.04, 1.06])
+
+    def moved(pair, xi, phi, C_L):
+        lhs, _, beta0 = check(pair, xi, phi, C_L)
+        return lhs, lhs / next(ratios), beta0
+
+    monkeypatch.setattr(harness, "stability_check", moved)
+    cfg = _cfg(experiment="estimates", mc={"n_paths": 256}, estimates={"n_instances": 3})
+    rep = run(cfg, out_dir=str(tmp_path / "stability"))
+    rows = _csv_rows(tmp_path / "stability" / "stability.csv")
+    assert [r["pass"] for r in rows] == ["1", "1", "0"]
+    assert rep.metrics["stability_pass_rate"] == 2 / 3 and not rep.passed
+    monkeypatch.setattr(harness, "stability_check", check)
+    cfg = _cfg(experiment="estimates", mc={"n_paths": 256}, estimates={"n_instances": 1},
+               tolerances={"flow_C": 0.5})
+    rep = run(cfg, out_dir=str(tmp_path / "flow"))
+    assert rep.metrics["flow_lhs"] > rep.metrics["flow_rhs"] > 0.0 and not rep.passed
+
+
 def test_hypotheses_h2_threshold_is_applied(tmp_path):
     """The circle rotation's transport defect is at roundoff (~1e-16): it passes
     the default threshold and fails a threshold below it."""

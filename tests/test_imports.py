@@ -30,3 +30,11 @@ def test_the_package_root_defines_and_loads_nothing():
 def test_module_imports_alone_in_a_fresh_interpreter(module):
     proc = _run(f"import geodp.{module}")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_harness_leaves_hypotheses_to_its_own_experiment():
+    """Only the hypotheses experiment reads geodp.hypotheses, so importing the
+    harness, as every run does, does not import it."""
+    proc = _run("import sys, geodp.harness; print('geodp.hypotheses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -235,16 +235,15 @@ def test_continuity_moduli_decay():
     mesh = CircleMesh(64)
     u_coarse = value_function(prob, TimeGrid(0.0, 1.0, 16), mesh)
     u_fine = value_function(prob, TimeGrid(0.0, 1.0, 64), mesh)
-    mc = continuity_moduli(u_coarse)
-    mf = continuity_moduli(u_fine)
+    space_c, time_c = continuity_moduli(u_coarse)
+    _, time_f = continuity_moduli(u_fine)
     # one spacing bucket on the uniform circle mesh; finite moduli
-    assert len(mc.space_modulus) == 1
-    (dc, sc), = mc.space_modulus.items()
-    assert sc < 0.5  # neighbor jumps are small for a 1-Lipschitz terminal
+    (dc, sc), = space_c.items()
+    assert dc == pytest.approx(2 * np.pi / 64) and sc < 0.5  # small jumps for a 1-Lipschitz terminal
     # time modulus shrinks with dt (within noise)
-    tc = list(mc.time_modulus.values())[0]
-    tf = list(mf.time_modulus.values())[0]
-    assert tf < tc
+    (dt_c, tc), = time_c.items()
+    (dt_f, tf), = time_f.items()
+    assert (dt_c, dt_f) == (1.0 / 16, 1.0 / 64) and tf < tc
 
 
 def _four_control_torus():
